@@ -1,10 +1,12 @@
 """Event-timed density-matrix execution of distributed circuits.
 
-Every event occupies simulated time from a duration table, and after each
-advance all register qubits idle-depolarize for exactly that long, so
-decoherence tracks the timeline rather than gate counts.  Ebit requests
+Every event occupies simulated time from a duration table, and while the
+clock advances every register qubit idle-depolarizes for exactly that long,
+so decoherence tracks the timeline rather than gate counts.  Ebit requests
 install a fresh Werner pair once the 1/R distribution window has elapsed;
-the pair therefore starts undecayed and ages only from then on.
+the pair therefore starts undecayed and ages only from then on.  A measured
+qubit holds a classical record from its ``Measure`` until its ``Reinit``
+and does not idle meanwhile: a stored bit does not decohere.
 
 Measurements come in two modes.  The default, ``mixture``, never samples:
 a measurement is the dephasing channel on the measured qubit, conditional
@@ -19,16 +21,37 @@ Scheduling is sequential by default: one global clock, every event advances
 it once.  The ``layered`` mode packs resource-disjoint events into slots
 whose duration is the slot maximum, as a sensitivity study for how much the
 strictly serial timeline overstates decoherence.
+
+Execution.  A run owns one rank-2n complex tensor (plus a scratch buffer of
+the same size) and mutates it in place; every event is a superoperator on
+at most two wires, applied by one transpose and one matrix product.  The
+``DensityMatrix`` a run returns is a fresh object that shares no memory
+with the run.
+
+Memory decay is kept in a ledger of idle seconds per wire instead of being
+applied after every event.  This is exact, not an approximation:
+depolarizing a wire for t1 and then t2 seconds equals depolarizing it once
+for t1 + t2; single-qubit depolarization is unitarily covariant, so it
+commutes with one-qubit gates on its wire; it commutes with dephasing and
+with the partial trace; and it commutes with anything on other wires.  A
+wire's owed decay is therefore applied only where it cannot wait: it is
+folded into the next two-wire map on that wire (``S @ (D_a x D_b)``), into
+a sampled-mode projection, and, for result wires only, into the reduced
+output.  It is dropped, never applied, when the wire is re-initialized,
+overwritten by an ebit, or traced out at the end, since each of those
+discards the wire's state.
 """
 
 from __future__ import annotations
 
 import io
+import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channels import GateErrorParam, MemoryParam, WernerParam, memory_depol, noisy_cnot, werner_state
+from .channels import GateErrorParam, MemoryParam, WernerParam, werner_state
 from .compiler import (
     ClassicalMessage,
     ConditionalCorrection,
@@ -47,15 +70,14 @@ from .states import (
     DensityMatrix,
     PureState,
     apply_gate_pure,
-    apply_unitary,
     apply_unitary_pure,
     bell_state,
-    dephase,
-    project,
     project_pure,
-    reduce_to_wires,
-    replace_subsystem,
 )
+
+# Unused by the run; kept bound because perfbench/tracer.py wraps them here by name.
+from .channels import memory_depol, noisy_cnot  # noqa: F401
+from .states import apply_unitary, dephase, project, reduce_to_wires, replace_subsystem  # noqa: F401
 
 DEFAULT_MAX_QUBITS = 14
 
@@ -263,13 +285,148 @@ def elapsed_time(dc: DistributedCircuit, cfg: SimConfig) -> float:
 
 
 # ---------------------------------------------------------------------------
+# Superoperators.  A map on k wires is a 4^k x 4^k matrix acting on the
+# row-major vectorization of the k-wire block, whose index runs over
+# (ket_1..ket_k, bra_1..bra_k); U rho U-dagger is then kron(U, conj(U)).
+# ---------------------------------------------------------------------------
+
+
+def _unitary_superop(u: np.ndarray) -> np.ndarray:
+    u = np.asarray(u, dtype=complex)
+    d = u.shape[0]
+    return (u[:, None, :, None] * u.conj()[None, :, None, :]).reshape(d * d, d * d)
+
+
+def _prepare_superop(sub: np.ndarray) -> np.ndarray:
+    """Discard the wires and load ``sub``: rho -> Tr(rho) sub."""
+    return np.outer(sub.reshape(-1), np.eye(sub.shape[0], dtype=complex).reshape(-1))
+
+
+_DEPOLARIZE_1Q = _prepare_superop(np.eye(2) / 2.0)
+_IDENTITY_1Q = np.eye(4, dtype=complex)
+
+
+def _depol_superop(keep: float) -> np.ndarray:
+    """One wire: rho -> keep rho + (1 - keep) Tr(rho) I/2."""
+    return keep * _IDENTITY_1Q + (1.0 - keep) * _DEPOLARIZE_1Q
+
+
+def _pair_superop(sa: np.ndarray, sb: np.ndarray) -> np.ndarray:
+    """``sa`` on the first wire and ``sb`` on the second, as one 2-wire map."""
+    t = np.einsum("pqrs,tuvw->ptqurvsw", sa.reshape((2,) * 4), sb.reshape((2,) * 4))
+    return t.reshape(16, 16)
+
+
+_ZERO_1Q = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
+_REINIT = _prepare_superop(_ZERO_1Q)
+_DEPHASE = np.diag([1.0, 0.0, 0.0, 1.0]).astype(complex)
+_CNOT_SUPEROP = _unitary_superop(gate_unitary(Gate("cx", (0, 1))))
+_CNOT_FAILURE = _prepare_superop(np.eye(4, dtype=complex) / 4.0)
+
+
+def _controlled(u: np.ndarray) -> np.ndarray:
+    c = np.eye(4, dtype=complex)
+    c[2:, 2:] = u
+    return c
+
+
+_PAULIS = {p: gate_unitary(Gate(p, (0,))) for p in ("x", "z")}
+_PAULI_SUPEROP = {p: _unitary_superop(u) for p, u in _PAULIS.items()}
+_CONTROLLED_PAULI_SUPEROP = {p: _unitary_superop(_controlled(u)) for p, u in _PAULIS.items()}
+# _PROJECT[outcome] keeps the |outcome><outcome| block of one wire, unnormalized.
+_PROJECT = (
+    np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex),
+    np.diag([0.0, 0.0, 0.0, 1.0]).astype(complex),
+)
+
+
+# ---------------------------------------------------------------------------
+# Working set
+# ---------------------------------------------------------------------------
+
+_BYTES_PER_ENTRY = np.dtype(complex).itemsize
+
+
+def _working_set_bytes(n_qubits: int) -> int:
+    """Bytes a run holds at once: the register and the kernel's equal-sized scratch."""
+    return 2 * _BYTES_PER_ENTRY * 4**n_qubits
+
+
+def _available_bytes() -> int | None:
+    """Physical memory free right now, or None where the platform does not say."""
+    try:
+        return os.sysconf("SC_AVPHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (ValueError, OSError):
+        return None
+
+
+# ---------------------------------------------------------------------------
 # Simulation
 # ---------------------------------------------------------------------------
 
-_ZERO_1Q = DensityMatrix(np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex))
+
+class _Register:
+    """A density matrix over n wires, held as one rank-2n tensor and updated in place.
+
+    Axis labels are w for the ket and n + w for the bra of wire w, and
+    ``order[i]`` is the label of the buffer's i-th axis.  :meth:`apply`
+    copies the buffer into the scratch with the touched axes moved to the
+    front, then multiplies by the superoperator from the scratch back into
+    the buffer.  The touched axes stay in front afterwards: ``order``
+    records the permutation instead of a second copy undoing it.
+    """
+
+    def __init__(self, tensor: np.ndarray):
+        self.n = tensor.ndim // 2
+        self.buf = tensor.reshape(-1)
+        self.scratch = np.empty_like(self.buf)
+        self.order = list(range(2 * self.n))
+
+    @classmethod
+    def from_pure(cls, amplitudes: np.ndarray) -> "_Register":
+        n = amplitudes.shape[0].bit_length() - 1
+        buf = np.empty((1 << n, 1 << n), dtype=complex)
+        np.multiply(amplitudes[:, None], amplitudes.conj()[None, :], out=buf)
+        return cls(buf.reshape((2,) * (2 * n)))
+
+    def _tensor(self) -> np.ndarray:
+        return self.buf.reshape((2,) * (2 * self.n))
+
+    def apply(self, sop: np.ndarray, wires: tuple[int, ...]) -> None:
+        labels = list(wires) + [self.n + w for w in wires]
+        front = [self.order.index(label) for label in labels]
+        if front != list(range(len(front))):
+            perm = front + [i for i in range(2 * self.n) if i not in front]
+            np.copyto(self.scratch.reshape((2,) * (2 * self.n)), self._tensor().transpose(perm))
+            self.buf, self.scratch = self.scratch, self.buf
+            self.order = [self.order[i] for i in perm]
+        rows = sop.shape[0]
+        np.matmul(sop, self.buf.reshape(rows, -1), out=self.scratch.reshape(rows, -1))
+        self.buf, self.scratch = self.scratch, self.buf
+
+    def matrix(self) -> np.ndarray:
+        """The density matrix in wire order (a copy when the axes are permuted)."""
+        dim = 1 << self.n
+        return self._tensor().transpose(np.argsort(self.order)).reshape(dim, dim)
+
+    def _labels(self, keep: tuple[int, ...]) -> list[int]:
+        # Einsum labels that trace out every wire not in ``keep``.
+        return [lab - self.n if lab >= self.n and lab - self.n not in keep else lab for lab in self.order]
+
+    def populations(self, wire: int) -> np.ndarray:
+        """(p0, p1) of one wire, summed from the diagonal alone."""
+        return np.real(np.einsum(self._tensor(), self._labels(()), [wire]))
+
+    def reduce(self, wires: tuple[int, ...]) -> np.ndarray:
+        """Reduced tensor over ``wires`` in the listed order, as a fresh array."""
+        out = list(wires) + [self.n + w for w in wires]
+        # With nothing to trace out, einsum would return a view of the buffer.
+        return np.einsum(self._tensor(), self._labels(wires), out).copy()
 
 
 class _Run:
+    """One simulation: the register, the idle-time ledger and the measurement records."""
+
     def __init__(self, dc: DistributedCircuit, cfg: SimConfig, forced_outcomes: dict[str, int] | None):
         self.dc = dc
         self.cfg = cfg
@@ -280,11 +437,29 @@ class _Run:
         self.outcomes: dict[str, int] = {}
         self.branch_p = 1.0
         self.live_comm: set[int] = set()
-        self.rho: DensityMatrix | None = None
+        self.records: set[int] = set()  # wires holding a measurement record until Reinit
+        self.idle = [0.0] * dc.n_total  # memory decay owed per wire, in seconds
+        self.reg: _Register | None = None
+        eps = cfg.gate_err.eps_cnot
+        self.cnot = (1.0 - eps) * _CNOT_SUPEROP + eps * _CNOT_FAILURE
         if cfg.ebit_state is None:
-            self.ebit = werner_state(cfg.werner.f_w)
+            ebit = werner_state(cfg.werner.f_w)
         else:
-            self.ebit = DensityMatrix.from_pure(bell_state(cfg.ebit_state))
+            ebit = DensityMatrix.from_pure(bell_state(cfg.ebit_state))
+        self.ebit = _prepare_superop(ebit.entries)
+
+    def _settle(self, wire: int) -> float:
+        """Keep factor of the decay owed on ``wire``; the ledger entry is cleared."""
+        keep = math.exp(-self.cfg.memory.r * self.idle[wire])
+        self.idle[wire] = 0.0
+        return keep
+
+    def _apply_settled(self, sop: np.ndarray, wires: tuple[int, int]) -> None:
+        """Apply a 2-wire map after the decay owed on both wires, in one pass."""
+        keep_a, keep_b = self._settle(wires[0]), self._settle(wires[1])
+        if keep_a != 1.0 or keep_b != 1.0:
+            sop = sop @ _pair_superop(_depol_superop(keep_a), _depol_superop(keep_b))
+        self.reg.apply(sop, wires)
 
     def perform(self, ev: Event) -> None:
         if isinstance(ev, LocalGate):
@@ -296,20 +471,29 @@ class _Run:
         elif isinstance(ev, ConditionalCorrection):
             self._correction(ev)
         elif isinstance(ev, Reinit):
-            self.rho = replace_subsystem(self.rho, (ev.qubit,), _ZERO_1Q)
+            self.idle[ev.qubit] = 0.0
+            self.reg.apply(_REINIT, (ev.qubit,))
             self.live_comm.discard(ev.qubit)
+            self.records.discard(ev.qubit)
         else:
             raise TypeError(f"unknown event {ev!r}")
 
     def _local_gate(self, gate: Gate) -> None:
-        if gate.kind == "cx":
-            self.rho = noisy_cnot(self.rho, gate.qubits[0], gate.qubits[1], self.cfg.gate_err.eps_cnot)
+        if len(gate.qubits) == 1:
+            # Depolarization is unitarily covariant, so the decay owed can wait.
+            self.reg.apply(_unitary_superop(gate_unitary(gate)), gate.qubits)
+        elif gate.kind == "cx":
+            self._apply_settled(self.cnot, gate.qubits)
         else:
-            self.rho = apply_unitary(self.rho, gate_unitary(gate), gate.qubits)
+            self._apply_settled(_unitary_superop(gate_unitary(gate)), gate.qubits)
 
     def _measure(self, ev: Measure) -> None:
+        w = ev.qubit
         if self.sampled:
-            p1, _ = project(self.rho, ev.qubit, 1)
+            keep = self._settle(w)
+            pops = self.reg.populations(w)
+            pops = keep * pops + (1.0 - keep) * pops.sum() / 2.0
+            p1 = float(pops[1])
             if ev.tag in self.forced:
                 outcome = self.forced[ev.tag]
                 if outcome not in (0, 1):
@@ -321,27 +505,27 @@ class _Run:
                 raise EngineError(
                     f"outcome {outcome} for tag '{ev.tag}' has probability {p_out:.3g}"
                 )
-            _, self.rho = project(self.rho, ev.qubit, outcome)
+            sop = _PROJECT[outcome] @ _depol_superop(keep) / float(pops[outcome])
+            self.reg.apply(sop, (w,))
             self.outcomes[ev.tag] = outcome
             self.branch_p *= p_out
         else:
-            self.rho = dephase(self.rho, ev.qubit)
-            self.tag_qubit[ev.tag] = ev.qubit
+            # Dephasing commutes with depolarization: the decay owed stays owed.
+            self.reg.apply(_DEPHASE, (w,))
+            self.tag_qubit[ev.tag] = w
+        self.records.add(w)
 
     def _correction(self, ev: ConditionalCorrection) -> None:
-        pauli = gate_unitary(Gate(ev.pauli, (0,)))
         if self.sampled:
             if ev.tag not in self.outcomes:
                 raise EngineError(f"correction reads unmeasured tag '{ev.tag}'")
             if self.outcomes[ev.tag] == 1:
-                self.rho = apply_unitary(self.rho, pauli, (ev.qubit,))
+                self.reg.apply(_PAULI_SUPEROP[ev.pauli], (ev.qubit,))
         else:
             ctrl = self.tag_qubit.get(ev.tag)
             if ctrl is None:
                 raise EngineError(f"correction reads unmeasured tag '{ev.tag}'")
-            controlled = np.eye(4, dtype=complex)
-            controlled[2:, 2:] = pauli
-            self.rho = apply_unitary(self.rho, controlled, (ctrl, ev.qubit))
+            self._apply_settled(_CONTROLLED_PAULI_SUPEROP[ev.pauli], (ctrl, ev.qubit))
 
     def install_ebit(self, ev: EbitRequest) -> None:
         for q in (ev.qubit_a, ev.qubit_b):
@@ -349,15 +533,26 @@ class _Run:
                 raise EngineError(
                     f"ebit request would overwrite live state on communication qubit {q}"
                 )
-        self.rho = replace_subsystem(self.rho, (ev.qubit_a, ev.qubit_b), self.ebit)
+            self.idle[q] = 0.0
+        self.reg.apply(self.ebit, (ev.qubit_a, ev.qubit_b))
         self.live_comm.update((ev.qubit_a, ev.qubit_b))
 
-    def decay_all(self, dt: float) -> None:
-        r = self.cfg.memory.r
-        if dt <= 0.0 or r <= 0.0:
+    def idle_all(self, dt: float) -> None:
+        if dt <= 0.0 or self.cfg.memory.r <= 0.0:
             return
         for w in range(self.dc.n_total):
-            self.rho = memory_depol(self.rho, w, dt, r)
+            if w not in self.records:
+                self.idle[w] += dt
+
+    def output(self) -> DensityMatrix:
+        """Reduced state over the result wires, with their owed decay applied."""
+        wires = self.dc.result_wires
+        out = _Register(self.reg.reduce(wires))
+        for i, w in enumerate(wires):
+            keep = self._settle(w)
+            if keep != 1.0:
+                out.apply(_depol_superop(keep), (i,))
+        return DensityMatrix(out.matrix())
 
 
 def simulate(
@@ -381,6 +576,12 @@ def simulate(
         raise EngineError(
             f"register of {dc.n_total} qubits exceeds the configured cap of {cfg.max_qubits}"
         )
+    need, have = _working_set_bytes(dc.n_total), _available_bytes()
+    if have is not None and need > have:
+        raise EngineError(
+            f"register of {dc.n_total} qubits needs {need / 1e9:.3g} GB, "
+            f"but only {have / 1e9:.3g} GB of memory is free"
+        )
     if input_state.n_qubits != dc.n_processing:
         raise EngineError(
             f"input covers {input_state.n_qubits} qubits, circuit has {dc.n_processing}"
@@ -390,7 +591,7 @@ def simulate(
     run = _Run(dc, cfg, forced_outcomes)
     n_comm = dc.n_total - dc.n_processing
     full = input_state.tensor(PureState.zero(n_comm)) if n_comm else input_state
-    run.rho = DensityMatrix.from_pure(full)
+    run.reg = _Register.from_pure(full.amplitudes)
 
     telemetry: list[TelemetryRow] = []
     layers = _build_layers(dc, cfg.durations, cfg.schedule_mode)
@@ -402,16 +603,15 @@ def simulate(
                 pending_ebits.append(ev)
             else:
                 run.perform(ev)
-        run.decay_all(layer.duration)
+        run.idle_all(layer.duration)
         # Fresh pairs materialize at the end of the distribution window and
-        # have not idled yet, so they are installed after the decay step.
+        # have not idled yet, so they are installed after the idle step.
         for ev in pending_ebits:
             run.install_ebit(ev)
 
     elapsed = (layers[-1].start + layers[-1].duration) if layers else 0.0
-    rho_out = reduce_to_wires(run.rho, dc.result_wires)
     return SimResult(
-        rho_out=rho_out,
+        rho_out=run.output(),
         elapsed=elapsed,
         telemetry=tuple(telemetry),
         resources=count_resources(dc),

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from qdcsim import engine
 from qdcsim.channels import GateErrorParam, MemoryParam, WernerParam, memory_depol
 from qdcsim.compiler import (
     DistributedCircuit,
@@ -361,6 +362,29 @@ class TestMeasurementModes:
             )
 
 
+class TestClassicalRecords:
+    """A measured qubit holds a classical bit until Reinit; memory noise leaves it alone."""
+
+    @pytest.mark.parametrize("r", [0.055, 50.0])
+    @pytest.mark.parametrize("scheme", ALL_SCHEMES)
+    def test_mixture_equals_weighted_branches_with_all_noise(self, scheme, r):
+        dc = compile_circuit(remote_cnot(), scheme)
+        inp = param_state(0.35, phi=0.9, gamma=0.7, theta=1.3)
+        noise = dict(werner=WernerParam(0.92), gate_err=GateErrorParam(0.02), memory=MemoryParam(r))
+        mixture = simulate(dc, inp, SimConfig(**noise)).rho_out.entries
+        tags = [ev.tag for ev in dc.events if isinstance(ev, Measure)]
+        total = np.zeros_like(mixture)
+        for bits in itertools.product((0, 1), repeat=len(tags)):
+            res = simulate(
+                dc,
+                inp,
+                SimConfig(measurement_mode="sampled", **noise),
+                forced_outcomes=dict(zip(tags, bits)),
+            )
+            total += res.branch_probability * res.rho_out.entries
+        np.testing.assert_allclose(total, mixture, atol=1e-12, rtol=0.0)
+
+
 class TestMemoryTiming:
     def test_monolithic_gate_decay_matches_direct_channels(self):
         """One noisy-free CNOT then 600 us of decay on both qubits."""
@@ -500,6 +524,34 @@ class TestGuards:
         )
         with pytest.raises(EngineError, match="overwrite"):
             simulate(dc, PureState.zero(2), SimConfig())
+
+    def test_working_set_estimate(self):
+        # Register plus equal-sized scratch: the default cap's 14 qubits need 8.6 GB.
+        assert engine._working_set_bytes(14) == 2 * 16 * 4**14
+        assert engine._working_set_bytes(6) == 2 * 16 * 4**6
+
+    def test_register_too_big_for_free_memory_rejected(self, monkeypatch):
+        dc = compile_circuit(remote_cnot(), Scheme.CAT_COMM)  # 6 qubits
+        need = engine._working_set_bytes(dc.n_total)
+        monkeypatch.setattr(engine, "_available_bytes", lambda: need - 1)
+        with pytest.raises(EngineError, match="memory"):
+            simulate(dc, PureState.zero(2), SimConfig())
+        monkeypatch.setattr(engine, "_available_bytes", lambda: need)
+        assert simulate(dc, PureState.zero(2), SimConfig()).rho_out.n_qubits == 2
+
+    def test_capped_register_refused_before_allocation(self, monkeypatch):
+        # 10 processing + 4 comm qubits pass the default cap of 14; with 8 GB
+        # free the working set does not fit, and nothing may be allocated.
+        dc = compile_circuit(parse_qasm("qreg q[10]; cx q[0],q[9];"), Scheme.CAT_COMM)
+        assert dc.n_total == SimConfig().max_qubits
+        monkeypatch.setattr(engine, "_available_bytes", lambda: 8 * 10**9)
+
+        def no_allocation(*args):
+            raise AssertionError("register allocated")
+
+        monkeypatch.setattr(engine._Register, "from_pure", no_allocation)
+        with pytest.raises(EngineError, match="memory"):
+            simulate(dc, PureState.zero(10), SimConfig())
 
     def test_input_size_checked(self):
         dc = compile_circuit(remote_cnot(), Scheme.CAT_COMM)
