@@ -195,16 +195,28 @@ class RemoteGateRecord:
 
 @dataclass(frozen=True)
 class DistributedCircuit:
-    """Event-level program plus the placement needed to interpret it."""
+    """Event-level program plus the placement needed to interpret it.
 
-    name: str
+    ``source`` is the circuit the events were compiled from, lowered to the
+    U3 + CNOT basis; its noiseless run is the reference a simulated output
+    is scored against.
+    """
+
+    source: Circuit
     scheme: Scheme
-    n_processing: int
     placement: tuple[QubitRef, ...]
     events: tuple[Event, ...]
     result_wires: tuple[int, ...]  # physical home of each logical wire at the end
     partition: Partition | None = None
     remote_gates: tuple[RemoteGateRecord, ...] = field(default=())
+
+    @property
+    def name(self) -> str:
+        return self.source.name
+
+    @property
+    def n_processing(self) -> int:
+        return self.source.n_qubits
 
     @property
     def n_total(self) -> int:
@@ -447,9 +459,8 @@ def compile_circuit(
             LocalGate(g) for g in lowered.ops if g.kind not in ("measure", "barrier")
         )
         return DistributedCircuit(
-            name=circuit.name,
+            source=lowered,
             scheme=scheme,
-            n_processing=n,
             placement=placement,
             events=events,
             result_wires=tuple(range(n)),
@@ -483,9 +494,8 @@ def compile_circuit(
         for q in state.comm_a + state.comm_b
     )
     return DistributedCircuit(
-        name=circuit.name,
+        source=lowered,
         scheme=scheme,
-        n_processing=n,
         placement=placement,
         events=tuple(state.events),
         result_wires=tuple(state.loc),

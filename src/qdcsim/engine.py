@@ -40,6 +40,9 @@ a sampled-mode projection, and, for result wires only, into the reduced
 output.  It is dropped, never applied, when the wire is re-initialized,
 overwritten by an ebit, or traced out at the end, since each of those
 discards the wire's state.
+
+The noiseless reference a run is scored against is the source circuit the
+events were compiled from, run on a statevector.
 """
 
 from __future__ import annotations
@@ -66,14 +69,7 @@ from .compiler import (
 )
 from .gates import Gate, gate_unitary
 from .qasm import Circuit, lower_to_basis
-from .states import (
-    DensityMatrix,
-    PureState,
-    apply_gate_pure,
-    apply_unitary_pure,
-    bell_state,
-    project_pure,
-)
+from .states import DensityMatrix, PureState, apply_gate_pure, bell_state
 
 # Unused by the run; kept bound because perfbench/tracer.py wraps them here by name.
 from .channels import memory_depol, noisy_cnot  # noqa: F401
@@ -634,70 +630,15 @@ def _ideal_circuit(circuit: Circuit, input_state: PureState) -> PureState:
     return psi
 
 
-_H = gate_unitary(Gate("h", (0,)))
-_CX = gate_unitary(Gate("cx", (0, 1)))
-
-
-def _ideal_distributed(dc: DistributedCircuit, input_state: PureState) -> PureState:
-    n_comm = dc.n_total - dc.n_processing
-    psi = input_state.tensor(PureState.zero(n_comm)) if n_comm else input_state
-    outcomes: dict[str, int] = {}
-    for ev in dc.events:
-        if isinstance(ev, LocalGate):
-            psi = apply_gate_pure(psi, ev.gate)
-        elif isinstance(ev, EbitRequest):
-            # The pair is |00> here, so H + CNOT prepares the ideal Bell state.
-            psi = apply_unitary_pure(psi, _H, (ev.qubit_a,))
-            psi = apply_unitary_pure(psi, _CX, (ev.qubit_a, ev.qubit_b))
-        elif isinstance(ev, Measure):
-            # Any branch gives the same corrected output noiselessly; take the
-            # likelier one so zero-probability branches are never chosen.
-            p1, _ = project_pure(psi, ev.qubit, 1)
-            outcome = int(p1 > 0.5)
-            _, psi = project_pure(psi, ev.qubit, outcome)
-            outcomes[ev.tag] = outcome
-        elif isinstance(ev, ConditionalCorrection):
-            if outcomes[ev.tag] == 1:
-                psi = apply_unitary_pure(psi, gate_unitary(Gate(ev.pauli, (0,))), (ev.qubit,))
-        elif isinstance(ev, Reinit):
-            p1, _ = project_pure(psi, ev.qubit, 1)
-            if p1 > 0.5:  # measured qubit sits in |1>, flip it back to |0>
-                psi = apply_unitary_pure(psi, gate_unitary(Gate("x", (0,))), (ev.qubit,))
-        elif isinstance(ev, ClassicalMessage):
-            pass
-        else:
-            raise TypeError(f"unknown event {ev!r}")
-    return _extract_wires(psi, dc.n_total, dc.result_wires)
-
-
-def _extract_wires(psi: PureState, n_total: int, wires: tuple[int, ...]) -> PureState:
-    t = psi.amplitudes.reshape((2,) * n_total)
-    others = [w for w in range(n_total) if w not in set(wires)]
-    t = np.transpose(t, axes=list(wires) + others)
-    flat = t.reshape(1 << len(wires), -1)
-    col_mass = np.sum(np.abs(flat) ** 2, axis=0)
-    col = int(np.argmax(col_mass))
-    out = flat[:, col]
-    norm = np.linalg.norm(out)
-    if abs(norm - 1.0) > 1e-9:
-        raise EngineError(
-            "result wires are entangled with discarded qubits; "
-            f"residual norm {norm:.12f}"
-        )
-    return PureState(out / norm)
-
-
 def ideal_output(target: Circuit | DistributedCircuit, input_state: PureState) -> PureState:
-    """Noiseless reference state over the logical wires, for fidelity_pure."""
+    """Noiseless reference state over the logical wires, for fidelity_pure.
+
+    A distributed circuit's reference is the run of its source circuit.
+    """
     input_state.validate()
-    if isinstance(target, Circuit):
-        if input_state.n_qubits != target.n_qubits:
-            raise EngineError(
-                f"input covers {input_state.n_qubits} qubits, circuit has {target.n_qubits}"
-            )
-        return _ideal_circuit(target, input_state)
-    if input_state.n_qubits != target.n_processing:
+    circuit = target.source if isinstance(target, DistributedCircuit) else target
+    if input_state.n_qubits != circuit.n_qubits:
         raise EngineError(
-            f"input covers {input_state.n_qubits} qubits, circuit has {target.n_processing}"
+            f"input covers {input_state.n_qubits} qubits, circuit has {circuit.n_qubits}"
         )
-    return _ideal_distributed(target, input_state)
+    return _ideal_circuit(circuit, input_state)

@@ -5,11 +5,6 @@ order, simulates each one, and emits one CSV row per point.  Mixture-mode
 runs are fully deterministic, so repeated runs of the same spec produce
 byte-identical files; the CSV schema is versioned in a leading comment so
 downstream plot scripts can pin it.
-
-Grid points are independent, so the driver can fan out across processes.
-Set the ``QDCSIM_WORKERS`` environment variable to a positive integer to
-enable that; row order always follows the declared grid order regardless of
-completion order.
 """
 
 from __future__ import annotations
@@ -18,7 +13,6 @@ import itertools
 import json
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .analysis import (
@@ -206,8 +200,9 @@ def _input_for(dc: DistributedCircuit, p: InputStateParams) -> PureState:
     return PureState.zero(dc.n_processing)
 
 
-def _run_point(args) -> SweepRow:
-    dc, spec, scheme, f_w, eps_cnot, r, p = args
+def _run_point(
+    dc: DistributedCircuit, spec: ExperimentSpec, f_w: float, eps_cnot: float, r: float, p: InputStateParams
+) -> SweepRow:
     cfg = SimConfig(
         werner=WernerParam(f_w),
         gate_err=GateErrorParam(eps_cnot),
@@ -223,13 +218,13 @@ def _run_point(args) -> SweepRow:
         f_out = fidelity_pure(ideal_output(dc, inp), res.rho_out)
     except Exception as exc:
         raise ExperimentError(
-            f"grid point (scheme={scheme.value}, f_w={f_w}, eps_cnot={eps_cnot}, "
+            f"grid point (scheme={dc.scheme.value}, f_w={f_w}, eps_cnot={eps_cnot}, "
             f"r={r}, alpha={p.alpha}) failed: {exc}"
         ) from exc
     f_out = min(max(f_out, 0.0), 1.0)
     rc = res.resources
     return SweepRow(
-        scheme=scheme.value,
+        scheme=dc.scheme.value,
         f_w=f_w,
         eps_cnot=eps_cnot,
         r=r,
@@ -245,30 +240,14 @@ def _run_point(args) -> SweepRow:
     )
 
 
-def _worker_count() -> int:
-    raw = os.environ.get("QDCSIM_WORKERS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ExperimentError(f"QDCSIM_WORKERS must be an integer, got '{raw}'")
-    if n < 1:
-        raise ExperimentError(f"QDCSIM_WORKERS must be positive, got {n}")
-    return n
-
-
 def run_sweep(spec: ExperimentSpec) -> list[SweepRow]:
     """Simulate every grid point of ``spec`` in declared order."""
     circuit = load_circuit(spec.circuit)
     compiled = {scheme: compile_circuit(circuit, scheme) for scheme in spec.schemes}
-    tasks = [
-        (compiled[scheme], spec, scheme, f_w, eps_cnot, r, p)
+    return [
+        _run_point(compiled[scheme], spec, f_w, eps_cnot, r, p)
         for scheme, f_w, eps_cnot, r, p in _points(spec)
     ]
-    workers = _worker_count()
-    if workers == 1 or len(tasks) <= 1:
-        return [_run_point(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_run_point, tasks))
 
 
 def _fmt(value) -> str:

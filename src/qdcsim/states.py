@@ -331,23 +331,6 @@ def project(state: DensityMatrix, wire: int, outcome: int) -> tuple[float, Densi
     return p, DensityMatrix(mat / p)
 
 
-def project_pure(state: PureState, wire: int, outcome: int) -> tuple[float, PureState | None]:
-    """Statevector analogue of :func:`project`."""
-    if outcome not in (0, 1):
-        raise ValueError(f"outcome must be 0 or 1, got {outcome}")
-    n = state.n_qubits
-    if not 0 <= wire < n:
-        raise ValueError(f"wire {wire} outside register of {n} qubits")
-    t = state.amplitudes.reshape((2,) * n).copy()
-    idx = [slice(None)] * n
-    idx[wire] = 1 - outcome
-    t[tuple(idx)] = 0.0
-    p = float(np.sum(np.abs(t) ** 2))
-    if p <= 1e-15:
-        return 0.0, None
-    return p, PureState(t.reshape(-1) / math.sqrt(p))
-
-
 def _psd_sqrt(mat: np.ndarray) -> np.ndarray:
     # Floating error can leave eigenvalues at -1e-12; clamp before sqrt.
     vals, vecs = np.linalg.eigh(mat)

@@ -174,19 +174,6 @@ class TestRunSweep:
         assert len(lines) == 3
         assert text.endswith("\n")
 
-    def test_worker_fanout_preserves_bytes(self, monkeypatch):
-        spec = ExperimentSpec(
-            schemes=(Scheme.CAT_COMM, Scheme.ONE_TP), f_w=(0.9, 0.95, 1.0)
-        )
-        serial = sweep_csv(run_sweep(spec))
-        monkeypatch.setenv("QDCSIM_WORKERS", "2")
-        assert sweep_csv(run_sweep(spec)) == serial
-
-    def test_worker_env_validated(self, monkeypatch):
-        monkeypatch.setenv("QDCSIM_WORKERS", "zero")
-        with pytest.raises(ExperimentError, match="QDCSIM_WORKERS"):
-            run_sweep(ExperimentSpec(schemes=(Scheme.CAT_COMM,)))
-
     def test_failing_point_identified(self, tmp_path):
         big = tmp_path / "big.qasm"
         big.write_text("qreg q[11];\ncx q[0],q[10];\n")

@@ -22,7 +22,6 @@ from qdcsim.states import (
     maximally_mixed,
     partial_trace,
     project,
-    project_pure,
     reduce_to_wires,
     replace_subsystem,
 )
@@ -237,16 +236,6 @@ class TestReplaceAndMeasureChannels:
         rho = DensityMatrix.from_pure(PureState.zero(1))
         p, post = project(rho, 0, 1)
         assert p == 0.0 and post is None
-
-    def test_project_pure_matches_density_route(self):
-        rng = np.random.default_rng(37)
-        psi = random_pure(rng, 3)
-        p_dm, post_dm = project(DensityMatrix.from_pure(psi), 1, 0)
-        p_ps, post_ps = project_pure(psi, 1, 0)
-        np.testing.assert_allclose(p_dm, p_ps, atol=1e-12)
-        np.testing.assert_allclose(
-            DensityMatrix.from_pure(post_ps).entries, post_dm.entries, atol=1e-12
-        )
 
 
 class TestFidelity:
