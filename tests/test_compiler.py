@@ -307,6 +307,20 @@ class TestStructure:
         dc = compile_circuit(parse_qasm(src), scheme)
         dc.validate()
 
+    @pytest.mark.parametrize(
+        "scheme",
+        [Scheme.MONOLITHIC, Scheme.CAT_COMM, Scheme.ONE_TP, Scheme.TWO_TP, Scheme.TP_SAFE],
+    )
+    def test_source_is_lowered_input(self, scheme):
+        src = "qreg q[3]; h q[0]; cx q[0],q[2]; t q[1]; cx q[1],q[2]; measure q[0] -> c[0];"
+        circuit = parse_qasm("creg c[3]; " + src, name="three-wire")
+        dc = compile_circuit(circuit, scheme)
+        assert dc.source == lower_to_basis(circuit)
+        assert dc.name == "three-wire"
+        assert dc.n_processing == 3
+        with pytest.raises(AttributeError):
+            dc.name = "renamed"
+
     def test_placement_roles_and_sites(self):
         dc = compile_circuit(remote_cnot_circuit(), Scheme.CAT_COMM)
         assert dc.n_total == 6
