@@ -22,11 +22,18 @@ it once.  The ``layered`` mode packs resource-disjoint events into slots
 whose duration is the slot maximum, as a sensitivity study for how much the
 strictly serial timeline overstates decoherence.
 
-Execution.  A run owns one rank-2n complex tensor (plus a scratch buffer of
-the same size) and mutates it in place; every event is a superoperator on
-at most two wires, applied by one transpose and one matrix product.  The
-``DensityMatrix`` a run returns is a fresh object that shares no memory
-with the run.
+Execution.  A run owns one complex tensor (plus a scratch buffer of the
+same size) and mutates it in place; every event is a superoperator on at
+most two wires, applied by one transpose and one matrix product.  The
+tensor holds only the live wires.  A wire outside it is exactly |0>, in a
+product with the rest: communication qubits before their first use, and
+every wire after its ``Reinit``.  Such a wire joins the tensor as |0> when
+an event touches it; an ebit install traces its two targets out and joins
+the pair in the Werner state, and ``Reinit`` traces its wire out.  Between
+an ebit and the reset that frees it, a communication qubit is live, so the
+tensor is as wide as the wires in use at once, not the whole register.
+The ``DensityMatrix`` a run returns is a fresh object that shares no
+memory with the run.
 
 Memory decay is kept in a ledger of idle seconds per wire instead of being
 applied after every event.  This is exact, not an approximation:
@@ -314,7 +321,6 @@ def _pair_superop(sa: np.ndarray, sb: np.ndarray) -> np.ndarray:
 
 
 _ZERO_1Q = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
-_REINIT = _prepare_superop(_ZERO_1Q)
 _DEPHASE = np.diag([1.0, 0.0, 0.0, 1.0]).astype(complex)
 _CNOT_SUPEROP = _unitary_superop(gate_unitary(Gate("cx", (0, 1))))
 _CNOT_FAILURE = _prepare_superop(np.eye(4, dtype=complex) / 4.0)
@@ -344,7 +350,11 @@ _BYTES_PER_ENTRY = np.dtype(complex).itemsize
 
 
 def _working_set_bytes(n_qubits: int) -> int:
-    """Bytes a run holds at once: the register and the kernel's equal-sized scratch."""
+    """Upper bound on the bytes a run holds at once: the register and the kernel's equal-sized scratch.
+
+    The tensor holds only the live wires, so a run that never has all
+    ``n_qubits`` live at once holds less.
+    """
     return 2 * _BYTES_PER_ENTRY * 4**n_qubits
 
 
@@ -362,60 +372,111 @@ def _available_bytes() -> int | None:
 
 
 class _Register:
-    """A density matrix over n wires, held as one rank-2n tensor and updated in place.
+    """The run's density matrix over ``n_labels`` wires, holding only the live ones.
 
-    Axis labels are w for the ket and n + w for the bra of wire w, and
-    ``order[i]`` is the label of the buffer's i-th axis.  :meth:`apply`
-    copies the buffer into the scratch with the touched axes moved to the
-    front, then multiplies by the superoperator from the scratch back into
-    the buffer.  The touched axes stay in front afterwards: ``order``
-    records the permutation instead of a second copy undoing it.
+    A wire outside the tensor is exactly |0>, in a product with the rest; it
+    joins (:meth:`join`) when an event first touches it, and :meth:`drop`
+    traces it out again.  Axis labels are w for the ket and ``n_labels + w``
+    for the bra of wire w, and ``order[i]`` is the label of the tensor's
+    i-th axis.  The tensor is the first ``2**len(order)`` entries of
+    ``buf``; ``buf`` and ``scratch`` grow only when a join needs more room.
+    :meth:`apply` copies the tensor into the scratch with the touched axes
+    moved to the front, then multiplies by the superoperator from the
+    scratch back into the buffer.  The touched axes stay in front
+    afterwards: ``order`` records the permutation instead of a second copy
+    undoing it.
     """
 
-    def __init__(self, tensor: np.ndarray):
-        self.n = tensor.ndim // 2
+    def __init__(self, tensor: np.ndarray, n_labels: int):
+        k = tensor.ndim // 2
+        self.n_labels = n_labels
+        self.order = list(range(k)) + [n_labels + w for w in range(k)]
         self.buf = tensor.reshape(-1)
         self.scratch = np.empty_like(self.buf)
-        self.order = list(range(2 * self.n))
 
     @classmethod
-    def from_pure(cls, amplitudes: np.ndarray) -> "_Register":
-        n = amplitudes.shape[0].bit_length() - 1
-        buf = np.empty((1 << n, 1 << n), dtype=complex)
+    def from_pure(cls, amplitudes: np.ndarray, n_labels: int) -> "_Register":
+        """The pure state ``amplitudes`` on the first wires; the rest of the ``n_labels`` are |0>."""
+        k = amplitudes.shape[0].bit_length() - 1
+        buf = np.empty((1 << k, 1 << k), dtype=complex)
         np.multiply(amplitudes[:, None], amplitudes.conj()[None, :], out=buf)
-        return cls(buf.reshape((2,) * (2 * n)))
+        return cls(buf.reshape((2,) * (2 * k)), n_labels)
+
+    @property
+    def size(self) -> int:
+        return 1 << len(self.order)
 
     def _tensor(self) -> np.ndarray:
-        return self.buf.reshape((2,) * (2 * self.n))
+        return self.buf[: self.size].reshape((2,) * len(self.order))
 
-    def apply(self, sop: np.ndarray, wires: tuple[int, ...]) -> None:
-        labels = list(wires) + [self.n + w for w in wires]
-        front = [self.order.index(label) for label in labels]
-        if front != list(range(len(front))):
-            perm = front + [i for i in range(2 * self.n) if i not in front]
-            np.copyto(self.scratch.reshape((2,) * (2 * self.n)), self._tensor().transpose(perm))
-            self.buf, self.scratch = self.scratch, self.buf
-            self.order = [self.order[i] for i in perm]
-        rows = sop.shape[0]
-        np.matmul(sop, self.buf.reshape(rows, -1), out=self.scratch.reshape(rows, -1))
+    def _swap(self) -> None:
         self.buf, self.scratch = self.scratch, self.buf
 
+    def _hold(self, wires: tuple[int, ...]) -> None:
+        for w in wires:
+            if w not in self.order:
+                self.join((w,), _ZERO_1Q)
+
+    def join(self, wires: tuple[int, ...], block: np.ndarray) -> None:
+        """Append absent ``wires`` in the state ``block``, their 2^k x 2^k density matrix."""
+        size = self.size * block.size
+        if self.scratch.size < size:
+            self.scratch = np.empty(size, dtype=complex)
+        np.multiply(
+            self.buf[: self.size, None], block.reshape(1, -1), out=self.scratch[:size].reshape(self.size, -1)
+        )
+        self._swap()
+        if self.scratch.size < size:
+            self.scratch = np.empty(size, dtype=complex)
+        self.order += list(wires) + [self.n_labels + w for w in wires]
+
+    def drop(self, wire: int) -> None:
+        """Trace ``wire`` out, leaving it |0>; a no-op for an absent wire."""
+        if wire not in self.order:
+            return
+        self._front((wire,))
+        quarter = self.size // 4
+        # With the wire's ket and bra axes in front, its |0><0| and |1><1| blocks are quarters 0 and 3.
+        np.add(self.buf[:quarter], self.buf[3 * quarter : self.size], out=self.scratch[:quarter])
+        self._swap()
+        self.order = self.order[2:]
+
+    def _front(self, wires: tuple[int, ...]) -> None:
+        """Move the ket and bra axes of ``wires`` to the front of the tensor."""
+        labels = list(wires) + [self.n_labels + w for w in wires]
+        front = [self.order.index(label) for label in labels]
+        if front != list(range(len(front))):
+            perm = front + [i for i in range(len(self.order)) if i not in front]
+            np.copyto(self.scratch[: self.size].reshape((2,) * len(perm)), self._tensor().transpose(perm))
+            self._swap()
+            self.order = [self.order[i] for i in perm]
+
+    def apply(self, sop: np.ndarray, wires: tuple[int, ...]) -> None:
+        self._hold(wires)
+        self._front(wires)
+        rows = sop.shape[0]
+        np.matmul(sop, self.buf[: self.size].reshape(rows, -1), out=self.scratch[: self.size].reshape(rows, -1))
+        self._swap()
+
     def matrix(self) -> np.ndarray:
-        """The density matrix in wire order (a copy when the axes are permuted)."""
-        dim = 1 << self.n
+        """The density matrix of the live wires in label order (a copy when the axes are permuted)."""
+        dim = 1 << (len(self.order) // 2)
         return self._tensor().transpose(np.argsort(self.order)).reshape(dim, dim)
 
     def _labels(self, keep: tuple[int, ...]) -> list[int]:
         # Einsum labels that trace out every wire not in ``keep``.
-        return [lab - self.n if lab >= self.n and lab - self.n not in keep else lab for lab in self.order]
+        n = self.n_labels
+        return [lab - n if lab >= n and lab - n not in keep else lab for lab in self.order]
 
     def populations(self, wire: int) -> np.ndarray:
         """(p0, p1) of one wire, summed from the diagonal alone."""
+        self._hold((wire,))
         return np.real(np.einsum(self._tensor(), self._labels(()), [wire]))
 
     def reduce(self, wires: tuple[int, ...]) -> np.ndarray:
         """Reduced tensor over ``wires`` in the listed order, as a fresh array."""
-        out = list(wires) + [self.n + w for w in wires]
+        self._hold(wires)
+        out = list(wires) + [self.n_labels + w for w in wires]
         # With nothing to trace out, einsum would return a view of the buffer.
         return np.einsum(self._tensor(), self._labels(wires), out).copy()
 
@@ -442,7 +503,7 @@ class _Run:
             ebit = werner_state(cfg.werner.f_w)
         else:
             ebit = DensityMatrix.from_pure(bell_state(cfg.ebit_state))
-        self.ebit = _prepare_superop(ebit.entries)
+        self.ebit = ebit.entries
 
     def _settle(self, wire: int) -> float:
         """Keep factor of the decay owed on ``wire``; the ledger entry is cleared."""
@@ -468,7 +529,7 @@ class _Run:
             self._correction(ev)
         elif isinstance(ev, Reinit):
             self.idle[ev.qubit] = 0.0
-            self.reg.apply(_REINIT, (ev.qubit,))
+            self.reg.drop(ev.qubit)
             self.live_comm.discard(ev.qubit)
             self.records.discard(ev.qubit)
         else:
@@ -530,7 +591,8 @@ class _Run:
                     f"ebit request would overwrite live state on communication qubit {q}"
                 )
             self.idle[q] = 0.0
-        self.reg.apply(self.ebit, (ev.qubit_a, ev.qubit_b))
+            self.reg.drop(q)
+        self.reg.join((ev.qubit_a, ev.qubit_b), self.ebit)
         self.live_comm.update((ev.qubit_a, ev.qubit_b))
 
     def idle_all(self, dt: float) -> None:
@@ -543,7 +605,7 @@ class _Run:
     def output(self) -> DensityMatrix:
         """Reduced state over the result wires, with their owed decay applied."""
         wires = self.dc.result_wires
-        out = _Register(self.reg.reduce(wires))
+        out = _Register(self.reg.reduce(wires), len(wires))
         for i, w in enumerate(wires):
             keep = self._settle(w)
             if keep != 1.0:
@@ -585,9 +647,7 @@ def simulate(
     input_state.validate()
 
     run = _Run(dc, cfg, forced_outcomes)
-    n_comm = dc.n_total - dc.n_processing
-    full = input_state.tensor(PureState.zero(n_comm)) if n_comm else input_state
-    run.reg = _Register.from_pure(full.amplitudes)
+    run.reg = _Register.from_pure(input_state.amplitudes, dc.n_total)
 
     telemetry: list[TelemetryRow] = []
     layers = _build_layers(dc, cfg.durations, cfg.schedule_mode)

@@ -381,6 +381,41 @@ class TestClassicalRecords:
         np.testing.assert_allclose(total, mixture, atol=1e-12, rtol=0.0)
 
 
+class TestLiveWires:
+    """The density tensor holds only the wires live at once, never the whole register."""
+
+    SIX_QUBITS = "qreg q[6]; h q[0]; h q[3]; cx q[0],q[3]; cx q[2],q[5]; cx q[4],q[1]; t q[5];"
+
+    @pytest.mark.parametrize(
+        "source,schemes,widest",
+        [
+            ("qreg q[2]; cx q[0],q[1];", REMOTE, 4),  # 6-qubit register
+            (SIX_QUBITS, [Scheme.CAT_COMM, Scheme.TP_SAFE], 8),  # 10-qubit register
+        ],
+    )
+    @pytest.mark.parametrize("mode", ["mixture", "sampled"])
+    def test_tensor_width_bounded(self, monkeypatch, source, schemes, widest, mode):
+        widths = []
+        join = engine._Register.join
+
+        def spy(reg, wires, block):
+            join(reg, wires, block)
+            widths.append(len(reg.order) // 2)
+
+        monkeypatch.setattr(engine._Register, "join", spy)
+        circuit = parse_qasm(source)
+        cfg = SimConfig(
+            werner=WernerParam(0.94), gate_err=GateErrorParam(0.004), memory=MemoryParam(0.055),
+            measurement_mode=mode, seed=3,
+        )
+        for scheme in schemes:
+            widths.clear()
+            dc = compile_circuit(circuit, scheme)
+            simulate(dc, random_input(np.random.default_rng(5), circuit.n_qubits), cfg)
+            assert widths, f"{scheme.value}: no wire joined"
+            assert max(widths) <= widest < dc.n_total, f"{scheme.value}: {max(widths)} wires held"
+
+
 class TestMemoryTiming:
     def test_monolithic_gate_decay_matches_direct_channels(self):
         """One noisy-free CNOT then 600 us of decay on both qubits."""

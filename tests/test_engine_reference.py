@@ -27,6 +27,7 @@ from qdcsim.channels import GateErrorParam, MemoryParam, WernerParam, memory_dep
 from qdcsim.compiler import (
     ClassicalMessage,
     ConditionalCorrection,
+    DistributedCircuit,
     EbitRequest,
     LocalGate,
     Measure,
@@ -37,10 +38,13 @@ from qdcsim.compiler import (
 )
 from qdcsim.engine import EngineError, SimConfig, simulate
 from qdcsim.gates import Gate, gate_unitary
-from qdcsim.qasm import parse_qasm
+from qdcsim.qasm import Circuit, parse_qasm
 from qdcsim.states import (
     DensityMatrix,
     PureState,
+    QubitRef,
+    Role,
+    Site,
     apply_unitary,
     bell_state,
     dephase,
@@ -177,4 +181,73 @@ def test_simulate_matches_eager_reference(index, scheme, noise, schedule):
     sampled = SimConfig(schedule_mode=schedule, measurement_mode="sampled", **NOISE[noise])
     tags = [ev.tag for ev in dc.events if isinstance(ev, Measure)]
     for bits in _branches(tags, rng):
+        _agree(dc, inp, sampled, dict(zip(tags, bits)))
+
+
+# Hand-built programs for the paths compiled schemes never take: there, an
+# ebit always touches a communication qubit first.  Wires 0 and 1 are data
+# qubits on QPU A and B; 2, 3 are communication qubits on A, and 4, 5 on B.
+PLACEMENT = (
+    QubitRef(0, Role.PROCESSING, Site.QPU_A),
+    QubitRef(1, Role.PROCESSING, Site.QPU_B),
+    QubitRef(2, Role.COMMUNICATION, Site.QPU_A),
+    QubitRef(3, Role.COMMUNICATION, Site.QPU_A),
+    QubitRef(4, Role.COMMUNICATION, Site.QPU_B),
+    QubitRef(5, Role.COMMUNICATION, Site.QPU_B),
+)
+
+
+def _gate(kind, *qubits):
+    return LocalGate(Gate(kind, qubits))
+
+
+ABSENT_WIRE_PROGRAMS = {
+    "1q-gate-on-unused-comm": (
+        (_gate("h", 0), _gate("h", 2), _gate("t", 2), _gate("cx", 2, 0)),
+        (0, 1),
+    ),
+    "cnot-after-reinit": (
+        (_gate("h", 0), _gate("cx", 0, 2), Measure(2, "m0"), ConditionalCorrection("z", 0, "m0"), Reinit(2),
+         _gate("cx", 0, 2)),
+        (0, 2),
+    ),
+    "measure-absent": (
+        (_gate("h", 0), Measure(3, "m0"), ConditionalCorrection("x", 0, "m0")),
+        (0, 1),
+    ),
+    "reinit-absent": (
+        (_gate("h", 1), Reinit(4), _gate("h", 4), _gate("cx", 4, 1)),
+        (0, 1),
+    ),
+    "ebit-over-data": (
+        (_gate("h", 0), _gate("cx", 0, 2), _gate("h", 1), EbitRequest(1, 2), _gate("cx", 2, 0)),
+        (0, 1),
+    ),
+    "untouched-result": (
+        (_gate("h", 0), _gate("cx", 0, 2)),
+        (0, 4),
+    ),
+}
+
+
+@pytest.mark.parametrize("r", [0.0, 50.0])
+@pytest.mark.parametrize("schedule", ["sequential", "layered"])
+@pytest.mark.parametrize("program", list(ABSENT_WIRE_PROGRAMS))
+def test_absent_wires_match_eager_reference(program, schedule, r):
+    events, result_wires = ABSENT_WIRE_PROGRAMS[program]
+    dc = DistributedCircuit(
+        source=Circuit(2, (), name=program),
+        scheme=Scheme.CAT_COMM,
+        placement=PLACEMENT,
+        events=events,
+        result_wires=result_wires,
+    )
+    rng = np.random.default_rng(7)
+    amp = rng.normal(size=4) + 1j * rng.normal(size=4)
+    inp = PureState(amp / np.linalg.norm(amp))
+    noise = dict(werner=WernerParam(0.94), gate_err=GateErrorParam(0.004), memory=MemoryParam(r))
+    _agree(dc, inp, SimConfig(schedule_mode=schedule, **noise))
+    sampled = SimConfig(schedule_mode=schedule, measurement_mode="sampled", **noise)
+    tags = [ev.tag for ev in events if isinstance(ev, Measure)]
+    for bits in itertools.product((0, 1), repeat=len(tags)):
         _agree(dc, inp, sampled, dict(zip(tags, bits)))
