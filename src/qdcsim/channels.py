@@ -63,21 +63,22 @@ class MemoryParam:
         return cls(r=1.0 / t1_seconds)
 
 
+def _bell_projector(kind: str) -> np.ndarray:
+    a = bell_state(kind).amplitudes
+    return np.outer(a, a.conj())
+
+
+_PHI_PLUS = _bell_projector("phi_plus")
+# No entry has more than two nonzero terms in this sum, and those are equal
+# or opposite, so (1 - f_w) / 3 times it rounds like the three terms apart.
+_OTHER_BELL = _bell_projector("phi_minus") + _bell_projector("psi_plus") + _bell_projector("psi_minus")
+
+
 def werner_state(f_w: float) -> DensityMatrix:
     """Two-qubit Werner mixture: f_w on |Phi+>, the rest split over the other Bell states."""
     if not 0.0 <= f_w <= 1.0:
         raise ValueError(f"Werner fidelity must lie in [0,1], got {f_w}")
-    out = np.zeros((4, 4), dtype=complex)
-    weights = {
-        "phi_plus": f_w,
-        "phi_minus": (1.0 - f_w) / 3.0,
-        "psi_plus": (1.0 - f_w) / 3.0,
-        "psi_minus": (1.0 - f_w) / 3.0,
-    }
-    for kind, w in weights.items():
-        a = bell_state(kind).amplitudes
-        out += w * np.outer(a, a.conj())
-    return DensityMatrix(out)
+    return DensityMatrix(f_w * _PHI_PLUS + ((1.0 - f_w) / 3.0) * _OTHER_BELL)
 
 
 def noisy_cnot(state: DensityMatrix, control: int, target: int, eps_cnot: float) -> DensityMatrix:

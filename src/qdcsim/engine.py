@@ -22,18 +22,27 @@ it once.  The ``layered`` mode packs resource-disjoint events into slots
 whose duration is the slot maximum, as a sensitivity study for how much the
 strictly serial timeline overstates decoherence.
 
-Execution.  A run owns one complex tensor (plus a scratch buffer of the
-same size) and mutates it in place; every event is a superoperator on at
-most two wires, applied by one transpose and one matrix product.  The
-tensor holds only the live wires.  A wire outside it is exactly |0>, in a
-product with the rest: communication qubits before their first use, and
-every wire after its ``Reinit``.  Such a wire joins the tensor as |0> when
-an event touches it; an ebit install traces its two targets out and joins
-the pair in the Werner state, and ``Reinit`` traces its wire out.  Between
-an ebit and the reset that frees it, a communication qubit is live, so the
-tensor is as wide as the wires in use at once, not the whole register.
-The ``DensityMatrix`` a run returns is a fresh object that shares no
-memory with the run.
+Execution.  Everything a run derives from the event list depends only on
+``(dc, durations, schedule_mode)``, so it is worked out once, by walking
+the events, into a cached plan (``_Plan``): a flat list of passes over the
+state, each with its wires, its superoperator slot and any axis
+permutation it needs, plus the idle seconds owed at each point where decay
+is applied, the telemetry rows and the resource count.  A run then only
+binds the noise point (one ``exp(-r t)`` over the idle times, the noisy
+CNOT, the Werner pair, and each settled map as a weighted sum of
+precomputed terms) and executes the passes.  Sampled mode runs the same
+plan: only its measurement maps differ, and a conditional correction is
+the controlled Pauli on the measured record in both modes.  The run owns
+one complex tensor and an equal scratch buffer, both sized for the plan's
+peak live width, and every pass is one matrix product between them,
+preceded by a transposing copy only when the pass's wires are not already
+adjacent at the front, just after the first wire, or at the back.  The tensor holds only the live wires.
+A wire outside it is exactly |0>, in a product with the rest:
+communication qubits before their first use, and every wire after its
+``Reinit``.  Such a wire joins the tensor as |0> when an event touches
+it; an ebit install traces its two targets out and joins the pair in the
+Werner state, and ``Reinit`` traces its wire out.  The ``DensityMatrix`` a
+run returns is a fresh object that shares no memory with the run.
 
 Memory decay is kept in a ledger of idle seconds per wire instead of being
 applied after every event.  This is exact, not an approximation:
@@ -43,10 +52,10 @@ commutes with one-qubit gates on its wire; it commutes with dephasing and
 with the partial trace; and it commutes with anything on other wires.  A
 wire's owed decay is therefore applied only where it cannot wait: it is
 folded into the next two-wire map on that wire (``S @ (D_a x D_b)``), into
-a sampled-mode projection, and, for result wires only, into the reduced
-output.  It is dropped, never applied, when the wire is re-initialized,
-overwritten by an ebit, or traced out at the end, since each of those
-discards the wire's state.
+a measurement (dephasing or projection), and, for result wires only, into
+one last pass before the reduced output is taken.  It is dropped, never
+applied, when the wire is re-initialized, overwritten by an ebit, or
+traced out at the end, since each of those discards the wire's state.
 
 The noiseless reference a run is scored against is the source circuit the
 events were compiled from, run on a statevector.
@@ -55,8 +64,8 @@ events were compiled from, run on a statevector.
 from __future__ import annotations
 
 import io
-import math
 import os
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -281,10 +290,7 @@ def _build_layers(dc: DistributedCircuit, durations: DurationTable, schedule_mod
 
 def elapsed_time(dc: DistributedCircuit, cfg: SimConfig) -> float:
     """Total simulated seconds for ``dc`` under the config's schedule mode."""
-    layers = _build_layers(dc, cfg.durations, cfg.schedule_mode)
-    if not layers:
-        return 0.0
-    return layers[-1].start + layers[-1].duration
+    return _plan_for(dc, cfg.durations, cfg.schedule_mode).elapsed
 
 
 # ---------------------------------------------------------------------------
@@ -307,39 +313,34 @@ def _prepare_superop(sub: np.ndarray) -> np.ndarray:
 
 _DEPOLARIZE_1Q = _prepare_superop(np.eye(2) / 2.0)
 _IDENTITY_1Q = np.eye(4, dtype=complex)
-
-
-def _depol_superop(keep: float) -> np.ndarray:
-    """One wire: rho -> keep rho + (1 - keep) Tr(rho) I/2."""
-    return keep * _IDENTITY_1Q + (1.0 - keep) * _DEPOLARIZE_1Q
-
-
-def _pair_superop(sa: np.ndarray, sb: np.ndarray) -> np.ndarray:
-    """``sa`` on the first wire and ``sb`` on the second, as one 2-wire map."""
-    t = np.einsum("pqrs,tuvw->ptqurvsw", sa.reshape((2,) * 4), sb.reshape((2,) * 4))
-    return t.reshape(16, 16)
-
-
 _ZERO_1Q = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
 _DEPHASE = np.diag([1.0, 0.0, 0.0, 1.0]).astype(complex)
-_CNOT_SUPEROP = _unitary_superop(gate_unitary(Gate("cx", (0, 1))))
 _CNOT_FAILURE = _prepare_superop(np.eye(4, dtype=complex) / 4.0)
-
-
-def _controlled(u: np.ndarray) -> np.ndarray:
-    c = np.eye(4, dtype=complex)
-    c[2:, 2:] = u
-    return c
-
-
-_PAULIS = {p: gate_unitary(Gate(p, (0,))) for p in ("x", "z")}
-_PAULI_SUPEROP = {p: _unitary_superop(u) for p, u in _PAULIS.items()}
-_CONTROLLED_PAULI_SUPEROP = {p: _unitary_superop(_controlled(u)) for p, u in _PAULIS.items()}
 # _PROJECT[outcome] keeps the |outcome><outcome| block of one wire, unnormalized.
 _PROJECT = (
     np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex),
     np.diag([0.0, 0.0, 0.0, 1.0]).astype(complex),
 )
+
+
+def _settled_terms(sop: np.ndarray, flip: bool) -> np.ndarray:
+    """The five terms of ``sop`` after the decay owed, for a block laid out as (ket, bra) pairs.
+
+    The decay owed on wires a and b is ``D(ka) x D(kb)`` with
+    ``D(k) = k I + (1 - k) P`` and P the full decay, so the settled map is
+    ``sum_j c_j (1 - eps) T_j + eps T_4`` with
+    ``c = (ka kb, ka (1-kb), (1-ka) kb, (1-ka)(1-kb))``, ``T_j = sop @ X_j``
+    for ``X = (I x I, I x P, P x I, P x P)``, and ``T_4`` the CNOT failure:
+    it discards both wires, so the decay before it does not matter.  In
+    this layout a product map is a Kronecker product; ``flip`` puts the
+    second wire's pair first.
+    """
+    axes = (1, 3, 0, 2) if flip else (0, 2, 1, 3)
+    perm = axes + tuple(4 + a for a in axes)
+    sop, failure = (m.reshape((2,) * 8).transpose(perm).reshape(16, 16) for m in (sop, _CNOT_FAILURE))
+    ends = (_IDENTITY_1Q, _DEPOLARIZE_1Q)
+    decay = [np.kron(ends[j], ends[i]) if flip else np.kron(ends[i], ends[j]) for i in (0, 1) for j in (0, 1)]
+    return np.stack([sop @ x for x in decay] + [failure]).reshape(5, 256)
 
 
 # ---------------------------------------------------------------------------
@@ -350,10 +351,10 @@ _BYTES_PER_ENTRY = np.dtype(complex).itemsize
 
 
 def _working_set_bytes(n_qubits: int) -> int:
-    """Upper bound on the bytes a run holds at once: the register and the kernel's equal-sized scratch.
+    """Bytes a run on ``n_qubits`` live wires holds: the register and the kernel's equal-sized scratch.
 
-    The tensor holds only the live wires, so a run that never has all
-    ``n_qubits`` live at once holds less.
+    A run allocates both buffers once, at its plan's peak live width, so no
+    join grows them.
     """
     return 2 * _BYTES_PER_ENTRY * 4**n_qubits
 
@@ -367,222 +368,188 @@ def _available_bytes() -> int | None:
 
 
 # ---------------------------------------------------------------------------
-# Simulation
+# Execution plan
 # ---------------------------------------------------------------------------
 
+# A step is a 5-tuple whose first entry is its kind:
+#   (_APPLY, slot, perm, shape, labels): apply sops[slot] to the block of
+#       shape (before, rows, after), after a transposing copy by ``perm``
+#       when it is not None; ``labels`` are the axes' labels afterwards.
+#   (_DROP, shape, labels, -, -): trace out the wire whose pair is axis 1
+#       of the tensor viewed as shape (before, 4, after).
+#   (_JOIN, wires, slot, -, -): append ``wires`` in the state sops[slot].
+#   (_MEASURE, slot, tag, settle, (subscripts, wire)): in sampled mode,
+#       draw the outcome and put its projection in sops[slot] for the next step.
+_APPLY, _DROP, _JOIN, _MEASURE = range(4)
+_ZERO_SLOT, _EBIT_SLOT = 0, 1
 
-class _Register:
-    """The run's density matrix over ``n_labels`` wires, holding only the live ones.
 
-    A wire outside the tensor is exactly |0>, in a product with the rest; it
-    joins (:meth:`join`) when an event first touches it, and :meth:`drop`
-    traces it out again.  Axis labels are w for the ket and ``n_labels + w``
-    for the bra of wire w, and ``order[i]`` is the label of the tensor's
-    i-th axis.  The tensor is the first ``2**len(order)`` entries of
-    ``buf``; ``buf`` and ``scratch`` grow only when a join needs more room.
-    :meth:`apply` copies the tensor into the scratch with the touched axes
-    moved to the front, then multiplies by the superoperator from the
-    scratch back into the buffer.  The touched axes stay in front
-    afterwards: ``order`` records the permutation instead of a second copy
-    undoing it.
+class _Plan:
+    """What every run of one program does, whatever the noise point.
+
+    Built once per ``(dc, durations, schedule_mode)`` by walking the events
+    as a run would.  The walk tracks what the run's tensor holds: ``order``
+    lists the live wires, and each wire's ket and bra are adjacent axes, in
+    that order, so a 1-wire map never needs its axes re-indexed.  It records:
+
+    - ``steps``: the passes over the tensor, see the step kinds above;
+    - ``sops``: each step's superoperator, a constant or None where
+      :func:`_bind` puts one built from the noise point;
+    - ``settle_s``: the idle seconds owed at each point where a run applies
+      the decay; only ``exp(-r t)`` over it depends on ``r``;
+    - the settled 2-wire maps, ``pair_terms`` with the coefficients of
+      :func:`_settled_terms`, and the settled 1-wire maps (measurements
+      and the result wires' decay), ``keep * single_terms + (1 - keep) D``;
+    - ``telemetry``, ``resources`` and ``elapsed``, the same for every run;
+    - ``width``: the most wires the tensor ever holds at once.
+
+    A pass needs no copy when its wires are adjacent at the front of the
+    tensor, right after the first wire, or at the back; otherwise one copy
+    moves them to the front.
     """
 
-    def __init__(self, tensor: np.ndarray, n_labels: int):
-        k = tensor.ndim // 2
-        self.n_labels = n_labels
-        self.order = list(range(k)) + [n_labels + w for w in range(k)]
-        self.buf = tensor.reshape(-1)
-        self.scratch = np.empty_like(self.buf)
+    def __init__(self, dc: DistributedCircuit, durations: DurationTable, schedule_mode: str):
+        self.n = dc.n_total
+        self.order = list(range(dc.n_processing))
+        self.width = dc.n_processing
+        self.steps: list[tuple] = []
+        self.sops: list = [_ZERO_1Q, None]
+        self.settle_s: list[float] = []
+        self.idle = [0.0] * dc.n_total  # decay owed per wire, in seconds
+        self.records: set[int] = set()  # wires holding a measurement record until Reinit
+        self.live_comm: set[int] = set()
+        self.tag_qubit: dict[str, int] = {}
+        self.pairs: list[tuple] = []  # (slot, settle a, settle b, noisy CNOT, terms)
+        self.singles: list[tuple] = []  # (slot, settle, map at keep = 1)
+        self.terms: dict[tuple, np.ndarray] = {}
+        layers = _build_layers(dc, durations, schedule_mode)
+        self.telemetry = tuple(
+            TelemetryRow(idx, ev.kind, layer.start, durations.of(ev))
+            for layer in layers
+            for idx, ev in layer.items
+        )
+        for layer in layers:
+            pending_ebits: list[EbitRequest] = []
+            for _, ev in layer.items:
+                if isinstance(ev, EbitRequest):
+                    pending_ebits.append(ev)
+                else:
+                    self.perform(ev)
+            self.idle_all(layer.duration)
+            # Fresh pairs materialize at the end of the distribution window and
+            # have not idled yet, so they are installed after the idle step.
+            for ev in pending_ebits:
+                self.install_ebit(ev)
+        for w in dc.result_wires:
+            self._apply_decayed(w, _IDENTITY_1Q)
+        self.output_einsum = (
+            [label for w in self.order for label in (w, self.n + w if w in dc.result_wires else w)],
+            list(dc.result_wires) + [self.n + w for w in dc.result_wires],
+        )
+        self.elapsed = (layers[-1].start + layers[-1].duration) if layers else 0.0
+        self.resources = count_resources(dc)
+        self.pair_slots = tuple(p[0] for p in self.pairs)
+        self.pair_settle = np.array([p[1:3] for p in self.pairs], dtype=int).reshape(-1, 2)
+        self.pair_noisy = np.array([p[3] for p in self.pairs], dtype=float)
+        self.pair_terms = np.array([p[4] for p in self.pairs], dtype=complex).reshape(-1, 5, 256)
+        self.single_slots = tuple(s[0] for s in self.singles)
+        self.single_settle = np.array([s[1] for s in self.singles], dtype=int)
+        self.single_terms = np.array([s[2].reshape(-1) for s in self.singles], dtype=complex).reshape(-1, 16)
+        self.settle_s = np.array(self.settle_s, dtype=float)
 
-    @classmethod
-    def from_pure(cls, amplitudes: np.ndarray, n_labels: int) -> "_Register":
-        """The pure state ``amplitudes`` on the first wires; the rest of the ``n_labels`` are |0>."""
-        k = amplitudes.shape[0].bit_length() - 1
-        buf = np.empty((1 << k, 1 << k), dtype=complex)
-        np.multiply(amplitudes[:, None], amplitudes.conj()[None, :], out=buf)
-        return cls(buf.reshape((2,) * (2 * k)), n_labels)
+    def _labels(self) -> tuple[int, ...]:
+        return tuple(label for w in self.order for label in (w, self.n + w))
 
-    @property
-    def size(self) -> int:
-        return 1 << len(self.order)
+    def _slot(self, sop) -> int:
+        self.sops.append(sop)
+        return len(self.sops) - 1
 
-    def _tensor(self) -> np.ndarray:
-        return self.buf[: self.size].reshape((2,) * len(self.order))
+    def _settle(self, wire: int) -> int:
+        """Record the decay owed on ``wire`` as a settle point and clear it."""
+        self.settle_s.append(self.idle[wire])
+        self.idle[wire] = 0.0
+        return len(self.settle_s) - 1
 
-    def _swap(self) -> None:
-        self.buf, self.scratch = self.scratch, self.buf
+    def _join(self, wires: tuple[int, ...], slot: int) -> None:
+        self.steps.append((_JOIN, wires, slot, None, None))
+        self.order += wires
+        self.width = max(self.width, len(self.order))
 
     def _hold(self, wires: tuple[int, ...]) -> None:
         for w in wires:
             if w not in self.order:
-                self.join((w,), _ZERO_1Q)
+                self._join((w,), _ZERO_SLOT)
 
-    def join(self, wires: tuple[int, ...], block: np.ndarray) -> None:
-        """Append absent ``wires`` in the state ``block``, their 2^k x 2^k density matrix."""
-        size = self.size * block.size
-        if self.scratch.size < size:
-            self.scratch = np.empty(size, dtype=complex)
-        np.multiply(
-            self.buf[: self.size, None], block.reshape(1, -1), out=self.scratch[:size].reshape(self.size, -1)
-        )
-        self._swap()
-        if self.scratch.size < size:
-            self.scratch = np.empty(size, dtype=complex)
-        self.order += list(wires) + [self.n_labels + w for w in wires]
+    def _drop(self, wire: int) -> None:
+        if wire in self.order:
+            p = self.order.index(wire)
+            self.order.remove(wire)
+            self.steps.append((_DROP, (4**p, 4, 4 ** (len(self.order) - p)), self._labels(), None, None))
 
-    def drop(self, wire: int) -> None:
-        """Trace ``wire`` out, leaving it |0>; a no-op for an absent wire."""
-        if wire not in self.order:
-            return
-        self._front((wire,))
-        quarter = self.size // 4
-        # With the wire's ket and bra axes in front, its |0><0| and |1><1| blocks are quarters 0 and 3.
-        np.add(self.buf[:quarter], self.buf[3 * quarter : self.size], out=self.scratch[:quarter])
-        self._swap()
-        self.order = self.order[2:]
-
-    def _front(self, wires: tuple[int, ...]) -> None:
-        """Move the ket and bra axes of ``wires`` to the front of the tensor."""
-        labels = list(wires) + [self.n_labels + w for w in wires]
-        front = [self.order.index(label) for label in labels]
-        if front != list(range(len(front))):
-            perm = front + [i for i in range(len(self.order)) if i not in front]
-            np.copyto(self.scratch[: self.size].reshape((2,) * len(perm)), self._tensor().transpose(perm))
-            self._swap()
-            self.order = [self.order[i] for i in perm]
-
-    def apply(self, sop: np.ndarray, wires: tuple[int, ...]) -> None:
+    def _pass(self, wires: tuple[int, ...], sop: np.ndarray | None = None) -> int:
+        """Append a pass applying ``sop`` (None: bound per run) to ``wires``; return its slot."""
         self._hold(wires)
-        self._front(wires)
-        rows = sop.shape[0]
-        np.matmul(sop, self.buf[: self.size].reshape(rows, -1), out=self.scratch[: self.size].reshape(rows, -1))
-        self._swap()
+        lo, m, k = min(map(self.order.index, wires)), len(self.order), len(wires)
+        perm = None
+        if set(self.order[lo : lo + k]) != set(wires) or 1 < lo < m - k:
+            old, lo = self.order, 0
+            self.order = list(wires) + [w for w in old if w not in wires]
+            perm = tuple(a for w in self.order for a in (2 * old.index(w), 2 * old.index(w) + 1))
+        self.steps.append((_APPLY, self._slot(sop), perm, (4**lo, 4**k, 4 ** (m - lo - k)), self._labels()))
+        return len(self.sops) - 1
 
-    def matrix(self) -> np.ndarray:
-        """The density matrix of the live wires in label order (a copy when the axes are permuted)."""
-        dim = 1 << (len(self.order) // 2)
-        return self._tensor().transpose(np.argsort(self.order)).reshape(dim, dim)
+    def _apply_settled(self, gate: Gate, noisy: bool) -> None:
+        """A 2-wire gate after the decay owed on both wires, in one pass; ``noisy`` for a noisy CNOT."""
+        a, b = gate.qubits
+        settle_a, settle_b = self._settle(a), self._settle(b)
+        slot = self._pass(gate.qubits)
+        key = (gate.kind, gate.params, self.order.index(a) > self.order.index(b))
+        if key not in self.terms:
+            self.terms[key] = _settled_terms(_unitary_superop(gate_unitary(gate)), key[-1])
+        self.pairs.append((slot, settle_a, settle_b, noisy, self.terms[key]))
 
-    def _labels(self, keep: tuple[int, ...]) -> list[int]:
-        # Einsum labels that trace out every wire not in ``keep``.
-        n = self.n_labels
-        return [lab - n if lab >= n and lab - n not in keep else lab for lab in self.order]
-
-    def populations(self, wire: int) -> np.ndarray:
-        """(p0, p1) of one wire, summed from the diagonal alone."""
-        self._hold((wire,))
-        return np.real(np.einsum(self._tensor(), self._labels(()), [wire]))
-
-    def reduce(self, wires: tuple[int, ...]) -> np.ndarray:
-        """Reduced tensor over ``wires`` in the listed order, as a fresh array."""
-        self._hold(wires)
-        out = list(wires) + [self.n_labels + w for w in wires]
-        # With nothing to trace out, einsum would return a view of the buffer.
-        return np.einsum(self._tensor(), self._labels(wires), out).copy()
-
-
-class _Run:
-    """One simulation: the register, the idle-time ledger and the measurement records."""
-
-    def __init__(self, dc: DistributedCircuit, cfg: SimConfig, forced_outcomes: dict[str, int] | None):
-        self.dc = dc
-        self.cfg = cfg
-        self.forced = dict(forced_outcomes or {})
-        self.sampled = cfg.measurement_mode == "sampled"
-        self.rng = np.random.default_rng(cfg.seed) if self.sampled else None
-        self.tag_qubit: dict[str, int] = {}
-        self.outcomes: dict[str, int] = {}
-        self.branch_p = 1.0
-        self.live_comm: set[int] = set()
-        self.records: set[int] = set()  # wires holding a measurement record until Reinit
-        self.idle = [0.0] * dc.n_total  # memory decay owed per wire, in seconds
-        self.reg: _Register | None = None
-        eps = cfg.gate_err.eps_cnot
-        self.cnot = (1.0 - eps) * _CNOT_SUPEROP + eps * _CNOT_FAILURE
-        if cfg.ebit_state is None:
-            ebit = werner_state(cfg.werner.f_w)
-        else:
-            ebit = DensityMatrix.from_pure(bell_state(cfg.ebit_state))
-        self.ebit = ebit.entries
-
-    def _settle(self, wire: int) -> float:
-        """Keep factor of the decay owed on ``wire``; the ledger entry is cleared."""
-        keep = math.exp(-self.cfg.memory.r * self.idle[wire])
-        self.idle[wire] = 0.0
-        return keep
-
-    def _apply_settled(self, sop: np.ndarray, wires: tuple[int, int]) -> None:
-        """Apply a 2-wire map after the decay owed on both wires, in one pass."""
-        keep_a, keep_b = self._settle(wires[0]), self._settle(wires[1])
-        if keep_a != 1.0 or keep_b != 1.0:
-            sop = sop @ _pair_superop(_depol_superop(keep_a), _depol_superop(keep_b))
-        self.reg.apply(sop, wires)
+    def _apply_decayed(self, wire: int, sop: np.ndarray) -> None:
+        """A 1-wire map after the decay owed on ``wire``, in one pass."""
+        settle = self._settle(wire)
+        self.singles.append((self._pass((wire,)), settle, sop))
 
     def perform(self, ev: Event) -> None:
         if isinstance(ev, LocalGate):
-            self._local_gate(ev.gate)
-        elif isinstance(ev, Measure):
-            self._measure(ev)
-        elif isinstance(ev, ClassicalMessage):
-            pass
-        elif isinstance(ev, ConditionalCorrection):
-            self._correction(ev)
-        elif isinstance(ev, Reinit):
-            self.idle[ev.qubit] = 0.0
-            self.reg.drop(ev.qubit)
-            self.live_comm.discard(ev.qubit)
-            self.records.discard(ev.qubit)
-        else:
-            raise TypeError(f"unknown event {ev!r}")
-
-    def _local_gate(self, gate: Gate) -> None:
-        if len(gate.qubits) == 1:
-            # Depolarization is unitarily covariant, so the decay owed can wait.
-            self.reg.apply(_unitary_superop(gate_unitary(gate)), gate.qubits)
-        elif gate.kind == "cx":
-            self._apply_settled(self.cnot, gate.qubits)
-        else:
-            self._apply_settled(_unitary_superop(gate_unitary(gate)), gate.qubits)
-
-    def _measure(self, ev: Measure) -> None:
-        w = ev.qubit
-        if self.sampled:
-            keep = self._settle(w)
-            pops = self.reg.populations(w)
-            pops = keep * pops + (1.0 - keep) * pops.sum() / 2.0
-            p1 = float(pops[1])
-            if ev.tag in self.forced:
-                outcome = self.forced[ev.tag]
-                if outcome not in (0, 1):
-                    raise EngineError(f"forced outcome for '{ev.tag}' must be 0 or 1")
+            gate = ev.gate
+            if len(gate.qubits) == 1:
+                # Depolarization is unitarily covariant, so the decay owed can wait.
+                self._pass(gate.qubits, _unitary_superop(gate_unitary(gate)))
             else:
-                outcome = int(self.rng.random() < p1)
-            p_out = p1 if outcome == 1 else 1.0 - p1
-            if p_out <= 1e-12:
-                raise EngineError(
-                    f"outcome {outcome} for tag '{ev.tag}' has probability {p_out:.3g}"
-                )
-            sop = _PROJECT[outcome] @ _depol_superop(keep) / float(pops[outcome])
-            self.reg.apply(sop, (w,))
-            self.outcomes[ev.tag] = outcome
-            self.branch_p *= p_out
-        else:
-            # Dephasing commutes with depolarization: the decay owed stays owed.
-            self.reg.apply(_DEPHASE, (w,))
+                self._apply_settled(gate, gate.kind == "cx")
+        elif isinstance(ev, Measure):
+            # Both modes settle the wire here: dephasing commutes with the
+            # decay, and a projection cannot wait for it.
+            w = ev.qubit
+            self._hold((w,))
+            diagonal = [label for v in self.order for label in (v, v)]
+            at = len(self.steps)
+            self._apply_decayed(w, _DEPHASE)
+            slot, settle, _ = self.singles[-1]
+            self.steps.insert(at, (_MEASURE, slot, ev.tag, settle, (diagonal, w)))
             self.tag_qubit[ev.tag] = w
-        self.records.add(w)
-
-    def _correction(self, ev: ConditionalCorrection) -> None:
-        if self.sampled:
-            if ev.tag not in self.outcomes:
-                raise EngineError(f"correction reads unmeasured tag '{ev.tag}'")
-            if self.outcomes[ev.tag] == 1:
-                self.reg.apply(_PAULI_SUPEROP[ev.pauli], (ev.qubit,))
-        else:
+            self.records.add(w)
+        elif isinstance(ev, ConditionalCorrection):
             ctrl = self.tag_qubit.get(ev.tag)
             if ctrl is None:
                 raise EngineError(f"correction reads unmeasured tag '{ev.tag}'")
-            self._apply_settled(_CONTROLLED_PAULI_SUPEROP[ev.pauli], (ctrl, ev.qubit))
+            if ctrl not in self.records:
+                raise EngineError(f"correction reads tag '{ev.tag}' after its qubit was re-initialized")
+            # The record is diagonal.  In mixture mode the correction is the
+            # controlled Pauli; in sampled mode the record is |m><m|, and the
+            # same map applies the Pauli exactly when m = 1.
+            self._apply_settled(Gate("c" + ev.pauli, (ctrl, ev.qubit)), False)
+        elif isinstance(ev, Reinit):
+            self.idle[ev.qubit] = 0.0
+            self._drop(ev.qubit)
+            self.live_comm.discard(ev.qubit)
+            self.records.discard(ev.qubit)
+        elif not isinstance(ev, ClassicalMessage):
+            raise TypeError(f"unknown event {ev!r}")
 
     def install_ebit(self, ev: EbitRequest) -> None:
         for q in (ev.qubit_a, ev.qubit_b):
@@ -591,26 +558,149 @@ class _Run:
                     f"ebit request would overwrite live state on communication qubit {q}"
                 )
             self.idle[q] = 0.0
-            self.reg.drop(q)
-        self.reg.join((ev.qubit_a, ev.qubit_b), self.ebit)
+            self._drop(q)
+        self._join((ev.qubit_a, ev.qubit_b), _EBIT_SLOT)
         self.live_comm.update((ev.qubit_a, ev.qubit_b))
 
     def idle_all(self, dt: float) -> None:
-        if dt <= 0.0 or self.cfg.memory.r <= 0.0:
+        if dt <= 0.0:
             return
-        for w in range(self.dc.n_total):
+        for w in range(self.n):
             if w not in self.records:
                 self.idle[w] += dt
 
-    def output(self) -> DensityMatrix:
-        """Reduced state over the result wires, with their owed decay applied."""
-        wires = self.dc.result_wires
-        out = _Register(self.reg.reduce(wires), len(wires))
-        for i, w in enumerate(wires):
-            keep = self._settle(w)
-            if keep != 1.0:
-                out.apply(_depol_superop(keep), (i,))
-        return DensityMatrix(out.matrix())
+
+# Plans of live programs, keyed by (id(dc), durations, schedule_mode) and
+# checked against a weak reference to the program.  An entry is removed
+# when its program is collected, before its id can be reused.
+_plans: dict[tuple, tuple[weakref.ref, _Plan]] = {}
+
+
+def _plan_for(dc: DistributedCircuit, durations: DurationTable, schedule_mode: str) -> _Plan:
+    """The plan of ``dc``, built on first use and kept while ``dc`` lives."""
+    key = (id(dc), durations, schedule_mode)
+    entry = _plans.get(key)
+    if entry is not None and entry[0]() is dc:
+        return entry[1]
+    plan = _Plan(dc, durations, schedule_mode)
+    _plans[key] = (weakref.ref(dc, lambda _, key=key: _plans.pop(key, None)), plan)
+    return plan
+
+
+
+
+def _bind(plan: _Plan, cfg: SimConfig, keeps: np.ndarray) -> list:
+    """The plan's superoperators at the config's noise point, given the keep factor of every settle point."""
+    sops = list(plan.sops)
+    if cfg.ebit_state is None:
+        ebit = werner_state(cfg.werner.f_w)
+    else:
+        ebit = DensityMatrix.from_pure(bell_state(cfg.ebit_state))
+    sops[_EBIT_SLOT] = ebit.entries.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3)  # as (ket, bra) pairs
+    u = keeps[plan.pair_settle][:, :, None] * (1.0, -1.0) + (0.0, 1.0)  # (k, 1 - k) of both wires
+    eps = cfg.gate_err.eps_cnot * plan.pair_noisy[:, None]
+    coef = np.concatenate(((u[:, 0, :, None] * u[:, 1, None, :]).reshape(-1, 4) * (1.0 - eps), eps), axis=1)
+    pairs = (coef[:, None, :] @ plan.pair_terms).reshape(-1, 16, 16)
+    keep = keeps[plan.single_settle][:, None]
+    singles = (keep * plan.single_terms + (1.0 - keep) * _DEPOLARIZE_1Q.reshape(1, 16)).reshape(-1, 4, 4)
+    for slot, sop in zip(plan.pair_slots + plan.single_slots, [*pairs, *singles]):
+        sops[slot] = sop
+    return sops
+
+
+# ---------------------------------------------------------------------------
+# Simulation
+# ---------------------------------------------------------------------------
+
+
+class _Register:
+    """The run's density tensor over the live wires, each wire's ket and bra axes adjacent.
+
+    ``order[i]`` is the label of the tensor's i-th axis: w for the ket and
+    ``n_labels + w`` for the bra of wire w.  The tensor is the first
+    ``size`` entries of ``buf``; ``buf`` and ``scratch`` are allocated once,
+    large enough for the plan's peak width, and every pass reads one and
+    writes the other.
+    """
+
+    def __init__(self, buf: np.ndarray, size: int, order: tuple[int, ...], n_labels: int):
+        self.buf = buf
+        self.scratch = np.empty_like(buf)
+        self.size = size
+        self.order = order
+        self.n_labels = n_labels
+
+    @classmethod
+    def from_pure(cls, amplitudes: np.ndarray, n_labels: int, width: int) -> "_Register":
+        """The pure state ``amplitudes`` on the first wires, in buffers for ``width`` wires."""
+        k = amplitudes.shape[0].bit_length() - 1
+        buf = np.empty(4**width, dtype=complex)
+        out = buf[: 4**k].reshape((2, 2) * k)
+        np.multiply(amplitudes.reshape((2, 1) * k), amplitudes.conj().reshape((1, 2) * k), out=out)
+        return cls(buf, 4**k, tuple(label for w in range(k) for label in (w, n_labels + w)), n_labels)
+
+    def join(self, wires: tuple[int, ...], block: np.ndarray) -> None:
+        """Append absent ``wires`` in the state ``block``: their density matrix, each wire's axes paired."""
+        size = self.size * block.size
+        np.multiply(
+            self.buf[: self.size, None], block.reshape(1, -1), out=self.scratch[:size].reshape(self.size, -1)
+        )
+        self.buf, self.scratch = self.scratch, self.buf
+        self.size = size
+        self.order += tuple(label for w in wires for label in (w, self.n_labels + w))
+
+    def drop(self, shape: tuple[int, int, int], order: tuple[int, ...]) -> None:
+        """Trace out the wire whose pair is axis 1 of the tensor viewed as ``shape``."""
+        v = self.buf[: self.size].reshape(shape)
+        self.size //= 4
+        np.add(v[:, 0], v[:, 3], out=self.scratch[: self.size].reshape(shape[0], shape[2]))
+        self.buf, self.scratch = self.scratch, self.buf
+        self.order = order
+
+    def apply(self, sop: np.ndarray, perm, shape: tuple[int, int, int], order: tuple[int, ...]) -> None:
+        src, dst = self.buf[: self.size], self.scratch[: self.size]
+        if perm is None:
+            self.buf, self.scratch = self.scratch, self.buf
+        else:
+            rank = (2,) * len(perm)
+            np.copyto(dst.reshape(rank), src.reshape(rank).transpose(perm))
+            src, dst = dst, src
+        if shape[2] == 1:  # the block is at the back
+            np.matmul(src.reshape(shape[:2]), sop.T, out=dst.reshape(shape[:2]))
+        else:
+            np.matmul(sop, src.reshape(shape), out=dst.reshape(shape))
+        self.order = order
+
+    def einsum(self, subscripts: list[int], out: list[int]) -> np.ndarray:
+        return np.einsum(self.buf[: self.size].reshape((2,) * len(self.order)), subscripts, out)
+
+
+class _Sampler:
+    """Sampled mode: the drawn or forced outcome of each measurement, and the branch probability."""
+
+    def __init__(self, seed: int | None, forced: dict[str, int] | None):
+        self.rng = np.random.default_rng(seed)
+        self.forced = dict(forced or {})
+        self.outcomes: dict[str, int] = {}
+        self.branch_p = 1.0
+
+    def projection(self, tag: str, pops: np.ndarray, keep: float) -> np.ndarray:
+        """The normalized projection onto the outcome for ``tag``, after the decay owed."""
+        pops = keep * pops + (1.0 - keep) * pops.sum() / 2.0
+        p1 = float(pops[1])
+        if tag in self.forced:
+            outcome = self.forced[tag]
+            if outcome not in (0, 1):
+                raise EngineError(f"forced outcome for '{tag}' must be 0 or 1")
+        else:
+            outcome = int(self.rng.random() < p1)
+        p_out = p1 if outcome == 1 else 1.0 - p1
+        if p_out <= 1e-12:
+            raise EngineError(f"outcome {outcome} for tag '{tag}' has probability {p_out:.3g}")
+        self.outcomes[tag] = outcome
+        self.branch_p *= p_out
+        decay = keep * _IDENTITY_1Q + (1.0 - keep) * _DEPOLARIZE_1Q
+        return _PROJECT[outcome] @ decay / float(pops[outcome])
 
 
 def simulate(
@@ -634,11 +724,12 @@ def simulate(
         raise EngineError(
             f"register of {dc.n_total} qubits exceeds the configured cap of {cfg.max_qubits}"
         )
-    need, have = _working_set_bytes(dc.n_total), _available_bytes()
+    plan = _plan_for(dc, cfg.durations, cfg.schedule_mode)
+    need, have = _working_set_bytes(plan.width), _available_bytes()
     if have is not None and need > have:
         raise EngineError(
-            f"register of {dc.n_total} qubits needs {need / 1e9:.3g} GB, "
-            f"but only {have / 1e9:.3g} GB of memory is free"
+            f"register of {dc.n_total} qubits holds up to {plan.width} at once and needs "
+            f"{need / 1e9:.3g} GB, but only {have / 1e9:.3g} GB of memory is free"
         )
     if input_state.n_qubits != dc.n_processing:
         raise EngineError(
@@ -646,33 +737,29 @@ def simulate(
         )
     input_state.validate()
 
-    run = _Run(dc, cfg, forced_outcomes)
-    run.reg = _Register.from_pure(input_state.amplitudes, dc.n_total)
+    keeps = np.exp(-cfg.memory.r * plan.settle_s)
+    sops = _bind(plan, cfg, keeps)
+    sampler = _Sampler(cfg.seed, forced_outcomes) if cfg.measurement_mode == "sampled" else None
+    reg = _Register.from_pure(input_state.amplitudes, dc.n_total, plan.width)
+    for kind, a, b, c, d in plan.steps:
+        if kind == _APPLY:
+            reg.apply(sops[a], b, c, d)
+        elif kind == _DROP:
+            reg.drop(a, b)
+        elif kind == _JOIN:
+            reg.join(a, sops[b])
+        elif sampler is not None:
+            diagonal, wire = d
+            sops[a] = sampler.projection(b, np.real(reg.einsum(diagonal, [wire])), float(keeps[c]))
 
-    telemetry: list[TelemetryRow] = []
-    layers = _build_layers(dc, cfg.durations, cfg.schedule_mode)
-    for layer in layers:
-        pending_ebits: list[EbitRequest] = []
-        for idx, ev in layer.items:
-            telemetry.append(TelemetryRow(idx, ev.kind, layer.start, cfg.durations.of(ev)))
-            if isinstance(ev, EbitRequest):
-                pending_ebits.append(ev)
-            else:
-                run.perform(ev)
-        run.idle_all(layer.duration)
-        # Fresh pairs materialize at the end of the distribution window and
-        # have not idled yet, so they are installed after the idle step.
-        for ev in pending_ebits:
-            run.install_ebit(ev)
-
-    elapsed = (layers[-1].start + layers[-1].duration) if layers else 0.0
+    dim = 1 << len(dc.result_wires)
     return SimResult(
-        rho_out=run.output(),
-        elapsed=elapsed,
-        telemetry=tuple(telemetry),
-        resources=count_resources(dc),
-        outcomes=dict(run.outcomes),
-        branch_probability=run.branch_p if run.sampled else None,
+        rho_out=DensityMatrix(reg.einsum(*plan.output_einsum).reshape(dim, dim)),
+        elapsed=plan.elapsed,
+        telemetry=plan.telemetry,
+        resources=plan.resources,
+        outcomes=dict(sampler.outcomes) if sampler else {},
+        branch_probability=sampler.branch_p if sampler else None,
     )
 
 

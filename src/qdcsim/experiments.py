@@ -185,10 +185,6 @@ SWEEP_COLUMNS = (
 )
 
 
-def _points(spec: ExperimentSpec):
-    return itertools.product(spec.schemes, spec.f_w, spec.eps_cnot, spec.r, spec.inputs)
-
-
 def _input_for(dc: DistributedCircuit, p: InputStateParams) -> PureState:
     if dc.n_processing == 2:
         return build_input_state(p)
@@ -200,9 +196,13 @@ def _input_for(dc: DistributedCircuit, p: InputStateParams) -> PureState:
     return PureState.zero(dc.n_processing)
 
 
+_F_OUT_ROUNDING = 1e-12  # how far a fidelity may stray outside [0, 1] by rounding alone
+
+
 def _run_point(
-    dc: DistributedCircuit, spec: ExperimentSpec, f_w: float, eps_cnot: float, r: float, p: InputStateParams
+    dc: DistributedCircuit, spec: ExperimentSpec, f_w: float, eps_cnot: float, r: float, reference: tuple
 ) -> SweepRow:
+    p, inp, ideal = reference
     cfg = SimConfig(
         werner=WernerParam(f_w),
         gate_err=GateErrorParam(eps_cnot),
@@ -212,15 +212,16 @@ def _run_point(
         schedule_mode=spec.schedule_mode,
         seed=spec.seed,
     )
-    inp = _input_for(dc, p)
+    def where() -> str:
+        return f"grid point (scheme={dc.scheme.value}, f_w={f_w}, eps_cnot={eps_cnot}, r={r}, alpha={p.alpha})"
+
     try:
         res = simulate(dc, inp, cfg)
-        f_out = fidelity_pure(ideal_output(dc, inp), res.rho_out)
+        f_out = fidelity_pure(ideal, res.rho_out)
     except Exception as exc:
-        raise ExperimentError(
-            f"grid point (scheme={dc.scheme.value}, f_w={f_w}, eps_cnot={eps_cnot}, "
-            f"r={r}, alpha={p.alpha}) failed: {exc}"
-        ) from exc
+        raise ExperimentError(f"{where()} failed: {exc}") from exc
+    if not -_F_OUT_ROUNDING <= f_out <= 1.0 + _F_OUT_ROUNDING:
+        raise ExperimentError(f"{where()} has fidelity {f_out!r}, outside [0, 1] beyond rounding")
     f_out = min(max(f_out, 0.0), 1.0)
     rc = res.resources
     return SweepRow(
@@ -240,14 +241,26 @@ def _run_point(
     )
 
 
+def _compile(spec: ExperimentSpec) -> dict[Scheme, DistributedCircuit]:
+    circuit = load_circuit(spec.circuit)
+    return {scheme: compile_circuit(circuit, scheme) for scheme in spec.schemes}
+
+
+def _sweep(spec: ExperimentSpec, compiled: dict[Scheme, DistributedCircuit]) -> list[SweepRow]:
+    """Every grid point in declared order; each input state and its reference are built once per scheme."""
+    rows = []
+    for scheme in spec.schemes:
+        dc = compiled[scheme]
+        inputs = [(p, _input_for(dc, p)) for p in spec.inputs]
+        references = [(p, inp, ideal_output(dc, inp)) for p, inp in inputs]
+        for f_w, eps_cnot, r in itertools.product(spec.f_w, spec.eps_cnot, spec.r):
+            rows += [_run_point(dc, spec, f_w, eps_cnot, r, ref) for ref in references]
+    return rows
+
+
 def run_sweep(spec: ExperimentSpec) -> list[SweepRow]:
     """Simulate every grid point of ``spec`` in declared order."""
-    circuit = load_circuit(spec.circuit)
-    compiled = {scheme: compile_circuit(circuit, scheme) for scheme in spec.schemes}
-    return [
-        _run_point(compiled[scheme], spec, f_w, eps_cnot, r, p)
-        for scheme, f_w, eps_cnot, r, p in _points(spec)
-    ]
+    return _sweep(spec, _compile(spec))
 
 
 def _fmt(value) -> str:
@@ -268,12 +281,10 @@ COMPARE_COLUMNS = SWEEP_COLUMNS + ("f_linear", "f_exp", "delta_linear_pct", "del
 
 def run_compare(spec: ExperimentSpec) -> list[tuple[SweepRow, dict]]:
     """Sweep plus first-order columns; gap columns are None off-baseline."""
-    circuit = load_circuit(spec.circuit)
-    counts = {
-        scheme: count_resources(compile_circuit(circuit, scheme)) for scheme in spec.schemes
-    }
+    compiled = _compile(spec)
+    counts = {scheme: count_resources(dc) for scheme, dc in compiled.items()}
     out = []
-    for row in run_sweep(spec):
+    for row in _sweep(spec, compiled):
         rc = counts[Scheme.from_name(row.scheme)]
         eps_ebit = 1.0 - row.f_w
         f_lin = first_order(ApproxKind.LINEAR, rc, eps_ebit, row.eps_cnot)

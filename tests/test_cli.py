@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from qdcsim import experiments
 from qdcsim.cli import main
 from qdcsim.compiler import Scheme, compile_circuit, count_resources
 from qdcsim.experiments import (
@@ -181,6 +182,15 @@ class TestRunSweep:
         with pytest.raises(ExperimentError, match="grid point .*scheme=cat"):
             run_sweep(spec)
 
+    def test_fidelity_outside_unit_interval_raises(self, monkeypatch):
+        spec = ExperimentSpec(schemes=(Scheme.CAT_COMM,))
+        monkeypatch.setattr(experiments, "fidelity_pure", lambda ideal, rho: 1.0 + 1e-13)
+        (row,) = run_sweep(spec)  # rounding residue is clamped
+        assert row.f_out == 1.0 and row.output_error == 0.0
+        monkeypatch.setattr(experiments, "fidelity_pure", lambda ideal, rho: 1.0 + 1e-9)
+        with pytest.raises(ExperimentError, match="scheme=cat.*outside"):
+            run_sweep(spec)
+
     def test_input_grid_needs_two_qubit_circuit(self, tmp_path):
         ghz = tmp_path / "ghz.qasm"
         ghz.write_text("qreg q[3];\nh q[0];\ncx q[0],q[1];\ncx q[1],q[2];\n")
@@ -216,6 +226,18 @@ class TestRunCompare:
         text = compare_csv(pairs)
         assert text.strip().split("\n")[0] == "# qdcsim compare v1"
         assert text.strip().split("\n")[-1].endswith("n/a,n/a")
+
+    def test_compiles_each_scheme_once(self, monkeypatch):
+        compiled = []
+        compile_ = experiments.compile_circuit
+
+        def spy(circuit, scheme, *args, **kwargs):
+            compiled.append(scheme)
+            return compile_(circuit, scheme, *args, **kwargs)
+
+        monkeypatch.setattr(experiments, "compile_circuit", spy)
+        run_compare(ExperimentSpec(schemes=(Scheme.CAT_COMM, Scheme.TWO_TP), f_w=(0.9, 0.94)))
+        assert compiled == [Scheme.CAT_COMM, Scheme.TWO_TP]
 
     def test_approx_columns_match_direct_evaluation(self):
         spec = ExperimentSpec(schemes=(Scheme.TP_SAFE,), f_w=(0.94,), eps_cnot=(0.004,))

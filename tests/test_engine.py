@@ -1,5 +1,6 @@
 """Event-timed simulation: correctness oracle, closed forms, modes, timing."""
 
+import gc
 import itertools
 import math
 
@@ -15,6 +16,7 @@ from qdcsim.compiler import (
     Scheme,
     SchemeInapplicableError,
     compile_circuit,
+    count_resources,
 )
 from qdcsim.engine import (
     DurationTable,
@@ -26,6 +28,7 @@ from qdcsim.engine import (
     simulate,
     telemetry_csv,
 )
+from qdcsim.experiments import ExperimentSpec, parse_grid, run_sweep
 from qdcsim.gates import CNOT, Gate
 from qdcsim.qasm import Circuit, parse_qasm
 from qdcsim.states import (
@@ -416,6 +419,57 @@ class TestLiveWires:
             assert max(widths) <= widest < dc.n_total, f"{scheme.value}: {max(widths)} wires held"
 
 
+class TestPlanCache:
+    """``simulate`` builds one plan per program, duration table and schedule, and binds only the noise."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        built = []
+        build = engine._Plan
+
+        def spy(dc, durations, schedule_mode):
+            built.append((dc.scheme, schedule_mode))
+            return build(dc, durations, schedule_mode)
+
+        monkeypatch.setattr(engine, "_Plan", spy)
+        return built
+
+    def test_one_plan_per_scheme_and_schedule_in_a_sweep(self, builds):
+        f_w = parse_grid("0.90:0.99:0.001")
+        for schedule in ("sequential", "layered"):
+            spec = ExperimentSpec(schemes=(Scheme.CAT_COMM, Scheme.TP_SAFE), f_w=f_w, schedule_mode=schedule)
+            assert len(run_sweep(spec)) == 2 * 91
+        assert sorted(builds, key=str) == sorted(
+            itertools.product((Scheme.CAT_COMM, Scheme.TP_SAFE), ("sequential", "layered")), key=str
+        )
+
+    def test_calls_differing_only_in_noise_share_a_plan(self, builds):
+        dc = compile_circuit(remote_cnot(), Scheme.TWO_TP)
+        noisy = SimConfig(werner=WernerParam(0.9), gate_err=GateErrorParam(0.01), memory=MemoryParam(50.0))
+        clean = simulate(dc, plus_zero(), SimConfig())
+        assert simulate(dc, plus_zero(), noisy).rho_out.entries.tolist() != clean.rho_out.entries.tolist()
+        assert builds == [(Scheme.TWO_TP, "sequential")]
+
+    def test_collected_program_leaves_the_cache(self):
+        dc = compile_circuit(remote_cnot(), Scheme.CAT_COMM)
+        simulate(dc, plus_zero(), SimConfig())
+        key = id(dc)
+        assert any(k[0] == key for k in engine._plans)
+        del dc
+        gc.collect()
+        assert not any(k[0] == key for k in engine._plans)
+
+    def test_reused_ids_get_their_own_plans(self):
+        # Programs made and dropped in turn often reuse one id; each run must
+        # still follow its own program.
+        for scheme in [Scheme.CAT_COMM, Scheme.TP_SAFE] * 10:
+            dc = compile_circuit(remote_cnot(), scheme)
+            res = simulate(dc, plus_zero(), SimConfig())
+            assert len(res.telemetry) == len(dc.events)
+            assert res.resources == count_resources(dc)
+            del dc, res
+
+
 class TestMemoryTiming:
     def test_monolithic_gate_decay_matches_direct_channels(self):
         """One noisy-free CNOT then 600 us of decay on both qubits."""
@@ -561,8 +615,8 @@ class TestGuards:
         assert engine._working_set_bytes(6) == 2 * 16 * 4**6
 
     def test_register_too_big_for_free_memory_rejected(self, monkeypatch):
-        dc = compile_circuit(remote_cnot(), Scheme.CAT_COMM)  # 6 qubits
-        need = engine._working_set_bytes(dc.n_total)
+        dc = compile_circuit(remote_cnot(), Scheme.CAT_COMM)  # 6 qubits, at most 4 live at once
+        need = engine._working_set_bytes(4)
         monkeypatch.setattr(engine, "_available_bytes", lambda: need - 1)
         with pytest.raises(EngineError, match="memory"):
             simulate(dc, PureState.zero(2), SimConfig())
@@ -570,17 +624,33 @@ class TestGuards:
         assert simulate(dc, PureState.zero(2), SimConfig()).rho_out.n_qubits == 2
 
     def test_capped_register_refused_before_allocation(self, monkeypatch):
-        # 10 processing + 4 comm qubits pass the default cap of 14; with 8 GB
-        # free the working set does not fit, and nothing may be allocated.
+        # 10 processing + 4 comm qubits pass the default cap of 14, and at most
+        # 12 are live at once; one byte short of that working set, the run is
+        # refused and nothing may be allocated.
         dc = compile_circuit(parse_qasm("qreg q[10]; cx q[0],q[9];"), Scheme.CAT_COMM)
         assert dc.n_total == SimConfig().max_qubits
-        monkeypatch.setattr(engine, "_available_bytes", lambda: 8 * 10**9)
+        monkeypatch.setattr(engine, "_available_bytes", lambda: engine._working_set_bytes(12) - 1)
 
         def no_allocation(*args):
             raise AssertionError("register allocated")
 
         monkeypatch.setattr(engine._Register, "from_pure", no_allocation)
         with pytest.raises(EngineError, match="memory"):
+            simulate(dc, PureState.zero(10), SimConfig())
+
+    def test_wide_register_admitted_by_peak_width(self, monkeypatch):
+        # All 14 wires would need 8.6 GB; the 12 live at once need 0.54 GB.
+        dc = compile_circuit(parse_qasm("qreg q[10]; cx q[0],q[9];"), Scheme.CAT_COMM)
+        monkeypatch.setattr(engine, "_available_bytes", lambda: 10**9)
+
+        class Admitted(Exception):
+            pass
+
+        def admitted(*args):
+            raise Admitted
+
+        monkeypatch.setattr(engine._Register, "from_pure", admitted)
+        with pytest.raises(Admitted):
             simulate(dc, PureState.zero(10), SimConfig())
 
     def test_input_size_checked(self):
