@@ -26,6 +26,8 @@ import sys
 from .compiler import CompileError, Scheme, compile_circuit, compile_report, report_to_text
 from .engine import EngineError
 from .experiments import (
+    ERROR_AXES,
+    INPUT_AXES,
     PROFILES,
     ExperimentError,
     ExperimentSpec,
@@ -39,8 +41,28 @@ from .experiments import (
 )
 from .qasm import QasmError
 
-_ERROR_AXES = ("f_w", "eps_ebit", "eps_cnot", "r")
-_INPUT_AXES = ("alpha2", "phi", "gamma", "theta")
+# Sweep subcommands: help text, allowed --grid axes, grid used when neither
+# --grid nor --spec is given, and spec -> CSV text.
+_SWEEPS = {
+    "sweep": (
+        "simulate an error/input grid to CSV",
+        ERROR_AXES + INPUT_AXES,
+        (),
+        lambda spec: sweep_csv(run_sweep(spec)),
+    ),
+    "compare": (
+        "sweep plus first-order approximation columns",
+        ERROR_AXES + INPUT_AXES,
+        (),
+        lambda spec: compare_csv(run_compare(spec)),
+    ),
+    "input-scan": (
+        "sweep the input-state family at a fixed profile",
+        INPUT_AXES,
+        ("alpha2=0:1:0.1",),
+        lambda spec: sweep_csv(run_sweep(spec)),
+    ),
+}
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -90,11 +112,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--format", choices=("json", "text"), default="json", help="report format"
     )
 
-    for name, help_text in (
-        ("sweep", "simulate an error/input grid to CSV"),
-        ("compare", "sweep plus first-order approximation columns"),
-        ("input-scan", "sweep the input-state family at a fixed profile"),
-    ):
+    for name, (help_text, *_) in _SWEEPS.items():
         p = sub.add_parser(name, help=help_text)
         _add_grid_flags(p)
         _add_common(p)
@@ -104,14 +122,14 @@ def build_parser() -> argparse.ArgumentParser:
 def _parse_grid_flags(pairs, allowed) -> dict:
     data: dict = {}
     inputs: dict = {}
-    for pair in pairs or ():
+    for pair in pairs:
         key, sep, value = pair.partition("=")
         key = key.strip()
         if not sep or not value.strip():
             raise ExperimentError(f"--grid expects KEY=VALUES, got '{pair}'")
         if key not in allowed:
             raise ExperimentError(f"unknown grid axis '{key}'; allowed: {sorted(allowed)}")
-        if key in _INPUT_AXES:
+        if key in INPUT_AXES:
             inputs[key] = value.strip()
         else:
             data[key] = value.strip()
@@ -120,19 +138,16 @@ def _parse_grid_flags(pairs, allowed) -> dict:
     return data
 
 
-def _spec_from_args(args, allowed_axes) -> ExperimentSpec:
+def _spec_from_args(args, allowed_axes, default_grid) -> ExperimentSpec:
     if args.spec is not None:
         if args.grid:
             raise ExperimentError("--spec and --grid are mutually exclusive")
         return load_spec(args.spec)
-    data = _parse_grid_flags(args.grid, allowed_axes)
+    data = _parse_grid_flags(args.grid or default_grid, allowed_axes)
     data["circuit"] = args.circuit
     data["profile"] = args.profile
     if args.scheme:
-        schemes = []
-        for chunk in args.scheme:
-            schemes += [s.strip() for s in chunk.split(",") if s.strip()]
-        data["schemes"] = schemes
+        data["schemes"] = ",".join(args.scheme)
     data["measurement_mode"] = args.measurement_mode
     data["schedule_mode"] = args.schedule_mode
     if args.seed is not None:
@@ -160,31 +175,12 @@ def _cmd_compile(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    spec = _spec_from_args(args, allowed_axes=set(_ERROR_AXES) | set(_INPUT_AXES))
-    _write(args.out, sweep_csv(run_sweep(spec)))
+    _, allowed_axes, default_grid, to_csv = _SWEEPS[args.command]
+    _write(args.out, to_csv(_spec_from_args(args, allowed_axes, default_grid)))
     return 0
 
 
-def _cmd_compare(args) -> int:
-    spec = _spec_from_args(args, allowed_axes=set(_ERROR_AXES) | set(_INPUT_AXES))
-    _write(args.out, compare_csv(run_compare(spec)))
-    return 0
-
-
-def _cmd_input_scan(args) -> int:
-    if args.grid is None and args.spec is None:
-        args.grid = ["alpha2=0:1:0.1"]
-    spec = _spec_from_args(args, allowed_axes=set(_INPUT_AXES))
-    _write(args.out, sweep_csv(run_sweep(spec)))
-    return 0
-
-
-_COMMANDS = {
-    "compile": _cmd_compile,
-    "sweep": _cmd_sweep,
-    "compare": _cmd_compare,
-    "input-scan": _cmd_input_scan,
-}
+_COMMANDS = {"compile": _cmd_compile, **dict.fromkeys(_SWEEPS, _cmd_sweep)}
 
 
 def main(argv=None) -> int:

@@ -61,9 +61,6 @@ class Scheme(enum.Enum):
         )
 
 
-REMOTE_SCHEMES = (Scheme.CAT_COMM, Scheme.ONE_TP, Scheme.TWO_TP, Scheme.TP_SAFE)
-
-
 class CompileError(Exception):
     pass
 

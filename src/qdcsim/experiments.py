@@ -9,9 +9,11 @@ downstream plot scripts can pin it.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import json
 import math
+import operator
 import os
 from dataclasses import dataclass
 
@@ -24,7 +26,7 @@ from .analysis import (
     first_order,
 )
 from .channels import GateErrorParam, MemoryParam, WernerParam
-from .compiler import DistributedCircuit, Scheme, compile_circuit, count_resources
+from .compiler import DistributedCircuit, ResourceCount, Scheme, compile_circuit
 from .engine import DurationTable, SimConfig, ideal_output, simulate
 from .qasm import Circuit, parse_qasm
 from .states import PureState, fidelity_pure
@@ -48,6 +50,16 @@ __all__ = [
 
 SWEEP_SCHEMA = "qdcsim sweep v1"
 COMPARE_SCHEMA = "qdcsim compare v1"
+
+#: Error-grid axes of a spec; ``eps_ebit`` is an alias axis for ``1 - f_w``.
+ERROR_AXES = ("f_w", "eps_ebit", "eps_cnot", "r")
+
+# Each input axis with its value when a spec leaves it out; the names are the
+# keyword arguments of ``InputStateParams.from_alpha2``.
+_INPUT_DEFAULTS = {"alpha2": 0.5, "phi": 0.0, "gamma": 1.0, "theta": 0.0}
+
+#: Input-grid axes of a spec, in the order their product is enumerated.
+INPUT_AXES = tuple(_INPUT_DEFAULTS)
 
 
 class ExperimentError(ValueError):
@@ -101,6 +113,10 @@ def parse_grid(text: str) -> tuple[float, ...]:
         raise ExperimentError(f"bad number in grid '{text}'") from exc
 
 
+class _UnknownTemplate(ExperimentError):
+    """No built-in template has that name."""
+
+
 def template_circuit(name: str) -> Circuit:
     """Built-in circuits: 'remote-cnot' and 'chain-<k>' repeats of it."""
     if name == "remote-cnot":
@@ -114,16 +130,20 @@ def template_circuit(name: str) -> Circuit:
             raise ExperimentError(f"chain template needs a positive length, got '{name}'")
         body = "cx q[0],q[1]; " * k
         return parse_qasm(f"qreg q[2]; {body}", name=name)
-    raise ExperimentError(f"unknown circuit template '{name}'")
+    raise _UnknownTemplate(f"unknown circuit template '{name}'")
 
 
 def load_circuit(source: str) -> Circuit:
-    if source == "remote-cnot" or source.startswith("chain-"):
+    """A built-in template by name; any other existing path is read as OpenQASM."""
+    try:
         return template_circuit(source)
-    if os.path.exists(source):
-        with open(source, encoding="utf-8") as fh:
-            return parse_qasm(fh.read(), name=os.path.basename(source))
-    raise ExperimentError(f"circuit '{source}' is neither a template nor a file")
+    except ExperimentError as exc:
+        if not os.path.exists(source):
+            if isinstance(exc, _UnknownTemplate):
+                raise ExperimentError(f"circuit '{source}' is neither a template nor a file") from None
+            raise
+    with open(source, encoding="utf-8") as fh:
+        return parse_qasm(fh.read(), name=os.path.basename(source))
 
 
 @dataclass(frozen=True)
@@ -168,21 +188,7 @@ class SweepRow:
     n_ebit: int
 
 
-SWEEP_COLUMNS = (
-    "scheme",
-    "f_w",
-    "eps_cnot",
-    "r",
-    "alpha",
-    "phi",
-    "gamma",
-    "theta",
-    "f_out",
-    "output_error",
-    "elapsed_s",
-    "n_cnot",
-    "n_ebit",
-)
+SWEEP_COLUMNS = tuple(f.name for f in dataclasses.fields(SweepRow))
 
 
 def _input_for(dc: DistributedCircuit, p: InputStateParams) -> PureState:
@@ -241,16 +247,16 @@ def _run_point(
     )
 
 
-def _compile(spec: ExperimentSpec) -> dict[Scheme, DistributedCircuit]:
+def run_sweep(spec: ExperimentSpec) -> list[SweepRow]:
+    """Simulate every grid point of ``spec`` in declared order.
+
+    Each scheme is compiled once, and each input state and its noiseless
+    reference are built once per scheme.
+    """
     circuit = load_circuit(spec.circuit)
-    return {scheme: compile_circuit(circuit, scheme) for scheme in spec.schemes}
-
-
-def _sweep(spec: ExperimentSpec, compiled: dict[Scheme, DistributedCircuit]) -> list[SweepRow]:
-    """Every grid point in declared order; each input state and its reference are built once per scheme."""
     rows = []
     for scheme in spec.schemes:
-        dc = compiled[scheme]
+        dc = compile_circuit(circuit, scheme)
         inputs = [(p, _input_for(dc, p)) for p in spec.inputs]
         references = [(p, inp, ideal_output(dc, inp)) for p, inp in inputs]
         for f_w, eps_cnot, r in itertools.product(spec.f_w, spec.eps_cnot, spec.r):
@@ -258,74 +264,76 @@ def _sweep(spec: ExperimentSpec, compiled: dict[Scheme, DistributedCircuit]) -> 
     return rows
 
 
-def run_sweep(spec: ExperimentSpec) -> list[SweepRow]:
-    """Simulate every grid point of ``spec`` in declared order."""
-    return _sweep(spec, _compile(spec))
-
-
 def _fmt(value) -> str:
+    if value is None:
+        return "n/a"
     if isinstance(value, float):
         return f"{value:.12g}"
     return str(value)
 
 
-def sweep_csv(rows: list[SweepRow]) -> str:
-    lines = [f"# {SWEEP_SCHEMA}", ",".join(SWEEP_COLUMNS)]
-    for row in rows:
-        lines.append(",".join(_fmt(getattr(row, c)) for c in SWEEP_COLUMNS))
+def _csv(schema: str, columns: tuple[str, ...], rows) -> str:
+    """Schema comment, header, then one line per row of cells."""
+    lines = [f"# {schema}", ",".join(columns)]
+    lines += [",".join(map(_fmt, cells)) for cells in rows]
     return "\n".join(lines) + "\n"
 
 
-COMPARE_COLUMNS = SWEEP_COLUMNS + ("f_linear", "f_exp", "delta_linear_pct", "delta_exp_pct")
+_sweep_cells = operator.attrgetter(*SWEEP_COLUMNS)
+
+
+def sweep_csv(rows: list[SweepRow]) -> str:
+    return _csv(SWEEP_SCHEMA, SWEEP_COLUMNS, map(_sweep_cells, rows))
+
+
+# First-order models that ``compare`` puts beside the simulation, each as
+# (model, column suffix): the ``f_<suffix>`` column holds its fidelity and
+# ``delta_<suffix>_pct`` its gap to the simulated error.
+_COMPARE_MODELS = ((ApproxKind.LINEAR, "linear"), (ApproxKind.EXPONENTIAL, "exp"))
+_MODEL_COLUMNS = tuple((kind, f"f_{suffix}", f"delta_{suffix}_pct") for kind, suffix in _COMPARE_MODELS)
+_EXTRA_COLUMNS = tuple(f for _, f, _ in _MODEL_COLUMNS) + tuple(d for _, _, d in _MODEL_COLUMNS)
+COMPARE_COLUMNS = SWEEP_COLUMNS + _EXTRA_COLUMNS
 
 
 def run_compare(spec: ExperimentSpec) -> list[tuple[SweepRow, dict]]:
     """Sweep plus first-order columns; gap columns are None off-baseline."""
-    compiled = _compile(spec)
-    counts = {scheme: count_resources(dc) for scheme, dc in compiled.items()}
     out = []
-    for row in _sweep(spec, compiled):
-        rc = counts[Scheme.from_name(row.scheme)]
-        eps_ebit = 1.0 - row.f_w
-        f_lin = first_order(ApproxKind.LINEAR, rc, eps_ebit, row.eps_cnot)
-        f_exp = first_order(ApproxKind.EXPONENTIAL, rc, eps_ebit, row.eps_cnot)
-        extras = {"f_linear": f_lin, "f_exp": f_exp}
-        for key, f_approx in (("delta_linear_pct", f_lin), ("delta_exp_pct", f_exp)):
+    for row in run_sweep(spec):
+        rc = ResourceCount(n_cnot=row.n_cnot, n_ebit=row.n_ebit)
+        extras = {}
+        for kind, f_col, delta_col in _MODEL_COLUMNS:
+            f_approx = extras[f_col] = first_order(kind, rc, 1.0 - row.f_w, row.eps_cnot)
             try:
-                extras[key] = delta_oe(f_approx, row.f_out)
+                extras[delta_col] = delta_oe(f_approx, row.f_out)
             except NoErrorBaselineError:
-                extras[key] = None
+                extras[delta_col] = None
         out.append((row, extras))
     return out
 
 
 def compare_csv(pairs: list[tuple[SweepRow, dict]]) -> str:
-    lines = [f"# {COMPARE_SCHEMA}", ",".join(COMPARE_COLUMNS)]
-    for row, extras in pairs:
-        cells = [_fmt(getattr(row, c)) for c in SWEEP_COLUMNS]
-        for key in ("f_linear", "f_exp", "delta_linear_pct", "delta_exp_pct"):
-            value = extras[key]
-            cells.append("n/a" if value is None else _fmt(value))
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+    rows = (_sweep_cells(row) + tuple(extras[c] for c in _EXTRA_COLUMNS) for row, extras in pairs)
+    return _csv(COMPARE_SCHEMA, COMPARE_COLUMNS, rows)
+
+
+def _axis(section: dict, key: str, default: float) -> tuple[float, ...]:
+    """One grid axis: a range or list string, a list of numbers, or one number."""
+    raw = section.get(key, (default,))
+    if isinstance(raw, str):
+        return parse_grid(raw)
+    if isinstance(raw, (int, float)):
+        return (float(raw),)
+    return tuple(float(v) for v in raw)
 
 
 def _input_grid_from_mapping(section: dict) -> tuple[InputStateParams, ...]:
-    def axis(key: str, default: float) -> tuple[float, ...]:
-        raw = section.get(key, (default,))
-        if isinstance(raw, str):
-            return parse_grid(raw)
-        if isinstance(raw, (int, float)):
-            return (float(raw),)
-        return tuple(float(v) for v in raw)
-
-    alpha2 = axis("alpha2", 0.5)
-    phi = axis("phi", 0.0)
-    gamma = axis("gamma", 1.0)
-    theta = axis("theta", 0.0)
+    unknown = set(section) - set(INPUT_AXES)
+    if unknown:
+        raise ExperimentError(f"unknown input axes: {sorted(unknown)}; allowed: {list(INPUT_AXES)}")
+    grids = [_axis(section, key, default) for key, default in _INPUT_DEFAULTS.items()]
     return tuple(
-        InputStateParams.from_alpha2(a2, phi=f, gamma=g, theta=t)
-        for a2, f, g, t in itertools.product(alpha2, phi, gamma, theta)
+        InputStateParams.from_alpha2(**dict(zip(INPUT_AXES, point)))
+        for point in itertools.product(*grids)
     )
 
 
@@ -336,15 +344,14 @@ def spec_from_mapping(data: dict) -> ExperimentSpec:
     inputs (mapping with alpha2/phi/gamma/theta axes), measurement_mode,
     schedule_mode, seed.  Grid values may be range strings, lists, or single
     numbers.  ``eps_ebit`` is accepted as an alias axis for ``1 - f_w``.
+    Unknown keys, and unknown axes inside ``inputs``, raise
+    :class:`ExperimentError`.
     """
     known = {
         "circuit",
         "schemes",
         "profile",
-        "f_w",
-        "eps_ebit",
-        "eps_cnot",
-        "r",
+        *ERROR_AXES,
         "inputs",
         "measurement_mode",
         "schedule_mode",
@@ -363,22 +370,12 @@ def spec_from_mapping(data: dict) -> ExperimentSpec:
                 f"unknown profile '{data['profile']}'; available: {sorted(PROFILES)}"
             )
 
-    def axis(key: str, default: float) -> tuple[float, ...]:
-        if key not in data:
-            return (default,)
-        raw = data[key]
-        if isinstance(raw, str):
-            return parse_grid(raw)
-        if isinstance(raw, (int, float)):
-            return (float(raw),)
-        return tuple(float(v) for v in raw)
-
     if "f_w" in data and "eps_ebit" in data:
         raise ExperimentError("give either f_w or eps_ebit, not both")
     if "eps_ebit" in data:
-        f_w_grid = tuple(1.0 - e for e in axis("eps_ebit", 1.0 - profile.f_w))
+        f_w_grid = tuple(1.0 - e for e in _axis(data, "eps_ebit", 1.0 - profile.f_w))
     else:
-        f_w_grid = axis("f_w", profile.f_w)
+        f_w_grid = _axis(data, "f_w", profile.f_w)
 
     schemes_raw = data.get("schemes", ["cat", "1tp", "2tp", "tpsafe"])
     if isinstance(schemes_raw, str):
@@ -399,8 +396,8 @@ def spec_from_mapping(data: dict) -> ExperimentSpec:
         circuit=data.get("circuit", "remote-cnot"),
         schemes=schemes,
         f_w=f_w_grid,
-        eps_cnot=axis("eps_cnot", profile.eps_cnot),
-        r=axis("r", profile.r),
+        eps_cnot=_axis(data, "eps_cnot", profile.eps_cnot),
+        r=_axis(data, "r", profile.r),
         inputs=inputs,
         durations=profile.durations,
         measurement_mode=data.get("measurement_mode", "mixture"),

@@ -1,10 +1,12 @@
 """Gate vocabulary and unitary matrices.
 
-A circuit is a flat list of :class:`Gate` records.  The simulator core only
-understands the basis set ``{u3, cx}`` plus the bookkeeping kinds ``measure``
-and ``barrier``; everything else is syntactic sugar that ``qasm.lower_to_basis``
-rewrites away.  Matrices are returned in the computational basis with the
-first listed qubit as the most significant bit.
+A circuit is a flat list of :class:`Gate` records.  ``qasm.lower_to_basis``
+rewrites a source circuit into the basis set ``{u3, cx}`` plus the bookkeeping
+kinds ``measure`` and ``barrier``.  The engine applies any unitary kind through
+:func:`gate_unitary`: compiled protocols also carry ``h`` gates, and their
+classically controlled corrections run as ``cx`` and ``cz``.  Matrices are
+returned in the computational basis with the first listed qubit as the most
+significant bit.
 """
 
 from __future__ import annotations
@@ -14,9 +16,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-
-# Gate kinds the density-matrix engine executes directly.
-BASIS_KINDS = frozenset({"u3", "cx"})
 
 # Kinds accepted by the openQASM front end.  Values are (n_qubits, n_params).
 SUPPORTED_GATES: dict[str, tuple[int, int]] = {
@@ -41,10 +40,6 @@ SUPPORTED_GATES: dict[str, tuple[int, int]] = {
     "cp": (2, 1),
     "swap": (2, 0),
 }
-
-# Non-unitary statements that may appear in a parsed circuit.
-META_KINDS = frozenset({"measure", "barrier"})
-
 
 @dataclass(frozen=True)
 class Gate:

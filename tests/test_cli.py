@@ -15,6 +15,7 @@ from qdcsim.experiments import (
     ExperimentError,
     ExperimentSpec,
     compare_csv,
+    load_circuit,
     load_spec,
     parse_grid,
     run_compare,
@@ -69,6 +70,22 @@ class TestTemplates:
             with pytest.raises(ExperimentError):
                 template_circuit(bad)
 
+    def test_relative_qasm_path_named_like_a_template(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "chain-demo.qasm").write_text("qreg q[2];\nh q[0];\ncx q[0],q[1];\n")
+        (tmp_path / "chain-2").write_text("qreg q[2];\nx q[1];\n")
+        assert [g.kind for g in load_circuit("chain-demo.qasm").ops] == ["h", "cx"]
+        # A valid template name still wins over a file of the same name.
+        assert [g.kind for g in load_circuit("chain-2").ops] == ["cx", "cx"]
+        assert main(["sweep", "--circuit", "chain-demo.qasm", "--scheme", "cat"]) == 0
+        assert len(capsys.readouterr().out.strip().split("\n")) == 3
+        for missing, message in (
+            ("chain-x", "positive length"),
+            ("nope.qasm", "neither a template nor a file"),
+        ):
+            with pytest.raises(ExperimentError, match=message):
+                load_circuit(missing)
+
 
 class TestProfiles:
     def test_state_of_the_art_point(self):
@@ -103,6 +120,10 @@ class TestSpecFromMapping:
     def test_unknown_keys_rejected(self):
         with pytest.raises(ExperimentError, match="unknown spec keys"):
             spec_from_mapping({"fw": 0.9})
+
+    def test_unknown_input_axes_rejected(self):
+        with pytest.raises(ExperimentError, match=r"unknown input axes: \['alpha', 'thet'\]; allowed: .*'alpha2'"):
+            spec_from_mapping({"inputs": {"alpha": "0:1:0.5", "thet": 1}})
 
     def test_scheme_list_parsing(self):
         spec = spec_from_mapping({"schemes": "cat, tpsafe"})
@@ -238,6 +259,18 @@ class TestRunCompare:
         monkeypatch.setattr(experiments, "compile_circuit", spy)
         run_compare(ExperimentSpec(schemes=(Scheme.CAT_COMM, Scheme.TWO_TP), f_w=(0.9, 0.94)))
         assert compiled == [Scheme.CAT_COMM, Scheme.TWO_TP]
+
+    def test_compare_csv_extends_sweep_csv(self):
+        spec = ExperimentSpec(f_w=(0.94, 1.0), eps_cnot=(0.0, 0.004), r=(0.0, 0.055))
+        sweep_lines = sweep_csv(run_sweep(spec)).split("\n")
+        compare_lines = compare_csv(run_compare(spec)).split("\n")
+        assert compare_lines[0] == "# qdcsim compare v1"
+        assert compare_lines[1] == sweep_lines[1] + ",f_linear,f_exp,delta_linear_pct,delta_exp_pct"
+        assert len(compare_lines) == len(sweep_lines) == 2 + 4 * 8 + 1
+        for sweep_line, compare_line in zip(sweep_lines[2:-1], compare_lines[2:-1]):
+            assert compare_line.startswith(sweep_line + ",")
+            assert compare_line.count(",") == sweep_line.count(",") + 4
+        assert sum(line.endswith(",n/a,n/a") for line in compare_lines) == 4
 
     def test_approx_columns_match_direct_evaluation(self):
         spec = ExperimentSpec(schemes=(Scheme.TP_SAFE,), f_w=(0.94,), eps_cnot=(0.004,))
