@@ -32,8 +32,8 @@ from .experiments import (
     ExperimentError,
     ExperimentSpec,
     compare_csv,
+    _read_spec_file,
     load_circuit,
-    load_spec,
     run_compare,
     run_sweep,
     spec_from_mapping,
@@ -65,27 +65,37 @@ _SWEEPS = {
 }
 
 
+# Flags that a --spec file also sets, by their argparse names.  Their parser
+# defaults are None, so one given next to --spec shows; without --spec, an
+# unset one takes its value here, if any.
+_SPEC_FLAGS = ("grid", "scheme", "circuit", "profile", "schedule_mode", "measurement_mode", "seed")
+_FLAG_DEFAULTS = {
+    "circuit": "remote-cnot",
+    "profile": "soa",
+    "schedule_mode": "sequential",
+    "measurement_mode": "mixture",
+}
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", default="-", help="output path, '-' for stdout")
     parser.add_argument("--seed", type=int, default=None, help="sampled-mode RNG seed")
-    parser.add_argument(
-        "--schedule-mode", choices=("sequential", "layered"), default="sequential"
-    )
-    parser.add_argument(
-        "--measurement-mode", choices=("mixture", "sampled"), default="mixture"
-    )
+    parser.add_argument("--schedule-mode", choices=("sequential", "layered"), default=None)
+    parser.add_argument("--measurement-mode", choices=("mixture", "sampled"), default=None)
 
 
 def _add_grid_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--spec", default=None, help="JSON experiment spec file")
-    parser.add_argument("--circuit", default="remote-cnot", help="template name or QASM path")
+    parser.add_argument("--circuit", default=None, help="template name or QASM path (default: remote-cnot)")
     parser.add_argument(
         "--scheme",
         action="append",
         default=None,
         help="distribution scheme (repeatable or comma-separated)",
     )
-    parser.add_argument("--profile", choices=sorted(PROFILES), default="soa")
+    parser.add_argument(
+        "--profile", choices=sorted(PROFILES), default=None, help="hardware profile (default: soa)"
+    )
     parser.add_argument(
         "--grid",
         action="append",
@@ -129,10 +139,10 @@ def _parse_grid_flags(pairs, allowed) -> dict:
             raise ExperimentError(f"--grid expects KEY=VALUES, got '{pair}'")
         if key not in allowed:
             raise ExperimentError(f"unknown grid axis '{key}'; allowed: {sorted(allowed)}")
-        if key in INPUT_AXES:
-            inputs[key] = value.strip()
-        else:
-            data[key] = value.strip()
+        axes = inputs if key in INPUT_AXES else data
+        if key in axes:
+            raise ExperimentError(f"grid axis '{key}' given more than once")
+        axes[key] = value.strip()
     if inputs:
         data["inputs"] = inputs
     return data
@@ -140,16 +150,22 @@ def _parse_grid_flags(pairs, allowed) -> dict:
 
 def _spec_from_args(args, allowed_axes, default_grid) -> ExperimentSpec:
     if args.spec is not None:
-        if args.grid:
-            raise ExperimentError("--spec and --grid are mutually exclusive")
-        return load_spec(args.spec)
+        given = ["--" + dest.replace("_", "-") for dest in _SPEC_FLAGS if getattr(args, dest) is not None]
+        if given:
+            raise ExperimentError(f"--spec and {' and '.join(given)} are mutually exclusive")
+        data = _read_spec_file(args.spec)
+        barred = [axis for axis in ERROR_AXES if axis in data and axis not in allowed_axes]
+        if barred:
+            raise ExperimentError(
+                f"spec axis '{barred[0]}' is not allowed here; allowed: {sorted(allowed_axes)}"
+            )
+        return spec_from_mapping(data)
     data = _parse_grid_flags(args.grid or default_grid, allowed_axes)
-    data["circuit"] = args.circuit
-    data["profile"] = args.profile
+    for dest, default in _FLAG_DEFAULTS.items():
+        value = getattr(args, dest)
+        data[dest] = default if value is None else value
     if args.scheme:
         data["schemes"] = ",".join(args.scheme)
-    data["measurement_mode"] = args.measurement_mode
-    data["schedule_mode"] = args.schedule_mode
     if args.seed is not None:
         data["seed"] = args.seed
     return spec_from_mapping(data)

@@ -32,17 +32,33 @@ binds the noise point (one ``exp(-r t)`` over the idle times, the noisy
 CNOT, the Werner pair, and each settled map as a weighted sum of
 precomputed terms) and executes the passes.  Sampled mode runs the same
 plan: only its measurement maps differ, and a conditional correction is
-the controlled Pauli on the measured record in both modes.  The run owns
-one complex tensor and an equal scratch buffer, both sized for the plan's
-peak live width, and every pass is one matrix product between them,
-preceded by a transposing copy only when the pass's wires are not already
-adjacent at the front, just after the first wire, or at the back.  The tensor holds only the live wires.
-A wire outside it is exactly |0>, in a product with the rest:
-communication qubits before their first use, and every wire after its
-``Reinit``.  Such a wire joins the tensor as |0> when an event touches
-it; an ebit install traces its two targets out and joins the pair in the
-Werner state, and ``Reinit`` traces its wire out.  The ``DensityMatrix`` a
-run returns is a fresh object that shares no memory with the run.
+the controlled Pauli on the measured record in both modes.
+
+A run holds a batch of noise points of one program and one input: B
+density tensors stacked on a leading axis, in one complex buffer and an
+equal scratch buffer, both sized for B tensors at the plan's peak live
+width.  Every pass is one matrix product between them, preceded by a
+transposing copy only when the pass's wires are not already adjacent at
+the front, just after the first wire, or at the back.  A noise-free map
+(a 1-qubit gate, a fresh |0>) is one superoperator shared by the batch; a
+noisy one (a settled 2-wire or 1-wire map, the Werner pair) is a stack
+with one map per point, which ``matmul`` broadcasts over.  The settled
+2-wire maps are built from their terms shortly before their passes, a few
+pairs at a time within a byte budget (``_PAIR_MAP_BYTES``), and one pair at
+a time for a large batch, so a run never holds all of them at once.  So
+the batch pays one Python dispatch per pass, where separate runs pay one
+per pass per point.  B is capped by a byte budget for the two buffers
+(``_BATCH_BYTES``) and by the free memory; :func:`simulate` is the
+one-point case, and sampled runs hold one point each, since each point
+draws its own outcomes.
+
+The tensor holds only the live wires.  A wire outside it is exactly |0>,
+in a product with the rest: communication qubits before their first use,
+and every wire after its ``Reinit``.  Such a wire joins the tensor as |0>
+when an event touches it; an ebit install traces its two targets out and
+joins the pair in the Werner state, and ``Reinit`` traces its wire out.
+The ``DensityMatrix`` a run returns is a fresh object that shares no
+memory with the run.
 
 Memory decay is kept in a ledger of idle seconds per wire instead of being
 applied after every event.  This is exact, not an approximation:
@@ -64,13 +80,14 @@ events were compiled from, run on a statevector.
 from __future__ import annotations
 
 import io
+import operator
 import os
 import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channels import GateErrorParam, MemoryParam, WernerParam, werner_state
+from .channels import _OTHER_BELL, _PHI_PLUS, GateErrorParam, MemoryParam, WernerParam
 from .compiler import (
     ClassicalMessage,
     ConditionalCorrection,
@@ -375,12 +392,14 @@ def _available_bytes() -> int | None:
 #   (_APPLY, slot, perm, shape, labels): apply sops[slot] to the block of
 #       shape (before, rows, after), after a transposing copy by ``perm``
 #       when it is not None; ``labels`` are the axes' labels afterwards.
+#   (_PAIR, i, perm, shape, labels): the same with the i-th settled 2-wire
+#       map, built from its terms at the latest just before the pass.
 #   (_DROP, shape, labels, -, -): trace out the wire whose pair is axis 1
 #       of the tensor viewed as shape (before, 4, after).
 #   (_JOIN, wires, slot, -, -): append ``wires`` in the state sops[slot].
 #   (_MEASURE, slot, tag, settle, (subscripts, wire)): in sampled mode,
 #       draw the outcome and put its projection in sops[slot] for the next step.
-_APPLY, _DROP, _JOIN, _MEASURE = range(4)
+_APPLY, _PAIR, _DROP, _JOIN, _MEASURE = range(5)
 _ZERO_SLOT, _EBIT_SLOT = 0, 1
 
 
@@ -393,13 +412,14 @@ class _Plan:
     that order, so a 1-wire map never needs its axes re-indexed.  It records:
 
     - ``steps``: the passes over the tensor, see the step kinds above;
-    - ``sops``: each step's superoperator, a constant or None where
-      :func:`_bind` puts one built from the noise point;
+    - ``sops``: the superoperator of each _APPLY and _JOIN step, a constant
+      or None where :func:`_bind` puts one built from the noise point;
     - ``settle_s``: the idle seconds owed at each point where a run applies
       the decay; only ``exp(-r t)`` over it depends on ``r``;
-    - the settled 2-wire maps, ``pair_terms`` with the coefficients of
-      :func:`_settled_terms`, and the settled 1-wire maps (measurements
-      and the result wires' decay), ``keep * single_terms + (1 - keep) D``;
+    - the settled 2-wire maps (the _PAIR steps), ``pair_terms`` with the
+      coefficients of :func:`_settled_terms`, and the settled 1-wire maps
+      (measurements and the result wires' decay),
+      ``keep * single_terms + (1 - keep) D``;
     - ``telemetry``, ``resources`` and ``elapsed``, the same for every run;
     - ``width``: the most wires the tensor ever holds at once.
 
@@ -419,7 +439,7 @@ class _Plan:
         self.records: set[int] = set()  # wires holding a measurement record until Reinit
         self.live_comm: set[int] = set()
         self.tag_qubit: dict[str, int] = {}
-        self.pairs: list[tuple] = []  # (slot, settle a, settle b, noisy CNOT, terms)
+        self.pairs: list[tuple] = []  # (settle a, settle b, noisy CNOT, terms)
         self.singles: list[tuple] = []  # (slot, settle, map at keep = 1)
         self.terms: dict[tuple, np.ndarray] = {}
         layers = _build_layers(dc, durations, schedule_mode)
@@ -446,12 +466,12 @@ class _Plan:
             [label for w in self.order for label in (w, self.n + w if w in dc.result_wires else w)],
             list(dc.result_wires) + [self.n + w for w in dc.result_wires],
         )
+        self.n_result = len(dc.result_wires)
         self.elapsed = (layers[-1].start + layers[-1].duration) if layers else 0.0
         self.resources = count_resources(dc)
-        self.pair_slots = tuple(p[0] for p in self.pairs)
-        self.pair_settle = np.array([p[1:3] for p in self.pairs], dtype=int).reshape(-1, 2)
-        self.pair_noisy = np.array([p[3] for p in self.pairs], dtype=float)
-        self.pair_terms = np.array([p[4] for p in self.pairs], dtype=complex).reshape(-1, 5, 256)
+        self.pair_settle = np.array([p[:2] for p in self.pairs], dtype=int).reshape(-1, 2)
+        self.pair_noisy = np.array([p[2] for p in self.pairs], dtype=float)
+        self.pair_terms = np.array([p[3] for p in self.pairs], dtype=complex).reshape(-1, 5, 256)
         self.single_slots = tuple(s[0] for s in self.singles)
         self.single_settle = np.array([s[1] for s in self.singles], dtype=int)
         self.single_terms = np.array([s[2].reshape(-1) for s in self.singles], dtype=complex).reshape(-1, 16)
@@ -486,8 +506,8 @@ class _Plan:
             self.order.remove(wire)
             self.steps.append((_DROP, (4**p, 4, 4 ** (len(self.order) - p)), self._labels(), None, None))
 
-    def _pass(self, wires: tuple[int, ...], sop: np.ndarray | None = None) -> int:
-        """Append a pass applying ``sop`` (None: bound per run) to ``wires``; return its slot."""
+    def _pass(self, wires: tuple[int, ...], kind: int, ref: int) -> None:
+        """Append a pass over ``wires`` of kind _APPLY (``ref`` a slot) or _PAIR (``ref`` a pair)."""
         self._hold(wires)
         lo, m, k = min(map(self.order.index, wires)), len(self.order), len(wires)
         perm = None
@@ -495,30 +515,30 @@ class _Plan:
             old, lo = self.order, 0
             self.order = list(wires) + [w for w in old if w not in wires]
             perm = tuple(a for w in self.order for a in (2 * old.index(w), 2 * old.index(w) + 1))
-        self.steps.append((_APPLY, self._slot(sop), perm, (4**lo, 4**k, 4 ** (m - lo - k)), self._labels()))
-        return len(self.sops) - 1
+        self.steps.append((kind, ref, perm, (4**lo, 4**k, 4 ** (m - lo - k)), self._labels()))
 
     def _apply_settled(self, gate: Gate, noisy: bool) -> None:
         """A 2-wire gate after the decay owed on both wires, in one pass; ``noisy`` for a noisy CNOT."""
         a, b = gate.qubits
         settle_a, settle_b = self._settle(a), self._settle(b)
-        slot = self._pass(gate.qubits)
+        self._pass(gate.qubits, _PAIR, len(self.pairs))
         key = (gate.kind, gate.params, self.order.index(a) > self.order.index(b))
         if key not in self.terms:
             self.terms[key] = _settled_terms(_unitary_superop(gate_unitary(gate)), key[-1])
-        self.pairs.append((slot, settle_a, settle_b, noisy, self.terms[key]))
+        self.pairs.append((settle_a, settle_b, noisy, self.terms[key]))
 
     def _apply_decayed(self, wire: int, sop: np.ndarray) -> None:
         """A 1-wire map after the decay owed on ``wire``, in one pass."""
-        settle = self._settle(wire)
-        self.singles.append((self._pass((wire,)), settle, sop))
+        settle, slot = self._settle(wire), self._slot(None)
+        self._pass((wire,), _APPLY, slot)
+        self.singles.append((slot, settle, sop))
 
     def perform(self, ev: Event) -> None:
         if isinstance(ev, LocalGate):
             gate = ev.gate
             if len(gate.qubits) == 1:
                 # Depolarization is unitarily covariant, so the decay owed can wait.
-                self._pass(gate.qubits, _unitary_superop(gate_unitary(gate)))
+                self._pass(gate.qubits, _APPLY, self._slot(_unitary_superop(gate_unitary(gate))))
             else:
                 self._apply_settled(gate, gate.kind == "cx")
         elif isinstance(ev, Measure):
@@ -587,99 +607,148 @@ def _plan_for(dc: DistributedCircuit, durations: DurationTable, schedule_mode: s
     return plan
 
 
+def _bind(
+    plan: _Plan, ebit_state: str | None, noise: np.ndarray, keeps: np.ndarray, lead: tuple[int, ...]
+) -> tuple[list, np.ndarray]:
+    """The plan's superoperators at a batch's noise points, and the coefficients of its settled pairs.
 
-
-def _bind(plan: _Plan, cfg: SimConfig, keeps: np.ndarray) -> list:
-    """The plan's superoperators at the config's noise point, given the keep factor of every settle point."""
+    ``noise`` holds each point's ``(f_w, eps_cnot, r)`` and ``keeps`` the
+    keep factor of each settle point, one row per point.  A slot that
+    depends on the noise point gets maps of shape ``lead + (rows, rows)``:
+    a stack with one per point, or a single point's one map; the others
+    keep the plan's shared map.  The settled pairs come back as
+    coefficients, ``coef[i]`` of shape (B, 5) for the i-th pair, because a
+    run builds their maps only shortly before their passes.
+    """
     sops = list(plan.sops)
-    if cfg.ebit_state is None:
-        ebit = werner_state(cfg.werner.f_w)
+    if ebit_state is None:
+        f_w = noise[:, 0, None, None]
+        ebit = f_w * _PHI_PLUS + ((1.0 - f_w) / 3.0) * _OTHER_BELL
     else:
-        ebit = DensityMatrix.from_pure(bell_state(cfg.ebit_state))
-    sops[_EBIT_SLOT] = ebit.entries.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3)  # as (ket, bra) pairs
-    u = keeps[plan.pair_settle][:, :, None] * (1.0, -1.0) + (0.0, 1.0)  # (k, 1 - k) of both wires
-    eps = cfg.gate_err.eps_cnot * plan.pair_noisy[:, None]
-    coef = np.concatenate(((u[:, 0, :, None] * u[:, 1, None, :]).reshape(-1, 4) * (1.0 - eps), eps), axis=1)
-    pairs = (coef[:, None, :] @ plan.pair_terms).reshape(-1, 16, 16)
-    keep = keeps[plan.single_settle][:, None]
-    singles = (keep * plan.single_terms + (1.0 - keep) * _DEPOLARIZE_1Q.reshape(1, 16)).reshape(-1, 4, 4)
-    for slot, sop in zip(plan.pair_slots + plan.single_slots, [*pairs, *singles]):
+        ebit = DensityMatrix.from_pure(bell_state(ebit_state)).entries
+    sops[_EBIT_SLOT] = ebit.reshape(-1, 2, 2, 2, 2).transpose(0, 1, 3, 2, 4)  # as (ket, bra) pairs
+    keeps = keeps.T  # one row per settle point
+    u = keeps[plan.pair_settle][..., None] * (1.0, -1.0) + (0.0, 1.0)  # (k, 1 - k) of both wires
+    eps = plan.pair_noisy[:, None] * noise[:, 1]
+    decay = (u[:, 0, :, :, None] * u[:, 1, :, None, :]).reshape(len(plan.pair_noisy), len(noise), 4)
+    coef = np.concatenate((decay * (1.0 - eps)[..., None], eps[..., None]), axis=2)
+    keep = keeps[plan.single_settle][..., None]
+    singles = keep * plan.single_terms[:, None, :]
+    singles += (1.0 - keep) * _DEPOLARIZE_1Q.reshape(16)
+    for slot, sop in zip(plan.single_slots, singles.reshape((-1,) + lead + (4, 4))):
         sops[slot] = sop
-    return sops
+    return sops, coef
 
 
 # ---------------------------------------------------------------------------
 # Simulation
 # ---------------------------------------------------------------------------
 
+# The most bytes one run's two buffers may take for a batch of noise points:
+# 64 points at the paper's 4 live wires, one point from 7 live wires up.
+# Past a few dozen points the dispatch per pass is already shared, so a
+# larger batch buys little speed for its memory.  It only sets how many
+# points share a tensor; a point that does not fit alone is refused by the
+# free-memory check as before.
+_BATCH_BYTES = 2**19
+
+# The most bytes of settled 2-wire maps a run builds at once: a run of one
+# point builds the maps of up to 16 pairs in one call, a batch of 16 points
+# or more builds each pair's maps just before its pass.
+_PAIR_MAP_BYTES = 2**16
+
 
 class _Register:
-    """The run's density tensor over the live wires, each wire's ket and bra axes adjacent.
+    """The run's density tensors over the live wires, one per noise point, with each wire's axes adjacent.
 
-    ``order[i]`` is the label of the tensor's i-th axis: w for the ket and
-    ``n_labels + w`` for the bra of wire w.  The tensor is the first
-    ``size`` entries of ``buf``; ``buf`` and ``scratch`` are allocated once,
+    ``order[i]`` is the label of each tensor's i-th axis: w for the ket and
+    ``n_labels + w`` for the bra of wire w.  The ``batch`` tensors of
+    ``size`` entries each are the first ``batch * size`` entries of
+    ``buf``, point after point; ``buf`` and ``scratch`` are allocated once,
     large enough for the plan's peak width, and every pass reads one and
-    writes the other.
+    writes the other.  Every view of them starts with the axes ``lead``:
+    the batch axis, or none for a single point.  A superoperator is either
+    one map for every point or a stack of one per point, which ``matmul``
+    broadcasts over.
     """
 
-    def __init__(self, buf: np.ndarray, size: int, order: tuple[int, ...], n_labels: int):
+    def __init__(self, buf: np.ndarray, batch: int, size: int, order: tuple[int, ...], n_labels: int):
         self.buf = buf
         self.scratch = np.empty_like(buf)
+        self.batch = batch
+        self.lead = (batch,) if batch > 1 else ()
         self.size = size
         self.order = order
         self.n_labels = n_labels
 
     @classmethod
-    def from_pure(cls, amplitudes: np.ndarray, n_labels: int, width: int) -> "_Register":
-        """The pure state ``amplitudes`` on the first wires, in buffers for ``width`` wires."""
+    def from_pure(cls, amplitudes: np.ndarray, n_labels: int, width: int, batch: int) -> "_Register":
+        """``batch`` copies of the pure state ``amplitudes`` on the first wires, in buffers for ``width``."""
         k = amplitudes.shape[0].bit_length() - 1
-        buf = np.empty(4**width, dtype=complex)
-        out = buf[: 4**k].reshape((2, 2) * k)
+        buf = np.empty(batch * 4**width, dtype=complex)
+        out = buf[: batch * 4**k].reshape((batch,) + (2, 2) * k)
         np.multiply(amplitudes.reshape((2, 1) * k), amplitudes.conj().reshape((1, 2) * k), out=out)
-        return cls(buf, 4**k, tuple(label for w in range(k) for label in (w, n_labels + w)), n_labels)
+        return cls(buf, batch, 4**k, tuple(label for w in range(k) for label in (w, n_labels + w)), n_labels)
 
     def join(self, wires: tuple[int, ...], block: np.ndarray) -> None:
-        """Append absent ``wires`` in the state ``block``: their density matrix, each wire's axes paired."""
-        size = self.size * block.size
+        """Append absent ``wires`` in the state ``block``: their density matrix, each wire's axes paired.
+
+        ``block`` is one state for every point or a stack of one per point.
+        """
+        k = 4 ** len(wires)
+        n = self.batch * self.size
         np.multiply(
-            self.buf[: self.size, None], block.reshape(1, -1), out=self.scratch[:size].reshape(self.size, -1)
+            self.buf[:n].reshape(self.batch, self.size, 1),
+            block.reshape(-1, 1, k),
+            out=self.scratch[: n * k].reshape(self.batch, self.size, k),
         )
         self.buf, self.scratch = self.scratch, self.buf
-        self.size = size
+        self.size *= k
         self.order += tuple(label for w in wires for label in (w, self.n_labels + w))
 
     def drop(self, shape: tuple[int, int, int], order: tuple[int, ...]) -> None:
-        """Trace out the wire whose pair is axis 1 of the tensor viewed as ``shape``."""
-        v = self.buf[: self.size].reshape(shape)
+        """Trace out the wire whose pair is axis 1 of each tensor viewed as ``shape``."""
+        v = self.buf[: self.batch * self.size].reshape(self.lead + shape)
         self.size //= 4
-        np.add(v[:, 0], v[:, 3], out=self.scratch[: self.size].reshape(shape[0], shape[2]))
+        out = self.scratch[: self.batch * self.size].reshape(self.lead + (shape[0], shape[2]))
+        np.add(v[..., 0, :], v[..., 3, :], out=out)
         self.buf, self.scratch = self.scratch, self.buf
         self.order = order
 
     def apply(self, sop: np.ndarray, perm, shape: tuple[int, int, int], order: tuple[int, ...]) -> None:
-        src, dst = self.buf[: self.size], self.scratch[: self.size]
+        n = self.batch * self.size
+        src, dst = self.buf[:n], self.scratch[:n]
         if perm is None:
             self.buf, self.scratch = self.scratch, self.buf
         else:
-            rank = (2,) * len(perm)
+            rank = self.lead + (2,) * len(perm)
+            if self.lead:
+                perm = (0, *(a + 1 for a in perm))
             np.copyto(dst.reshape(rank), src.reshape(rank).transpose(perm))
             src, dst = dst, src
         if shape[2] == 1:  # the block is at the back
-            np.matmul(src.reshape(shape[:2]), sop.T, out=dst.reshape(shape[:2]))
+            shape = self.lead + shape[:2]
+            sop_t = sop.T if sop.ndim == 2 else sop.transpose(0, 2, 1)
+            np.matmul(src.reshape(shape), sop_t, out=dst.reshape(shape))
         else:
-            np.matmul(sop, src.reshape(shape), out=dst.reshape(shape))
+            shape = self.lead + shape
+            np.matmul(sop if sop.ndim == 2 else sop[:, None], src.reshape(shape), out=dst.reshape(shape))
         self.order = order
 
     def einsum(self, subscripts: list[int], out: list[int]) -> np.ndarray:
-        return np.einsum(self.buf[: self.size].reshape((2,) * len(self.order)), subscripts, out)
+        """``np.einsum`` over each tensor's axes, with the batch axis, if any, kept in front."""
+        v = self.buf[: self.batch * self.size].reshape(self.lead + (2,) * len(self.order))
+        if self.lead:
+            subscripts, out = [..., *subscripts], [..., *out]
+        return np.einsum(v, subscripts, out)
 
 
 class _Sampler:
     """Sampled mode: the drawn or forced outcome of each measurement, and the branch probability."""
 
     def __init__(self, seed: int | None, forced: dict[str, int] | None):
-        self.rng = np.random.default_rng(seed)
+        self.seed = seed
+        self.rng = None  # made at the first draw: a fully forced branch draws nothing
         self.forced = dict(forced or {})
         self.outcomes: dict[str, int] = {}
         self.branch_p = 1.0
@@ -693,6 +762,8 @@ class _Sampler:
             if outcome not in (0, 1):
                 raise EngineError(f"forced outcome for '{tag}' must be 0 or 1")
         else:
+            if self.rng is None:
+                self.rng = np.random.default_rng(self.seed)
             outcome = int(self.rng.random() < p1)
         p_out = p1 if outcome == 1 else 1.0 - p1
         if p_out <= 1e-12:
@@ -701,6 +772,106 @@ class _Sampler:
         self.branch_p *= p_out
         decay = keep * _IDENTITY_1Q + (1.0 - keep) * _DEPOLARIZE_1Q
         return _PROJECT[outcome] @ decay / float(pops[outcome])
+
+
+def _run(plan: _Plan, input_state: PureState, cfgs, sampler: _Sampler | None) -> np.ndarray:
+    """Run the plan's passes on ``input_state`` at each config of ``cfgs``; return each point's output.
+
+    A sampled run (``sampler`` given) holds a single point.
+    """
+    lead = (len(cfgs),) if len(cfgs) > 1 else ()
+    noise = np.array([(cfg.werner.f_w, cfg.gate_err.eps_cnot, cfg.memory.r) for cfg in cfgs])
+    keeps = np.exp(-noise[:, 2, None] * plan.settle_s)
+    sops, coef = _bind(plan, cfgs[0].ebit_state, noise, keeps, lead)
+    # How many pairs' maps are built together.
+    chunk = max(1, _PAIR_MAP_BYTES // (len(cfgs) * 256 * _BYTES_PER_ENTRY))
+    maps = np.empty((min(chunk, len(coef)), len(cfgs), 256), dtype=complex)
+    reg = _Register.from_pure(input_state.amplitudes, plan.n, plan.width, len(cfgs))
+    for kind, a, b, c, d in plan.steps:
+        if kind == _APPLY:
+            reg.apply(sops[a], b, c, d)
+        elif kind == _PAIR:
+            i = a % chunk
+            if i == 0:
+                m = min(chunk, len(coef) - a)
+                np.matmul(coef[a : a + m], plan.pair_terms[a : a + m], out=maps[:m])
+            reg.apply(maps[i].reshape(lead + (16, 16)), b, c, d)
+        elif kind == _DROP:
+            reg.drop(a, b)
+        elif kind == _JOIN:
+            reg.join(a, sops[b])
+        elif sampler is not None:
+            diagonal, wire = d
+            sops[a] = sampler.projection(b, np.real(reg.einsum(diagonal, [wire])), float(keeps[0, c]))
+    dim = 1 << plan.n_result
+    return reg.einsum(*plan.output_einsum).reshape(-1, dim, dim)
+
+
+def _admit(dc: DistributedCircuit, input_state: PureState, cfg: SimConfig) -> tuple[_Plan, int]:
+    """The plan for a run of ``dc`` on ``input_state`` under ``cfg``, and how many points one run may hold.
+
+    Raises :class:`EngineError` when the register exceeds the config's cap,
+    when a single point's working set exceeds the free memory, or when the
+    input does not fit the circuit.  Sampled runs hold one point, since
+    each point draws its own outcomes; mixture runs as many as
+    ``_BATCH_BYTES`` and the free memory allow.
+    """
+    if dc.n_total > cfg.max_qubits:
+        raise EngineError(
+            f"register of {dc.n_total} qubits exceeds the configured cap of {cfg.max_qubits}"
+        )
+    plan = _plan_for(dc, cfg.durations, cfg.schedule_mode)
+    need, have = _working_set_bytes(plan.width), _available_bytes()
+    if have is not None and need > have:
+        raise EngineError(
+            f"register of {dc.n_total} qubits holds up to {plan.width} at once and needs "
+            f"{need / 1e9:.3g} GB, but only {have / 1e9:.3g} GB of memory is free"
+        )
+    if input_state.n_qubits != dc.n_processing:
+        raise EngineError(
+            f"input covers {input_state.n_qubits} qubits, circuit has {dc.n_processing}"
+        )
+    input_state.validate()
+    if cfg.measurement_mode == "sampled":
+        return plan, 1
+    budget = _BATCH_BYTES if have is None else min(_BATCH_BYTES, have)
+    return plan, max(1, budget // need)
+
+
+def _result(plan: _Plan, entries: np.ndarray, sampler: _Sampler | None) -> SimResult:
+    """One point's result: its output entries, with what the plan and the sampler know of the run."""
+    return SimResult(
+        rho_out=DensityMatrix(entries),
+        elapsed=plan.elapsed,
+        telemetry=plan.telemetry,
+        resources=plan.resources,
+        outcomes=dict(sampler.outcomes) if sampler else {},
+        branch_probability=sampler.branch_p if sampler else None,
+    )
+
+
+_SHARED_SETTINGS = operator.attrgetter(
+    "durations", "schedule_mode", "measurement_mode", "max_qubits", "ebit_state"
+)
+
+
+def _simulate_each(dc: DistributedCircuit, input_state: PureState, cfgs):
+    """Yield the :func:`simulate` result of ``dc`` on ``input_state`` at each config of ``cfgs``, in order.
+
+    The configs may differ only in their noise point (and seed).  Mixture
+    runs go in batches (see :func:`_admit`), sampled runs one at a time.
+    An error raised while a batch runs surfaces when its first result is
+    asked for.
+    """
+    first = cfgs[0]
+    if any(_SHARED_SETTINGS(cfg) != _SHARED_SETTINGS(first) for cfg in cfgs):
+        raise ValueError("configs run together may differ only in their noise point and seed")
+    plan, batch = _admit(dc, input_state, first)
+    for start in range(0, len(cfgs), batch):
+        points = cfgs[start : start + batch]
+        sampler = _Sampler(points[0].seed, None) if first.measurement_mode == "sampled" else None
+        for entries in _run(plan, input_state, points, sampler):
+            yield _result(plan, entries, sampler)
 
 
 def simulate(
@@ -720,47 +891,9 @@ def simulate(
     cfg = cfg or SimConfig()
     if forced_outcomes and cfg.measurement_mode != "sampled":
         raise EngineError("forced outcomes require measurement_mode='sampled'")
-    if dc.n_total > cfg.max_qubits:
-        raise EngineError(
-            f"register of {dc.n_total} qubits exceeds the configured cap of {cfg.max_qubits}"
-        )
-    plan = _plan_for(dc, cfg.durations, cfg.schedule_mode)
-    need, have = _working_set_bytes(plan.width), _available_bytes()
-    if have is not None and need > have:
-        raise EngineError(
-            f"register of {dc.n_total} qubits holds up to {plan.width} at once and needs "
-            f"{need / 1e9:.3g} GB, but only {have / 1e9:.3g} GB of memory is free"
-        )
-    if input_state.n_qubits != dc.n_processing:
-        raise EngineError(
-            f"input covers {input_state.n_qubits} qubits, circuit has {dc.n_processing}"
-        )
-    input_state.validate()
-
-    keeps = np.exp(-cfg.memory.r * plan.settle_s)
-    sops = _bind(plan, cfg, keeps)
+    plan, _ = _admit(dc, input_state, cfg)
     sampler = _Sampler(cfg.seed, forced_outcomes) if cfg.measurement_mode == "sampled" else None
-    reg = _Register.from_pure(input_state.amplitudes, dc.n_total, plan.width)
-    for kind, a, b, c, d in plan.steps:
-        if kind == _APPLY:
-            reg.apply(sops[a], b, c, d)
-        elif kind == _DROP:
-            reg.drop(a, b)
-        elif kind == _JOIN:
-            reg.join(a, sops[b])
-        elif sampler is not None:
-            diagonal, wire = d
-            sops[a] = sampler.projection(b, np.real(reg.einsum(diagonal, [wire])), float(keeps[c]))
-
-    dim = 1 << len(dc.result_wires)
-    return SimResult(
-        rho_out=DensityMatrix(reg.einsum(*plan.output_einsum).reshape(dim, dim)),
-        elapsed=plan.elapsed,
-        telemetry=plan.telemetry,
-        resources=plan.resources,
-        outcomes=dict(sampler.outcomes) if sampler else {},
-        branch_probability=sampler.branch_p if sampler else None,
-    )
+    return _result(plan, _run(plan, input_state, (cfg,), sampler)[0], sampler)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,11 @@
 """Batch experiment driver: grids, profiles, and deterministic CSV output.
 
 A sweep enumerates (scheme x error grid x input grid) points in declared
-order, simulates each one, and emits one CSV row per point.  Mixture-mode
-runs are fully deterministic, so repeated runs of the same spec produce
-byte-identical files; the CSV schema is versioned in a leading comment so
-downstream plot scripts can pin it.
+order, simulates them (the error-grid points of one scheme and input in
+batches), and emits one CSV row per point.  Mixture-mode runs are fully
+deterministic, so repeated runs of the same spec produce byte-identical
+files; the CSV schema is versioned in a leading comment so downstream plot
+scripts can pin it.
 """
 
 from __future__ import annotations
@@ -27,7 +28,10 @@ from .analysis import (
 )
 from .channels import GateErrorParam, MemoryParam, WernerParam
 from .compiler import DistributedCircuit, ResourceCount, Scheme, compile_circuit
-from .engine import DurationTable, SimConfig, ideal_output, simulate
+from .engine import DurationTable, SimConfig, _simulate_each, ideal_output
+
+# Unused by the sweep; kept bound because perfbench/tracer.py wraps it here by name.
+from .engine import simulate  # noqa: F401
 from .qasm import Circuit, parse_qasm
 from .states import PureState, fidelity_pure
 
@@ -206,23 +210,15 @@ _F_OUT_ROUNDING = 1e-12  # how far a fidelity may stray outside [0, 1] by roundi
 
 
 def _run_point(
-    dc: DistributedCircuit, spec: ExperimentSpec, f_w: float, eps_cnot: float, r: float, reference: tuple
+    dc: DistributedCircuit, f_w: float, eps_cnot: float, r: float, reference: tuple, results
 ) -> SweepRow:
+    """The row of one noise point; ``results`` yields its simulation result next."""
     p, inp, ideal = reference
-    cfg = SimConfig(
-        werner=WernerParam(f_w),
-        gate_err=GateErrorParam(eps_cnot),
-        memory=MemoryParam(r),
-        durations=spec.durations,
-        measurement_mode=spec.measurement_mode,
-        schedule_mode=spec.schedule_mode,
-        seed=spec.seed,
-    )
     def where() -> str:
         return f"grid point (scheme={dc.scheme.value}, f_w={f_w}, eps_cnot={eps_cnot}, r={r}, alpha={p.alpha})"
 
     try:
-        res = simulate(dc, inp, cfg)
+        res = next(results)
         f_out = fidelity_pure(ideal, res.rho_out)
     except Exception as exc:
         raise ExperimentError(f"{where()} failed: {exc}") from exc
@@ -248,19 +244,41 @@ def _run_point(
 
 
 def run_sweep(spec: ExperimentSpec) -> list[SweepRow]:
-    """Simulate every grid point of ``spec`` in declared order.
+    """Simulate every grid point of ``spec`` and return its rows in declared order.
 
     Each scheme is compiled once, and each input state and its noiseless
-    reference are built once per scheme.
+    reference are built once per scheme.  The noise points of one scheme
+    and input run together: in mixture mode the engine stacks them into
+    one batched tensor, as many to a batch as its byte cap and the free
+    memory allow, and builds each noisy two-wire map for the whole batch
+    just before its pass.  Every point keeps its own config, fidelity,
+    rounding check and row; an error in a batch names the batch's first
+    point.
     """
     circuit = load_circuit(spec.circuit)
+    points = list(itertools.product(spec.f_w, spec.eps_cnot, spec.r))
+    configs = [
+        SimConfig(
+            werner=WernerParam(f_w),
+            gate_err=GateErrorParam(eps_cnot),
+            memory=MemoryParam(r),
+            durations=spec.durations,
+            measurement_mode=spec.measurement_mode,
+            schedule_mode=spec.schedule_mode,
+            seed=spec.seed,
+        )
+        for f_w, eps_cnot, r in points
+    ]
     rows = []
     for scheme in spec.schemes:
         dc = compile_circuit(circuit, scheme)
         inputs = [(p, _input_for(dc, p)) for p in spec.inputs]
         references = [(p, inp, ideal_output(dc, inp)) for p, inp in inputs]
-        for f_w, eps_cnot, r in itertools.product(spec.f_w, spec.eps_cnot, spec.r):
-            rows += [_run_point(dc, spec, f_w, eps_cnot, r, ref) for ref in references]
+        per_input = []
+        for ref in references:
+            results = _simulate_each(dc, ref[1], configs)
+            per_input.append([_run_point(dc, *point, ref, results) for point in points])
+        rows += [row for point_rows in zip(*per_input) for row in point_rows]
     return rows
 
 
@@ -406,8 +424,8 @@ def spec_from_mapping(data: dict) -> ExperimentSpec:
     )
 
 
-def load_spec(path: str) -> ExperimentSpec:
-    """Load a JSON spec file (nested key-value sections)."""
+def _read_spec_file(path: str) -> dict:
+    """The key-value data of a JSON spec file, not yet checked as a spec."""
     try:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
@@ -417,4 +435,9 @@ def load_spec(path: str) -> ExperimentSpec:
         raise ExperimentError(f"spec file '{path}' is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ExperimentError("spec file must hold a JSON object")
-    return spec_from_mapping(data)
+    return data
+
+
+def load_spec(path: str) -> ExperimentSpec:
+    """Load a JSON spec file (nested key-value sections)."""
+    return spec_from_mapping(_read_spec_file(path))

@@ -419,3 +419,78 @@ class TestCliSweeps:
         spec_path.write_text("{not json")
         assert main(["sweep", "--spec", str(spec_path)]) == 1
         assert "not valid JSON" in capsys.readouterr().err
+
+
+class TestCliSpecFlags:
+    """A --spec file sets the flags it shares with the command line; giving both is an error."""
+
+    @pytest.fixture
+    def spec_path(self, tmp_path):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"schemes": ["cat", "2tp"], "f_w": [0.9, 0.95]}))
+        return str(path)
+
+    @pytest.mark.parametrize(
+        "flag,value",
+        [
+            ("--grid", "f_w=1"),
+            ("--scheme", "cat"),
+            ("--circuit", "remote-cnot"),
+            ("--profile", "soa"),
+            ("--schedule-mode", "sequential"),
+            ("--measurement-mode", "mixture"),
+            ("--seed", "3"),
+        ],
+    )
+    @pytest.mark.parametrize("command", ["sweep", "compare", "input-scan"])
+    def test_each_flag_beside_spec_rejected(self, spec_path, capsys, command, flag, value):
+        assert main([command, "--spec", spec_path, flag, value]) == 1
+        captured = capsys.readouterr()
+        assert f"--spec and {flag} are mutually exclusive" in captured.err
+        assert captured.out == ""
+
+    def test_input_scan_scheme_beside_spec_rejected(self, spec_path, capsys):
+        assert main(["input-scan", "--scheme", "cat", "--spec", spec_path]) == 1
+        assert "--spec and --scheme are mutually exclusive" in capsys.readouterr().err
+
+    def test_all_flags_beside_spec_named(self, spec_path, capsys):
+        assert main(["sweep", "--spec", spec_path, "--seed", "1", "--profile", "distilled"]) == 1
+        assert "--spec and --profile and --seed are mutually exclusive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("axis", ["f_w", "eps_ebit", "eps_cnot", "r"])
+    def test_input_scan_spec_with_error_axis_rejected(self, tmp_path, capsys, axis):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"schemes": ["cat"], axis: [0.01], "inputs": {"alpha2": [0, 1]}}))
+        assert main(["input-scan", "--spec", str(path)]) == 1
+        assert f"spec axis '{axis}' is not allowed here" in capsys.readouterr().err
+        assert main(["sweep", "--spec", str(path)]) == 0
+
+    def test_input_scan_spec_with_input_axes_runs(self, tmp_path, capsys):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"schemes": ["cat"], "inputs": {"alpha2": [0, 0.5, 1]}}))
+        assert main(["input-scan", "--spec", str(path)]) == 0
+        lines = capsys.readouterr().out.strip().split("\n")
+        assert len(lines) == 2 + 3
+
+    def test_flag_defaults_without_spec(self, capsys):
+        assert main(["sweep", "--scheme", "cat", "--grid", "f_w=0.9,0.95"]) == 0
+        spec = ExperimentSpec(schemes=(Scheme.CAT_COMM,), f_w=(0.9, 0.95))
+        assert spec.circuit == "remote-cnot" and spec.schedule_mode == "sequential"
+        assert spec.measurement_mode == "mixture" and spec.seed is None
+        assert capsys.readouterr().out == sweep_csv(run_sweep(spec))
+
+
+class TestCliRepeatedGridAxis:
+    @pytest.mark.parametrize("axis,values", [("f_w", ("0.9", "0.95")), ("alpha2", ("0", "1"))])
+    def test_repeated_axis_rejected(self, capsys, axis, values):
+        args = ["sweep", "--scheme", "cat"]
+        for value in values:
+            args += ["--grid", f"{axis}={value}"]
+        assert main(args) == 1
+        captured = capsys.readouterr()
+        assert f"grid axis '{axis}' given more than once" in captured.err
+        assert captured.out == ""
+
+    def test_distinct_axes_still_combine(self, capsys):
+        assert main(["sweep", "--scheme", "cat", "--grid", "f_w=0.9,0.95", "--grid", "r=0,0.055"]) == 0
+        assert len(capsys.readouterr().out.strip().split("\n")) == 2 + 4
