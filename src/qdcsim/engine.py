@@ -28,11 +28,13 @@ the events, into a cached plan (``_Plan``): a flat list of passes over the
 state, each with its wires, its superoperator slot and any axis
 permutation it needs, plus the idle seconds owed at each point where decay
 is applied, the telemetry rows and the resource count.  A run then only
-binds the noise point (one ``exp(-r t)`` over the idle times, the noisy
-CNOT, the Werner pair, and each settled map as a weighted sum of
-precomputed terms) and executes the passes.  Sampled mode runs the same
-plan: only its measurement maps differ, and a conditional correction is
-the controlled Pauli on the measured record in both modes.
+binds its noise points, each a row ``(f_w, eps_cnot, r)`` (one
+``exp(-r t)`` over the idle times, the noisy CNOT, the Werner pair, and
+each settled map as a weighted sum of precomputed terms), and executes the
+passes.  Sampled mode runs the same plan: only its measurement maps
+differ, and a conditional correction is the controlled Pauli on the
+measured record in both modes.  Which wire each tensor axis belongs to is
+known to the plan alone; a run only tracks the tensor's size.
 
 A run holds a batch of noise points of one program and one input: B
 density tensors stacked on a leading axis, in one complex buffer and an
@@ -48,9 +50,11 @@ pairs at a time within a byte budget (``_PAIR_MAP_BYTES``), and one pair at
 a time for a large batch, so a run never holds all of them at once.  So
 the batch pays one Python dispatch per pass, where separate runs pay one
 per pass per point.  B is capped by a byte budget for the two buffers
-(``_BATCH_BYTES``) and by the free memory; :func:`simulate` is the
-one-point case, and sampled runs hold one point each, since each point
-draws its own outcomes.
+(``_BATCH_BYTES``) and by the free memory, and sampled runs hold one point
+each, since each point draws its own outcomes.  A grid of noise rows that
+share one config runs through :func:`_outputs`, which yields each point's
+reduced output and nothing else; :func:`simulate` is the one-row case and
+the only place a :class:`SimResult` is built.
 
 The tensor holds only the live wires.  A wire outside it is exactly |0>,
 in a product with the rest: communication qubits before their first use,
@@ -80,7 +84,6 @@ events were compiled from, run on a statevector.
 from __future__ import annotations
 
 import io
-import operator
 import os
 import weakref
 from dataclasses import dataclass, field
@@ -102,7 +105,7 @@ from .compiler import (
 )
 from .gates import Gate, gate_unitary
 from .qasm import Circuit, lower_to_basis
-from .states import DensityMatrix, PureState, apply_gate_pure, bell_state
+from .states import _BELL_KINDS, DensityMatrix, PureState, apply_gate_pure, bell_state
 
 # Unused by the run; kept bound because perfbench/tracer.py wraps them here by name.
 from .channels import memory_depol, noisy_cnot  # noqa: F401
@@ -182,7 +185,6 @@ class DurationTable:
 
 _MODES_MEASUREMENT = ("mixture", "sampled")
 _MODES_SCHEDULE = ("sequential", "layered")
-_BELL_NAMES = ("phi_plus", "phi_minus", "psi_plus", "psi_minus")
 
 
 @dataclass(frozen=True)
@@ -204,8 +206,8 @@ class SimConfig:
             raise ValueError(f"measurement_mode must be one of {_MODES_MEASUREMENT}")
         if self.schedule_mode not in _MODES_SCHEDULE:
             raise ValueError(f"schedule_mode must be one of {_MODES_SCHEDULE}")
-        if self.ebit_state is not None and self.ebit_state not in _BELL_NAMES:
-            raise ValueError(f"ebit_state must be one of {_BELL_NAMES}")
+        if self.ebit_state is not None and self.ebit_state not in _BELL_KINDS:
+            raise ValueError(f"ebit_state must be one of {_BELL_KINDS}")
         if self.max_qubits < 1:
             raise ValueError("max_qubits must be positive")
 
@@ -388,16 +390,16 @@ def _available_bytes() -> int | None:
 # Execution plan
 # ---------------------------------------------------------------------------
 
-# A step is a 5-tuple whose first entry is its kind:
-#   (_APPLY, slot, perm, shape, labels): apply sops[slot] to the block of
-#       shape (before, rows, after), after a transposing copy by ``perm``
-#       when it is not None; ``labels`` are the axes' labels afterwards.
-#   (_PAIR, i, perm, shape, labels): the same with the i-th settled 2-wire
-#       map, built from its terms at the latest just before the pass.
-#   (_DROP, shape, labels, -, -): trace out the wire whose pair is axis 1
-#       of the tensor viewed as shape (before, 4, after).
-#   (_JOIN, wires, slot, -, -): append ``wires`` in the state sops[slot].
-#   (_MEASURE, slot, tag, settle, (subscripts, wire)): in sampled mode,
+# A step is a 4-tuple whose first entry is its kind:
+#   (_APPLY, slot, perm, shape): apply sops[slot] to the block of shape
+#       (before, rows, after), after a transposing copy by ``perm`` when it
+#       is not None.
+#   (_PAIR, i, perm, shape): the same with the i-th settled 2-wire map,
+#       built from its terms at the latest just before the pass.
+#   (_DROP, shape, -, -): trace out the wire whose pair is axis 1 of the
+#       tensor viewed as shape (before, 4, after).
+#   (_JOIN, wires, slot, -): append ``wires`` in the state sops[slot].
+#   (_MEASURE, slot, (tag, settle), (subscripts, wire)): in sampled mode,
 #       draw the outcome and put its projection in sops[slot] for the next step.
 _APPLY, _PAIR, _DROP, _JOIN, _MEASURE = range(5)
 _ZERO_SLOT, _EBIT_SLOT = 0, 1
@@ -477,9 +479,6 @@ class _Plan:
         self.single_terms = np.array([s[2].reshape(-1) for s in self.singles], dtype=complex).reshape(-1, 16)
         self.settle_s = np.array(self.settle_s, dtype=float)
 
-    def _labels(self) -> tuple[int, ...]:
-        return tuple(label for w in self.order for label in (w, self.n + w))
-
     def _slot(self, sop) -> int:
         self.sops.append(sop)
         return len(self.sops) - 1
@@ -491,7 +490,7 @@ class _Plan:
         return len(self.settle_s) - 1
 
     def _join(self, wires: tuple[int, ...], slot: int) -> None:
-        self.steps.append((_JOIN, wires, slot, None, None))
+        self.steps.append((_JOIN, wires, slot, None))
         self.order += wires
         self.width = max(self.width, len(self.order))
 
@@ -504,7 +503,7 @@ class _Plan:
         if wire in self.order:
             p = self.order.index(wire)
             self.order.remove(wire)
-            self.steps.append((_DROP, (4**p, 4, 4 ** (len(self.order) - p)), self._labels(), None, None))
+            self.steps.append((_DROP, (4**p, 4, 4 ** (len(self.order) - p)), None, None))
 
     def _pass(self, wires: tuple[int, ...], kind: int, ref: int) -> None:
         """Append a pass over ``wires`` of kind _APPLY (``ref`` a slot) or _PAIR (``ref`` a pair)."""
@@ -515,7 +514,7 @@ class _Plan:
             old, lo = self.order, 0
             self.order = list(wires) + [w for w in old if w not in wires]
             perm = tuple(a for w in self.order for a in (2 * old.index(w), 2 * old.index(w) + 1))
-        self.steps.append((kind, ref, perm, (4**lo, 4**k, 4 ** (m - lo - k)), self._labels()))
+        self.steps.append((kind, ref, perm, (4**lo, 4**k, 4 ** (m - lo - k))))
 
     def _apply_settled(self, gate: Gate, noisy: bool) -> None:
         """A 2-wire gate after the decay owed on both wires, in one pass; ``noisy`` for a noisy CNOT."""
@@ -550,7 +549,7 @@ class _Plan:
             at = len(self.steps)
             self._apply_decayed(w, _DEPHASE)
             slot, settle, _ = self.singles[-1]
-            self.steps.insert(at, (_MEASURE, slot, ev.tag, settle, (diagonal, w)))
+            self.steps.insert(at, (_MEASURE, slot, (ev.tag, settle), (diagonal, w)))
             self.tag_qubit[ev.tag] = w
             self.records.add(w)
         elif isinstance(ev, ConditionalCorrection):
@@ -661,34 +660,32 @@ _PAIR_MAP_BYTES = 2**16
 class _Register:
     """The run's density tensors over the live wires, one per noise point, with each wire's axes adjacent.
 
-    ``order[i]`` is the label of each tensor's i-th axis: w for the ket and
-    ``n_labels + w`` for the bra of wire w.  The ``batch`` tensors of
-    ``size`` entries each are the first ``batch * size`` entries of
-    ``buf``, point after point; ``buf`` and ``scratch`` are allocated once,
-    large enough for the plan's peak width, and every pass reads one and
-    writes the other.  Every view of them starts with the axes ``lead``:
-    the batch axis, or none for a single point.  A superoperator is either
-    one map for every point or a stack of one per point, which ``matmul``
-    broadcasts over.
+    Each tensor has ``size`` entries, two axes of length 2 per live wire:
+    which wire an axis belongs to is the plan's business, not the
+    register's.  The ``batch`` tensors are the first ``batch * size``
+    entries of ``buf``, point after point; ``buf`` and ``scratch`` are
+    allocated once, large enough for the plan's peak width, and every pass
+    reads one and writes the other.  Every view of them starts with the
+    axes ``lead``: the batch axis, or none for a single point.  A
+    superoperator is either one map for every point or a stack of one per
+    point, which ``matmul`` broadcasts over.
     """
 
-    def __init__(self, buf: np.ndarray, batch: int, size: int, order: tuple[int, ...], n_labels: int):
+    def __init__(self, buf: np.ndarray, batch: int, size: int):
         self.buf = buf
         self.scratch = np.empty_like(buf)
         self.batch = batch
         self.lead = (batch,) if batch > 1 else ()
         self.size = size
-        self.order = order
-        self.n_labels = n_labels
 
     @classmethod
-    def from_pure(cls, amplitudes: np.ndarray, n_labels: int, width: int, batch: int) -> "_Register":
+    def from_pure(cls, amplitudes: np.ndarray, width: int, batch: int) -> "_Register":
         """``batch`` copies of the pure state ``amplitudes`` on the first wires, in buffers for ``width``."""
         k = amplitudes.shape[0].bit_length() - 1
         buf = np.empty(batch * 4**width, dtype=complex)
         out = buf[: batch * 4**k].reshape((batch,) + (2, 2) * k)
         np.multiply(amplitudes.reshape((2, 1) * k), amplitudes.conj().reshape((1, 2) * k), out=out)
-        return cls(buf, batch, 4**k, tuple(label for w in range(k) for label in (w, n_labels + w)), n_labels)
+        return cls(buf, batch, 4**k)
 
     def join(self, wires: tuple[int, ...], block: np.ndarray) -> None:
         """Append absent ``wires`` in the state ``block``: their density matrix, each wire's axes paired.
@@ -704,18 +701,16 @@ class _Register:
         )
         self.buf, self.scratch = self.scratch, self.buf
         self.size *= k
-        self.order += tuple(label for w in wires for label in (w, self.n_labels + w))
 
-    def drop(self, shape: tuple[int, int, int], order: tuple[int, ...]) -> None:
+    def drop(self, shape: tuple[int, int, int]) -> None:
         """Trace out the wire whose pair is axis 1 of each tensor viewed as ``shape``."""
         v = self.buf[: self.batch * self.size].reshape(self.lead + shape)
         self.size //= 4
         out = self.scratch[: self.batch * self.size].reshape(self.lead + (shape[0], shape[2]))
         np.add(v[..., 0, :], v[..., 3, :], out=out)
         self.buf, self.scratch = self.scratch, self.buf
-        self.order = order
 
-    def apply(self, sop: np.ndarray, perm, shape: tuple[int, int, int], order: tuple[int, ...]) -> None:
+    def apply(self, sop: np.ndarray, perm, shape: tuple[int, int, int]) -> None:
         n = self.batch * self.size
         src, dst = self.buf[:n], self.scratch[:n]
         if perm is None:
@@ -733,11 +728,10 @@ class _Register:
         else:
             shape = self.lead + shape
             np.matmul(sop if sop.ndim == 2 else sop[:, None], src.reshape(shape), out=dst.reshape(shape))
-        self.order = order
 
     def einsum(self, subscripts: list[int], out: list[int]) -> np.ndarray:
         """``np.einsum`` over each tensor's axes, with the batch axis, if any, kept in front."""
-        v = self.buf[: self.batch * self.size].reshape(self.lead + (2,) * len(self.order))
+        v = self.buf[: self.batch * self.size].reshape(self.lead + (2,) * (self.size.bit_length() - 1))
         if self.lead:
             subscripts, out = [..., *subscripts], [..., *out]
         return np.einsum(v, subscripts, out)
@@ -774,35 +768,39 @@ class _Sampler:
         return _PROJECT[outcome] @ decay / float(pops[outcome])
 
 
-def _run(plan: _Plan, input_state: PureState, cfgs, sampler: _Sampler | None) -> np.ndarray:
-    """Run the plan's passes on ``input_state`` at each config of ``cfgs``; return each point's output.
+def _run(
+    plan: _Plan, input_state: PureState, noise: np.ndarray, ebit_state: str | None, sampler: _Sampler | None
+) -> np.ndarray:
+    """Run the plan's passes on ``input_state`` at each noise row; return each point's reduced output.
 
-    A sampled run (``sampler`` given) holds a single point.
+    ``noise`` holds one ``(f_w, eps_cnot, r)`` row per point, and
+    ``ebit_state``, when given, replaces every point's Werner pair.  A
+    sampled run (``sampler`` given) holds a single point.
     """
-    lead = (len(cfgs),) if len(cfgs) > 1 else ()
-    noise = np.array([(cfg.werner.f_w, cfg.gate_err.eps_cnot, cfg.memory.r) for cfg in cfgs])
+    batch = len(noise)
+    lead = (batch,) if batch > 1 else ()
     keeps = np.exp(-noise[:, 2, None] * plan.settle_s)
-    sops, coef = _bind(plan, cfgs[0].ebit_state, noise, keeps, lead)
+    sops, coef = _bind(plan, ebit_state, noise, keeps, lead)
     # How many pairs' maps are built together.
-    chunk = max(1, _PAIR_MAP_BYTES // (len(cfgs) * 256 * _BYTES_PER_ENTRY))
-    maps = np.empty((min(chunk, len(coef)), len(cfgs), 256), dtype=complex)
-    reg = _Register.from_pure(input_state.amplitudes, plan.n, plan.width, len(cfgs))
-    for kind, a, b, c, d in plan.steps:
+    chunk = max(1, _PAIR_MAP_BYTES // (batch * 256 * _BYTES_PER_ENTRY))
+    maps = np.empty((min(chunk, len(coef)), batch, 256), dtype=complex)
+    reg = _Register.from_pure(input_state.amplitudes, plan.width, batch)
+    for kind, a, b, c in plan.steps:
         if kind == _APPLY:
-            reg.apply(sops[a], b, c, d)
+            reg.apply(sops[a], b, c)
         elif kind == _PAIR:
             i = a % chunk
             if i == 0:
                 m = min(chunk, len(coef) - a)
                 np.matmul(coef[a : a + m], plan.pair_terms[a : a + m], out=maps[:m])
-            reg.apply(maps[i].reshape(lead + (16, 16)), b, c, d)
+            reg.apply(maps[i].reshape(lead + (16, 16)), b, c)
         elif kind == _DROP:
-            reg.drop(a, b)
+            reg.drop(a)
         elif kind == _JOIN:
             reg.join(a, sops[b])
         elif sampler is not None:
-            diagonal, wire = d
-            sops[a] = sampler.projection(b, np.real(reg.einsum(diagonal, [wire])), float(keeps[0, c]))
+            (tag, settle), (diagonal, wire) = b, c
+            sops[a] = sampler.projection(tag, np.real(reg.einsum(diagonal, [wire])), float(keeps[0, settle]))
     dim = 1 << plan.n_result
     return reg.einsum(*plan.output_einsum).reshape(-1, dim, dim)
 
@@ -838,40 +836,19 @@ def _admit(dc: DistributedCircuit, input_state: PureState, cfg: SimConfig) -> tu
     return plan, max(1, budget // need)
 
 
-def _result(plan: _Plan, entries: np.ndarray, sampler: _Sampler | None) -> SimResult:
-    """One point's result: its output entries, with what the plan and the sampler know of the run."""
-    return SimResult(
-        rho_out=DensityMatrix(entries),
-        elapsed=plan.elapsed,
-        telemetry=plan.telemetry,
-        resources=plan.resources,
-        outcomes=dict(sampler.outcomes) if sampler else {},
-        branch_probability=sampler.branch_p if sampler else None,
-    )
+def _outputs(dc: DistributedCircuit, input_state: PureState, cfg: SimConfig, noise: np.ndarray):
+    """Yield the reduced output of ``dc`` on ``input_state`` at each row of ``noise``, in order.
 
-
-_SHARED_SETTINGS = operator.attrgetter(
-    "durations", "schedule_mode", "measurement_mode", "max_qubits", "ebit_state"
-)
-
-
-def _simulate_each(dc: DistributedCircuit, input_state: PureState, cfgs):
-    """Yield the :func:`simulate` result of ``dc`` on ``input_state`` at each config of ``cfgs``, in order.
-
-    The configs may differ only in their noise point (and seed).  Mixture
-    runs go in batches (see :func:`_admit`), sampled runs one at a time.
-    An error raised while a batch runs surfaces when its first result is
+    ``noise`` holds one ``(f_w, eps_cnot, r)`` row per point; ``cfg`` gives
+    every other setting, and its own noise point is not read.  Mixture runs
+    go in batches (see :func:`_admit`), sampled runs one point at a time.
+    An error raised while a batch runs surfaces when its first output is
     asked for.
     """
-    first = cfgs[0]
-    if any(_SHARED_SETTINGS(cfg) != _SHARED_SETTINGS(first) for cfg in cfgs):
-        raise ValueError("configs run together may differ only in their noise point and seed")
-    plan, batch = _admit(dc, input_state, first)
-    for start in range(0, len(cfgs), batch):
-        points = cfgs[start : start + batch]
-        sampler = _Sampler(points[0].seed, None) if first.measurement_mode == "sampled" else None
-        for entries in _run(plan, input_state, points, sampler):
-            yield _result(plan, entries, sampler)
+    plan, batch = _admit(dc, input_state, cfg)
+    for start in range(0, len(noise), batch):
+        sampler = _Sampler(cfg.seed, None) if cfg.measurement_mode == "sampled" else None
+        yield from _run(plan, input_state, noise[start : start + batch], cfg.ebit_state, sampler)
 
 
 def simulate(
@@ -893,7 +870,15 @@ def simulate(
         raise EngineError("forced outcomes require measurement_mode='sampled'")
     plan, _ = _admit(dc, input_state, cfg)
     sampler = _Sampler(cfg.seed, forced_outcomes) if cfg.measurement_mode == "sampled" else None
-    return _result(plan, _run(plan, input_state, (cfg,), sampler)[0], sampler)
+    noise = np.array([(cfg.werner.f_w, cfg.gate_err.eps_cnot, cfg.memory.r)])
+    return SimResult(
+        rho_out=DensityMatrix(_run(plan, input_state, noise, cfg.ebit_state, sampler)[0]),
+        elapsed=plan.elapsed,
+        telemetry=plan.telemetry,
+        resources=plan.resources,
+        outcomes=dict(sampler.outcomes) if sampler else {},
+        branch_probability=sampler.branch_p if sampler else None,
+    )
 
 
 # ---------------------------------------------------------------------------

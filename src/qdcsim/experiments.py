@@ -2,10 +2,11 @@
 
 A sweep enumerates (scheme x error grid x input grid) points in declared
 order, simulates them (the error-grid points of one scheme and input in
-batches), and emits one CSV row per point.  Mixture-mode runs are fully
-deterministic, so repeated runs of the same spec produce byte-identical
-files; the CSV schema is versioned in a leading comment so downstream plot
-scripts can pin it.
+batches), and emits one CSV row per point.  A spec range-checks every
+error value when it is declared, so a sweep never starts on a bad grid.
+Mixture-mode runs are fully deterministic, so repeated runs of the same
+spec produce byte-identical files; the CSV schema is versioned in a
+leading comment so downstream plot scripts can pin it.
 """
 
 from __future__ import annotations
@@ -18,6 +19,8 @@ import operator
 import os
 from dataclasses import dataclass
 
+import numpy as np
+
 from .analysis import (
     ApproxKind,
     InputStateParams,
@@ -27,13 +30,13 @@ from .analysis import (
     first_order,
 )
 from .channels import GateErrorParam, MemoryParam, WernerParam
-from .compiler import DistributedCircuit, ResourceCount, Scheme, compile_circuit
-from .engine import DurationTable, SimConfig, _simulate_each, ideal_output
+from .compiler import DistributedCircuit, ResourceCount, Scheme, compile_circuit, count_resources
+from .engine import DurationTable, SimConfig, _outputs, elapsed_time, ideal_output
 
 # Unused by the sweep; kept bound because perfbench/tracer.py wraps it here by name.
 from .engine import simulate  # noqa: F401
 from .qasm import Circuit, parse_qasm
-from .states import PureState, fidelity_pure
+from .states import DensityMatrix, PureState, fidelity_pure
 
 __all__ = [
     "PROFILES",
@@ -173,6 +176,10 @@ class ExperimentSpec:
         for name in ("schemes", "f_w", "eps_cnot", "r", "inputs"):
             if not getattr(self, name):
                 raise ExperimentError(f"spec grid '{name}' must not be empty")
+        # Range-check each error value once, here, so a bad grid fails before any point runs.
+        for param, values in ((WernerParam, self.f_w), (GateErrorParam, self.eps_cnot), (MemoryParam, self.r)):
+            for value in values:
+                param(value)
 
 
 @dataclass(frozen=True)
@@ -210,22 +217,25 @@ _F_OUT_ROUNDING = 1e-12  # how far a fidelity may stray outside [0, 1] by roundi
 
 
 def _run_point(
-    dc: DistributedCircuit, f_w: float, eps_cnot: float, r: float, reference: tuple, results
+    dc: DistributedCircuit, point: tuple, reference: tuple, outputs, elapsed: float, rc: ResourceCount
 ) -> SweepRow:
-    """The row of one noise point; ``results`` yields its simulation result next."""
-    p, inp, ideal = reference
+    """The row of one noise point ``(f_w, eps_cnot, r)``; ``outputs`` yields its reduced output next."""
+    f_w, eps_cnot, r = point
+    p, _, ideal = reference
+
     def where() -> str:
-        return f"grid point (scheme={dc.scheme.value}, f_w={f_w}, eps_cnot={eps_cnot}, r={r}, alpha={p.alpha})"
+        return (
+            f"grid point (scheme={dc.scheme.value}, f_w={f_w}, eps_cnot={eps_cnot}, r={r}, "
+            f"alpha={p.alpha}, phi={p.phi}, gamma={p.gamma}, theta={p.theta})"
+        )
 
     try:
-        res = next(results)
-        f_out = fidelity_pure(ideal, res.rho_out)
+        f_out = fidelity_pure(ideal, DensityMatrix(next(outputs)))
     except Exception as exc:
         raise ExperimentError(f"{where()} failed: {exc}") from exc
     if not -_F_OUT_ROUNDING <= f_out <= 1.0 + _F_OUT_ROUNDING:
         raise ExperimentError(f"{where()} has fidelity {f_out!r}, outside [0, 1] beyond rounding")
     f_out = min(max(f_out, 0.0), 1.0)
-    rc = res.resources
     return SweepRow(
         scheme=dc.scheme.value,
         f_w=f_w,
@@ -237,7 +247,7 @@ def _run_point(
         theta=p.theta,
         f_out=f_out,
         output_error=1.0 - f_out,
-        elapsed_s=res.elapsed,
+        elapsed_s=elapsed,
         n_cnot=rc.n_cnot,
         n_ebit=rc.n_ebit,
     )
@@ -246,38 +256,34 @@ def _run_point(
 def run_sweep(spec: ExperimentSpec) -> list[SweepRow]:
     """Simulate every grid point of ``spec`` and return its rows in declared order.
 
-    Each scheme is compiled once, and each input state and its noiseless
-    reference are built once per scheme.  The noise points of one scheme
-    and input run together: in mixture mode the engine stacks them into
-    one batched tensor, as many to a batch as its byte cap and the free
-    memory allow, and builds each noisy two-wire map for the whole batch
-    just before its pass.  Every point keeps its own config, fidelity,
-    rounding check and row; an error in a batch names the batch's first
-    point.
+    Each scheme is compiled once, and its elapsed time, its resource counts,
+    each input state and each input's noiseless reference are worked out
+    once per scheme.  The engine gets one config for every setting the
+    points share and the noise grid as ``(f_w, eps_cnot, r)`` rows, and
+    runs the rows of one scheme and input together: in mixture mode as one
+    batched tensor, as many to a batch as its byte cap and the free memory
+    allow.  Each point keeps only its fidelity, rounding check and row; an
+    error in a batch names the batch's first point.
     """
     circuit = load_circuit(spec.circuit)
     points = list(itertools.product(spec.f_w, spec.eps_cnot, spec.r))
-    configs = [
-        SimConfig(
-            werner=WernerParam(f_w),
-            gate_err=GateErrorParam(eps_cnot),
-            memory=MemoryParam(r),
-            durations=spec.durations,
-            measurement_mode=spec.measurement_mode,
-            schedule_mode=spec.schedule_mode,
-            seed=spec.seed,
-        )
-        for f_w, eps_cnot, r in points
-    ]
+    noise = np.array(points, dtype=float)
+    cfg = SimConfig(
+        durations=spec.durations,
+        measurement_mode=spec.measurement_mode,
+        schedule_mode=spec.schedule_mode,
+        seed=spec.seed,
+    )
     rows = []
     for scheme in spec.schemes:
         dc = compile_circuit(circuit, scheme)
         inputs = [(p, _input_for(dc, p)) for p in spec.inputs]
         references = [(p, inp, ideal_output(dc, inp)) for p, inp in inputs]
+        elapsed, rc = elapsed_time(dc, cfg), count_resources(dc)
         per_input = []
         for ref in references:
-            results = _simulate_each(dc, ref[1], configs)
-            per_input.append([_run_point(dc, *point, ref, results) for point in points])
+            outputs = _outputs(dc, ref[1], cfg, noise)
+            per_input.append([_run_point(dc, point, ref, outputs, elapsed, rc) for point in points])
         rows += [row for point_rows in zip(*per_input) for row in point_rows]
     return rows
 

@@ -494,3 +494,38 @@ class TestCliRepeatedGridAxis:
     def test_distinct_axes_still_combine(self, capsys):
         assert main(["sweep", "--scheme", "cat", "--grid", "f_w=0.9,0.95", "--grid", "r=0,0.055"]) == 0
         assert len(capsys.readouterr().out.strip().split("\n")) == 2 + 4
+
+
+class TestCliErrorRanges:
+    """An out-of-range error value fails when the grid is declared, before any row."""
+
+    @pytest.mark.parametrize(
+        "grid,message",
+        [
+            ("f_w=0.9,1.2", "Werner fidelity must lie in [0,1], got 1.2"),
+            ("eps_ebit=1.5", "Werner fidelity must lie in [0,1], got -0.5"),
+            ("eps_cnot=-0.1", "CNOT error must lie in [0,1], got -0.1"),
+            ("r=-1", "depolarization rate must be >= 0, got -1.0"),
+        ],
+    )
+    @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out-file"])
+    def test_out_of_range_value_exits_1_without_rows(self, tmp_path, capsys, grid, message, to_file):
+        out = tmp_path / "rows.csv"
+        assert main(["sweep", "--grid", grid] + (["--out", str(out)] if to_file else [])) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"qdcsim: error: {message}\n"
+        assert captured.out == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "axis,value,message",
+        [
+            ("f_w", 1.2, "Werner fidelity must lie in [0,1], got 1.2"),
+            ("eps_cnot", -0.1, "CNOT error must lie in [0,1], got -0.1"),
+            ("r", -1.0, "depolarization rate must be >= 0, got -1.0"),
+        ],
+    )
+    def test_spec_checks_each_value_where_declared(self, axis, value, message):
+        with pytest.raises(ValueError) as info:
+            ExperimentSpec(**{axis: (0.5, value)})
+        assert str(info.value) == message

@@ -8,7 +8,7 @@ import pytest
 from qdcsim import engine, experiments
 from qdcsim.analysis import InputStateParams
 from qdcsim.channels import GateErrorParam, MemoryParam, WernerParam
-from qdcsim.compiler import Scheme, compile_circuit
+from qdcsim.compiler import Scheme, compile_circuit, count_resources
 from qdcsim.engine import EngineError, SimConfig, simulate
 from qdcsim.experiments import ExperimentError, ExperimentSpec, parse_grid, run_sweep, sweep_csv
 from qdcsim.qasm import parse_qasm
@@ -24,10 +24,14 @@ EPS_CNOT = (0.0, 0.004, 0.05)
 R = (0.0, 0.055, 30.0)
 
 
+NOISE = np.array(list(itertools.product(F_W, EPS_CNOT, R)))  # one (f_w, eps_cnot, r) row per point
+
+
 def noise_configs(**kwargs) -> list[SimConfig]:
+    """The config of each row of NOISE, for runs one point at a time."""
     return [
         SimConfig(werner=WernerParam(f), gate_err=GateErrorParam(e), memory=MemoryParam(r), **kwargs)
-        for f, e, r in itertools.product(F_W, EPS_CNOT, R)
+        for f, e, r in NOISE
     ]
 
 
@@ -42,9 +46,9 @@ def batches(monkeypatch):
     sizes = []
     from_pure = engine._Register.from_pure
 
-    def spy(amplitudes, n_labels, width, batch):
+    def spy(amplitudes, width, batch):
         sizes.append(batch)
-        return from_pure(amplitudes, n_labels, width, batch)
+        return from_pure(amplitudes, width, batch)
 
     monkeypatch.setattr(engine._Register, "from_pure", spy)
     return sizes
@@ -61,24 +65,23 @@ class TestBatchedEqualsPerPoint:
     def test_every_point_matches_its_own_run(self, batches, circuit, scheme, schedule):
         dc = compile_circuit(experiments.template_circuit(circuit), scheme)
         inp = random_input(np.random.default_rng(len(circuit)), 2)
-        cfgs = noise_configs(schedule_mode=schedule)
-        batched = list(engine._simulate_each(dc, inp, cfgs))
-        assert batches == [len(cfgs)]
-        assert len(batched) == len(cfgs)
-        for cfg, res in zip(cfgs, batched):
+        base = SimConfig(schedule_mode=schedule)
+        batched = list(engine._outputs(dc, inp, base, NOISE))
+        assert batches == [len(NOISE)]
+        assert len(batched) == len(NOISE)
+        for cfg, entries in zip(noise_configs(schedule_mode=schedule), batched):
             alone = simulate(dc, inp, cfg)
-            np.testing.assert_allclose(res.rho_out.entries, alone.rho_out.entries, rtol=0.0, atol=1e-12)
-            assert res.elapsed == alone.elapsed and res.telemetry == alone.telemetry
-            assert res.resources == alone.resources
-            assert res.outcomes == {} and res.branch_probability is None
+            np.testing.assert_allclose(entries, alone.rho_out.entries, rtol=0.0, atol=1e-12)
+            # What a sweep reads once per scheme instead of from each point's result.
+            assert engine.elapsed_time(dc, base) == alone.elapsed
+            assert count_resources(dc) == alone.resources
 
     def test_pure_bell_pairs_are_shared_by_the_batch(self):
         dc = compile_circuit(experiments.template_circuit("chain-2"), Scheme.TWO_TP)
-        cfgs = noise_configs(ebit_state="psi_minus")
-        batched = list(engine._simulate_each(dc, PureState.zero(2), cfgs))
-        for cfg, res in zip(cfgs, batched):
+        batched = list(engine._outputs(dc, PureState.zero(2), SimConfig(ebit_state="psi_minus"), NOISE))
+        for cfg, entries in zip(noise_configs(ebit_state="psi_minus"), batched):
             alone = simulate(dc, PureState.zero(2), cfg).rho_out.entries
-            np.testing.assert_allclose(res.rho_out.entries, alone, rtol=0.0, atol=1e-12)
+            np.testing.assert_allclose(entries, alone, rtol=0.0, atol=1e-12)
 
     @pytest.mark.parametrize("budget", [1, 3 * 27 * 16**3, 2**30])
     def test_pair_maps_built_one_or_many_at_a_time(self, monkeypatch, budget):
@@ -87,22 +90,15 @@ class TestBatchedEqualsPerPoint:
         # one call.
         dc = compile_circuit(experiments.template_circuit("chain-2"), Scheme.TP_SAFE)
         inp = random_input(np.random.default_rng(2), 2)
-        cfgs = noise_configs()
-        expected = [res.rho_out.entries for res in engine._simulate_each(dc, inp, cfgs)]
+        expected = list(engine._outputs(dc, inp, SimConfig(), NOISE))
         monkeypatch.setattr(engine, "_PAIR_MAP_BYTES", budget)
-        for res, entries in zip(engine._simulate_each(dc, inp, cfgs), expected):
-            np.testing.assert_allclose(res.rho_out.entries, entries, rtol=0.0, atol=1e-15)
+        for got, entries in zip(engine._outputs(dc, inp, SimConfig(), NOISE), expected):
+            np.testing.assert_allclose(got, entries, rtol=0.0, atol=1e-15)
 
     def test_results_share_no_memory(self):
         dc = compile_circuit(experiments.template_circuit("remote-cnot"), Scheme.CAT_COMM)
-        first, second = engine._simulate_each(dc, PureState.zero(2), noise_configs()[:2])
-        assert not np.shares_memory(first.rho_out.entries, second.rho_out.entries)
-
-    def test_configs_must_share_everything_but_the_noise(self):
-        dc = compile_circuit(experiments.template_circuit("remote-cnot"), Scheme.CAT_COMM)
-        cfgs = [SimConfig(), SimConfig(schedule_mode="layered")]
-        with pytest.raises(ValueError, match="noise point"):
-            next(engine._simulate_each(dc, PureState.zero(2), cfgs))
+        first, second = engine._outputs(dc, PureState.zero(2), SimConfig(), NOISE[:2])
+        assert not np.shares_memory(first, second)
 
 
 class TestSweepAcrossBatchSizes:
@@ -149,17 +145,39 @@ class TestSweepAcrossBatchSizes:
         run = engine._run
         calls = []
 
-        def fail_second_batch(plan, input_state, cfgs, sampler):
-            calls.append(len(cfgs))
+        def fail_second_batch(plan, input_state, noise, ebit_state, sampler):
+            calls.append(len(noise))
             if len(calls) == 2:
                 raise EngineError("injected")
-            return run(plan, input_state, cfgs, sampler)
+            return run(plan, input_state, noise, ebit_state, sampler)
 
         monkeypatch.setattr(engine, "_run", fail_second_batch)
         spec = ExperimentSpec(schemes=(Scheme.CAT_COMM,), f_w=(0.9, 0.91, 0.92, 0.93, 0.94, 0.95))
         cap_batch(monkeypatch, 4)
         with pytest.raises(ExperimentError, match=r"grid point \(scheme=cat, f_w=0\.94, .*injected"):
             run_sweep(spec)
+
+    def test_failing_point_named_by_its_whole_input(self, monkeypatch):
+        # Two inputs that differ only in phi: the error must say which one failed.
+        run = engine._run
+        calls = []
+
+        def fail_second_input(plan, input_state, noise, ebit_state, sampler):
+            calls.append(input_state)
+            if len(calls) == 2:
+                raise EngineError("injected")
+            return run(plan, input_state, noise, ebit_state, sampler)
+
+        monkeypatch.setattr(engine, "_run", fail_second_input)
+        spec = ExperimentSpec(
+            schemes=(Scheme.CAT_COMM,),
+            inputs=(InputStateParams.from_alpha2(0.5, phi=0.25), InputStateParams.from_alpha2(0.5, phi=1.5)),
+        )
+        with pytest.raises(ExperimentError) as info:
+            run_sweep(spec)
+        message = str(info.value)
+        assert message.startswith("grid point (scheme=cat, f_w=0.94, eps_cnot=0.004, r=0.055, alpha=")
+        assert message.endswith(", phi=1.5, gamma=1.0, theta=0.0) failed: injected")
 
 
 class TestSampledSweep:
@@ -195,27 +213,27 @@ class TestBatchAdmission:
     def test_free_memory_bounds_the_batch(self, monkeypatch, batches):
         monkeypatch.setattr(engine, "_available_bytes", lambda: 3 * engine._working_set_bytes(WIDTH) - 1)
         dc = compile_circuit(experiments.template_circuit("remote-cnot"), Scheme.TWO_TP)
-        results = list(engine._simulate_each(dc, PureState.zero(2), noise_configs()[:5]))
+        results = list(engine._outputs(dc, PureState.zero(2), SimConfig(), NOISE[:5]))
         assert len(results) == 5 and batches == [2, 2, 1]
 
     def test_unknown_free_memory_leaves_the_cap(self, monkeypatch, batches):
         monkeypatch.setattr(engine, "_available_bytes", lambda: None)
         cap_batch(monkeypatch, 10)
         dc = compile_circuit(experiments.template_circuit("remote-cnot"), Scheme.ONE_TP)
-        assert len(list(engine._simulate_each(dc, PureState.zero(2), noise_configs()))) == 27
+        assert len(list(engine._outputs(dc, PureState.zero(2), SimConfig(), NOISE))) == 27
         assert batches == [10, 10, 7]
 
     def test_point_that_does_not_fit_alone_refused_before_allocation(self, monkeypatch, batches):
         monkeypatch.setattr(engine, "_available_bytes", lambda: engine._working_set_bytes(WIDTH) - 1)
         dc = compile_circuit(experiments.template_circuit("remote-cnot"), Scheme.TWO_TP)
         with pytest.raises(EngineError, match="memory"):
-            next(engine._simulate_each(dc, PureState.zero(2), noise_configs()))
+            next(engine._outputs(dc, PureState.zero(2), SimConfig(), NOISE))
         assert batches == []
 
     def test_cap_below_one_point_still_runs_one_at_a_time(self, monkeypatch, batches):
         monkeypatch.setattr(engine, "_BATCH_BYTES", 1)
         dc = compile_circuit(experiments.template_circuit("remote-cnot"), Scheme.CAT_COMM)
-        assert len(list(engine._simulate_each(dc, PureState.zero(2), noise_configs()[:3]))) == 3
+        assert len(list(engine._outputs(dc, PureState.zero(2), SimConfig(), NOISE[:3]))) == 3
         assert batches == [1, 1, 1]
 
     def test_wide_register_batched_within_the_cap(self, monkeypatch):
@@ -228,10 +246,10 @@ class TestBatchAdmission:
         class Admitted(Exception):
             pass
 
-        def admitted(amplitudes, n_labels, width, batch):
+        def admitted(amplitudes, width, batch):
             raise Admitted(width, batch)
 
         monkeypatch.setattr(engine._Register, "from_pure", admitted)
         with pytest.raises(Admitted) as info:
-            next(engine._simulate_each(dc, PureState.zero(10), noise_configs()))
+            next(engine._outputs(dc, PureState.zero(10), SimConfig(), NOISE))
         assert info.value.args == (12, 1)
