@@ -53,6 +53,8 @@ class MemoryParam:
     r: float = 0.0
 
     def __post_init__(self) -> None:
+        if not math.isfinite(self.r):
+            raise ValueError(f"depolarization rate must be finite, got {self.r}")
         if self.r < 0.0:
             raise ValueError(f"depolarization rate must be >= 0, got {self.r}")
 

@@ -31,38 +31,45 @@ is applied, the telemetry rows and the resource count.  A run then only
 binds its noise points, each a row ``(f_w, eps_cnot, r)`` (one
 ``exp(-r t)`` over the idle times, the noisy CNOT, the Werner pair, and
 each settled map as a weighted sum of precomputed terms), and executes the
-passes.  Sampled mode runs the same plan: only its measurement maps
-differ, and a conditional correction is the controlled Pauli on the
-measured record in both modes.  Which wire each tensor axis belongs to is
-known to the plan alone; a run only tracks the tensor's size.
+passes.  A plan is kept while its program lives; the terms of a 2-wire
+gate depend only on the gate and its wire order, so they are built once
+per process and shared by every plan (:func:`_pair_terms`).  Sampled mode
+runs the same plan: only its measurement maps differ, and a conditional
+correction is the controlled Pauli on the measured record in both modes.
+Which wire each tensor axis belongs to is known to the plan alone; a run
+only tracks the tensor's size.
 
 A run holds a batch of noise points of one program and one input: B
 density tensors stacked on a leading axis, in one complex buffer and an
 equal scratch buffer, both sized for B tensors at the plan's peak live
-width.  Every pass is one matrix product between them, preceded by a
-transposing copy only when the pass's wires are not already adjacent at
-the front, just after the first wire, or at the back.  A noise-free map
-(a 1-qubit gate, a fresh |0>) is one superoperator shared by the batch; a
-noisy one (a settled 2-wire or 1-wire map, the Werner pair) is a stack
-with one map per point, which ``matmul`` broadcasts over.  The settled
-2-wire maps are built from their terms shortly before their passes, a few
-pairs at a time within a byte budget (``_PAIR_MAP_BYTES``), and one pair at
-a time for a large batch, so a run never holds all of them at once.  So
-the batch pays one Python dispatch per pass, where separate runs pay one
-per pass per point.  B is capped by a byte budget for the two buffers
-(``_BATCH_BYTES``) and by the free memory, and sampled runs hold one point
-each, since each point draws its own outcomes.  A grid of noise rows that
-share one config runs through :func:`_outputs`, which yields each point's
-reduced output and nothing else; :func:`simulate` is the one-row case and
-the only place a :class:`SimResult` is built.
+width.  When each takes at most ``_BATCH_BYTES`` the pair is kept after
+the run and the next run that fits reuses it, so a paper-scale batch
+writes into memory already mapped; wider runs allocate and free their own,
+and leave nothing resident.  Every pass is one matrix product between
+them, preceded by a transposing copy only when the pass's wires are not
+already adjacent at the front, just after the first wire, or at the back.
+A noise-free map (a 1-qubit gate, a fresh |0>) is one superoperator shared
+by the batch; a noisy one (a settled 2-wire or 1-wire map, the Werner
+pair) is a stack with one map per point, which ``matmul`` broadcasts over.
+The settled 2-wire maps are built from their terms shortly before their
+passes, a few pairs at a time within a byte budget (``_PAIR_MAP_BYTES``),
+and one pair at a time for a large batch, so a run never holds all of them
+at once.  So the batch pays one Python dispatch per pass, where separate
+runs pay one per pass per point.  B is capped by a byte budget for the two
+buffers (``_BATCH_BYTES``) and by the free memory, and sampled runs hold
+one point each, since each point draws its own outcomes.  A grid of noise
+rows that share one config runs through :func:`_outputs`, which yields
+each batch's reduced outputs as one ``(B, d, d)`` array and nothing else;
+:func:`simulate` is the one-row case and the only place a
+:class:`SimResult` is built.
 
 The tensor holds only the live wires.  A wire outside it is exactly |0>,
 in a product with the rest: communication qubits before their first use,
 and every wire after its ``Reinit``.  Such a wire joins the tensor as |0>
 when an event touches it; an ebit install traces its two targets out and
 joins the pair in the Werner state, and ``Reinit`` traces its wire out.
-The ``DensityMatrix`` a run returns is a fresh object that shares no
-memory with the run.
+Every output a run returns owns its memory: it shares none with the
+register's buffers, which a later run may overwrite.
 
 Memory decay is kept in a ledger of idle seconds per wire instead of being
 applied after every event.  This is exact, not an approximation:
@@ -83,7 +90,9 @@ events were compiled from, run on a statevector.
 
 from __future__ import annotations
 
+import functools
 import io
+import math
 import os
 import weakref
 from dataclasses import dataclass, field
@@ -139,6 +148,8 @@ class DurationTable:
 
     def __post_init__(self) -> None:
         for name in ("t_1q", "t_2q", "t_meas", "t_ebit", "t_classical"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
             if getattr(self, name) < 0.0:
                 raise ValueError(f"{name} must be >= 0")
 
@@ -362,6 +373,18 @@ def _settled_terms(sop: np.ndarray, flip: bool) -> np.ndarray:
     return np.stack([sop @ x for x in decay] + [failure]).reshape(5, 256)
 
 
+@functools.lru_cache(maxsize=256)
+def _pair_terms(kind: str, params: tuple[float, ...], flip: bool) -> np.ndarray:
+    """:func:`_settled_terms` of the 2-wire gate ``kind(params)``, built once per process and read-only.
+
+    The terms depend on nothing else, so every plan shares them; the cache
+    is bounded because a circuit may carry any number of distinct angles.
+    """
+    terms = _settled_terms(_unitary_superop(gate_unitary(Gate(kind, (0, 1), params))), flip)
+    terms.flags.writeable = False
+    return terms
+
+
 # ---------------------------------------------------------------------------
 # Working set
 # ---------------------------------------------------------------------------
@@ -372,7 +395,7 @@ _BYTES_PER_ENTRY = np.dtype(complex).itemsize
 def _working_set_bytes(n_qubits: int) -> int:
     """Bytes a run on ``n_qubits`` live wires holds: the register and the kernel's equal-sized scratch.
 
-    A run allocates both buffers once, at its plan's peak live width, so no
+    A run takes both buffers once, at its plan's peak live width, so no
     join grows them.
     """
     return 2 * _BYTES_PER_ENTRY * 4**n_qubits
@@ -443,7 +466,6 @@ class _Plan:
         self.tag_qubit: dict[str, int] = {}
         self.pairs: list[tuple] = []  # (settle a, settle b, noisy CNOT, terms)
         self.singles: list[tuple] = []  # (slot, settle, map at keep = 1)
-        self.terms: dict[tuple, np.ndarray] = {}
         layers = _build_layers(dc, durations, schedule_mode)
         self.telemetry = tuple(
             TelemetryRow(idx, ev.kind, layer.start, durations.of(ev))
@@ -521,10 +543,8 @@ class _Plan:
         a, b = gate.qubits
         settle_a, settle_b = self._settle(a), self._settle(b)
         self._pass(gate.qubits, _PAIR, len(self.pairs))
-        key = (gate.kind, gate.params, self.order.index(a) > self.order.index(b))
-        if key not in self.terms:
-            self.terms[key] = _settled_terms(_unitary_superop(gate_unitary(gate)), key[-1])
-        self.pairs.append((settle_a, settle_b, noisy, self.terms[key]))
+        terms = _pair_terms(gate.kind, gate.params, self.order.index(a) > self.order.index(b))
+        self.pairs.append((settle_a, settle_b, noisy, terms))
 
     def _apply_decayed(self, wire: int, sop: np.ndarray) -> None:
         """A 1-wire map after the decay owed on ``wire``, in one pass."""
@@ -648,13 +668,36 @@ def _bind(
 # Past a few dozen points the dispatch per pass is already shared, so a
 # larger batch buys little speed for its memory.  It only sets how many
 # points share a tensor; a point that does not fit alone is refused by the
-# free-memory check as before.
+# free-memory check as before.  Register buffers of at most this many bytes
+# each are kept between runs (``_kept_buffers``).
 _BATCH_BYTES = 2**19
 
 # The most bytes of settled 2-wire maps a run builds at once: a run of one
 # point builds the maps of up to 16 pairs in one call, a batch of 16 points
 # or more builds each pair's maps just before its pass.
 _PAIR_MAP_BYTES = 2**16
+
+
+# The register buffers of a finished run, when each takes at most
+# _BATCH_BYTES: the next run that fits in them takes them instead of
+# allocating its own, and gives them back when it ends.  A paper-scale
+# batch thus writes into memory already mapped; a wider run allocates and
+# frees its buffers, so it leaves nothing resident.  Taking is a pop, so
+# runs in two threads never hold the same pair.
+_kept_buffers: list[tuple[np.ndarray, np.ndarray]] = []
+
+
+def _take_buffers(entries: int) -> tuple[np.ndarray, np.ndarray]:
+    """Two buffers of at least ``entries`` complex entries each: the kept pair when it may serve."""
+    if entries * _BYTES_PER_ENTRY <= _BATCH_BYTES:
+        try:
+            buf, scratch = _kept_buffers.pop()
+        except IndexError:
+            pass
+        else:
+            if buf.size >= entries:
+                return buf, scratch
+    return np.empty(entries, dtype=complex), np.empty(entries, dtype=complex)
 
 
 class _Register:
@@ -664,16 +707,16 @@ class _Register:
     which wire an axis belongs to is the plan's business, not the
     register's.  The ``batch`` tensors are the first ``batch * size``
     entries of ``buf``, point after point; ``buf`` and ``scratch`` are
-    allocated once, large enough for the plan's peak width, and every pass
-    reads one and writes the other.  Every view of them starts with the
-    axes ``lead``: the batch axis, or none for a single point.  A
+    large enough for the plan's peak width, either allocated for the run
+    or the pair kept from an earlier one (see :meth:`release`), and every
+    pass reads one and writes the other.  Every view of them starts with
+    the axes ``lead``: the batch axis, or none for a single point.  A
     superoperator is either one map for every point or a stack of one per
     point, which ``matmul`` broadcasts over.
     """
 
-    def __init__(self, buf: np.ndarray, batch: int, size: int):
-        self.buf = buf
-        self.scratch = np.empty_like(buf)
+    def __init__(self, buffers: tuple[np.ndarray, np.ndarray], batch: int, size: int):
+        self.buf, self.scratch = buffers
         self.batch = batch
         self.lead = (batch,) if batch > 1 else ()
         self.size = size
@@ -682,10 +725,16 @@ class _Register:
     def from_pure(cls, amplitudes: np.ndarray, width: int, batch: int) -> "_Register":
         """``batch`` copies of the pure state ``amplitudes`` on the first wires, in buffers for ``width``."""
         k = amplitudes.shape[0].bit_length() - 1
-        buf = np.empty(batch * 4**width, dtype=complex)
-        out = buf[: batch * 4**k].reshape((batch,) + (2, 2) * k)
+        buffers = _take_buffers(batch * 4**width)
+        out = buffers[0][: batch * 4**k].reshape((batch,) + (2, 2) * k)
         np.multiply(amplitudes.reshape((2, 1) * k), amplitudes.conj().reshape((1, 2) * k), out=out)
-        return cls(buf, batch, 4**k)
+        return cls(buffers, batch, 4**k)
+
+    def release(self) -> None:
+        """Keep the buffers for the next run if each takes at most ``_BATCH_BYTES``; the register is spent."""
+        if self.buf.nbytes <= _BATCH_BYTES:
+            _kept_buffers[:] = [(self.buf, self.scratch)]
+        self.buf = self.scratch = None
 
     def join(self, wires: tuple[int, ...], block: np.ndarray) -> None:
         """Append absent ``wires`` in the state ``block``: their density matrix, each wire's axes paired.
@@ -771,11 +820,13 @@ class _Sampler:
 def _run(
     plan: _Plan, input_state: PureState, noise: np.ndarray, ebit_state: str | None, sampler: _Sampler | None
 ) -> np.ndarray:
-    """Run the plan's passes on ``input_state`` at each noise row; return each point's reduced output.
+    """Run the plan's passes on ``input_state`` at each noise row; return the reduced outputs, shape (B, d, d).
 
     ``noise`` holds one ``(f_w, eps_cnot, r)`` row per point, and
     ``ebit_state``, when given, replaces every point's Werner pair.  A
-    sampled run (``sampler`` given) holds a single point.
+    sampled run (``sampler`` given) holds a single point.  The outputs own
+    their memory: they never alias the register's buffers, which the next
+    run may take over.
     """
     batch = len(noise)
     lead = (batch,) if batch > 1 else ()
@@ -802,7 +853,11 @@ def _run(
             (tag, settle), (diagonal, wire) = b, c
             sops[a] = sampler.projection(tag, np.real(reg.einsum(diagonal, [wire])), float(keeps[0, settle]))
     dim = 1 << plan.n_result
-    return reg.einsum(*plan.output_einsum).reshape(-1, dim, dim)
+    out = reg.einsum(*plan.output_einsum).reshape(-1, dim, dim)
+    if np.may_share_memory(out, reg.buf):  # an einsum without a trace may return a view
+        out = out.copy()
+    reg.release()
+    return out
 
 
 def _admit(dc: DistributedCircuit, input_state: PureState, cfg: SimConfig) -> tuple[_Plan, int]:
@@ -837,18 +892,19 @@ def _admit(dc: DistributedCircuit, input_state: PureState, cfg: SimConfig) -> tu
 
 
 def _outputs(dc: DistributedCircuit, input_state: PureState, cfg: SimConfig, noise: np.ndarray):
-    """Yield the reduced output of ``dc`` on ``input_state`` at each row of ``noise``, in order.
+    """Yield the reduced outputs of ``dc`` on ``input_state`` at the rows of ``noise``, one batch at a time.
 
     ``noise`` holds one ``(f_w, eps_cnot, r)`` row per point; ``cfg`` gives
     every other setting, and its own noise point is not read.  Mixture runs
     go in batches (see :func:`_admit`), sampled runs one point at a time.
-    An error raised while a batch runs surfaces when its first output is
-    asked for.
+    Each batch comes as one ``(B, d, d)`` array that owns its memory, the
+    batches in row order; an error raised while a batch runs surfaces when
+    that batch is asked for.
     """
     plan, batch = _admit(dc, input_state, cfg)
     for start in range(0, len(noise), batch):
         sampler = _Sampler(cfg.seed, None) if cfg.measurement_mode == "sampled" else None
-        yield from _run(plan, input_state, noise[start : start + batch], cfg.ebit_state, sampler)
+        yield _run(plan, input_state, noise[start : start + batch], cfg.ebit_state, sampler)
 
 
 def simulate(

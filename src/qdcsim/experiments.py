@@ -33,10 +33,11 @@ from .channels import GateErrorParam, MemoryParam, WernerParam
 from .compiler import DistributedCircuit, ResourceCount, Scheme, compile_circuit, count_resources
 from .engine import DurationTable, SimConfig, _outputs, elapsed_time, ideal_output
 
-# Unused by the sweep; kept bound because perfbench/tracer.py wraps it here by name.
+# Unused by the sweep; kept bound because perfbench/tracer.py wraps them here by name.
 from .engine import simulate  # noqa: F401
 from .qasm import Circuit, parse_qasm
-from .states import DensityMatrix, PureState, fidelity_pure
+from .states import PureState
+from .states import fidelity_pure  # noqa: F401
 
 __all__ = [
     "PROFILES",
@@ -107,6 +108,8 @@ def parse_grid(text: str) -> tuple[float, ...]:
             start, stop, step = (float(p) for p in parts)
         except ValueError as exc:
             raise ExperimentError(f"bad number in grid '{text}'") from exc
+        if not all(map(math.isfinite, (start, stop, step))):
+            raise ExperimentError(f"range grid needs finite start, stop and step, got '{text}'")
         if step <= 0:
             raise ExperimentError(f"grid step must be positive, got {step}")
         if stop < start:
@@ -216,41 +219,57 @@ def _input_for(dc: DistributedCircuit, p: InputStateParams) -> PureState:
 _F_OUT_ROUNDING = 1e-12  # how far a fidelity may stray outside [0, 1] by rounding alone
 
 
-def _run_point(
-    dc: DistributedCircuit, point: tuple, reference: tuple, outputs, elapsed: float, rc: ResourceCount
-) -> SweepRow:
-    """The row of one noise point ``(f_w, eps_cnot, r)``; ``outputs`` yields its reduced output next."""
-    f_w, eps_cnot, r = point
+def _fidelities(ideal: PureState, outputs: np.ndarray) -> np.ndarray:
+    """``<psi| rho |psi>`` of each output in a ``(B, d, d)`` stack, rounded as :func:`fidelity_pure` rounds one."""
+    a = ideal.amplitudes
+    return np.real(((a.conj() @ outputs)[:, None, :] @ a[:, None])[:, 0, 0])
+
+
+def _sweep_rows(
+    dc: DistributedCircuit, points: list, reference: tuple, outputs, elapsed: float, rc: ResourceCount
+) -> list[SweepRow]:
+    """The rows of the noise points ``(f_w, eps_cnot, r)``, scored batch by batch as ``outputs`` yields them."""
     p, _, ideal = reference
 
-    def where() -> str:
+    def where(i: int) -> str:
+        f_w, eps_cnot, r = points[i]
         return (
             f"grid point (scheme={dc.scheme.value}, f_w={f_w}, eps_cnot={eps_cnot}, r={r}, "
             f"alpha={p.alpha}, phi={p.phi}, gamma={p.gamma}, theta={p.theta})"
         )
 
-    try:
-        f_out = fidelity_pure(ideal, DensityMatrix(next(outputs)))
-    except Exception as exc:
-        raise ExperimentError(f"{where()} failed: {exc}") from exc
-    if not -_F_OUT_ROUNDING <= f_out <= 1.0 + _F_OUT_ROUNDING:
-        raise ExperimentError(f"{where()} has fidelity {f_out!r}, outside [0, 1] beyond rounding")
-    f_out = min(max(f_out, 0.0), 1.0)
-    return SweepRow(
-        scheme=dc.scheme.value,
-        f_w=f_w,
-        eps_cnot=eps_cnot,
-        r=r,
-        alpha=float(abs(p.alpha)),
-        phi=p.phi,
-        gamma=p.gamma,
-        theta=p.theta,
-        f_out=f_out,
-        output_error=1.0 - f_out,
-        elapsed_s=elapsed,
-        n_cnot=rc.n_cnot,
-        n_ebit=rc.n_ebit,
-    )
+    alpha = float(abs(p.alpha))
+    rows: list[SweepRow] = []
+    while len(rows) < len(points):
+        try:
+            f_out = _fidelities(ideal, next(outputs))
+        except Exception as exc:
+            raise ExperimentError(f"{where(len(rows))} failed: {exc}") from exc
+        outside = np.flatnonzero(~((f_out >= -_F_OUT_ROUNDING) & (f_out <= 1.0 + _F_OUT_ROUNDING)))
+        if outside.size:
+            i = outside[0]
+            raise ExperimentError(
+                f"{where(len(rows) + i)} has fidelity {float(f_out[i])!r}, outside [0, 1] beyond rounding"
+            )
+        for (f_w, eps_cnot, r), f in zip(points[len(rows) :], np.clip(f_out, 0.0, 1.0).tolist()):
+            rows.append(
+                SweepRow(
+                    scheme=dc.scheme.value,
+                    f_w=f_w,
+                    eps_cnot=eps_cnot,
+                    r=r,
+                    alpha=alpha,
+                    phi=p.phi,
+                    gamma=p.gamma,
+                    theta=p.theta,
+                    f_out=f,
+                    output_error=1.0 - f,
+                    elapsed_s=elapsed,
+                    n_cnot=rc.n_cnot,
+                    n_ebit=rc.n_ebit,
+                )
+            )
+    return rows
 
 
 def run_sweep(spec: ExperimentSpec) -> list[SweepRow]:
@@ -262,8 +281,11 @@ def run_sweep(spec: ExperimentSpec) -> list[SweepRow]:
     points share and the noise grid as ``(f_w, eps_cnot, r)`` rows, and
     runs the rows of one scheme and input together: in mixture mode as one
     batched tensor, as many to a batch as its byte cap and the free memory
-    allow.  Each point keeps only its fidelity, rounding check and row; an
-    error in a batch names the batch's first point.
+    allow.  Each batch comes back as one array of outputs and is scored in
+    one expression: its fidelities, their rounding check and clamp; only
+    the rows are built point by point.  A fidelity outside [0, 1] beyond
+    rounding names its own point; an error while a batch runs names the
+    batch's first point.
     """
     circuit = load_circuit(spec.circuit)
     points = list(itertools.product(spec.f_w, spec.eps_cnot, spec.r))
@@ -280,10 +302,9 @@ def run_sweep(spec: ExperimentSpec) -> list[SweepRow]:
         inputs = [(p, _input_for(dc, p)) for p in spec.inputs]
         references = [(p, inp, ideal_output(dc, inp)) for p, inp in inputs]
         elapsed, rc = elapsed_time(dc, cfg), count_resources(dc)
-        per_input = []
-        for ref in references:
-            outputs = _outputs(dc, ref[1], cfg, noise)
-            per_input.append([_run_point(dc, point, ref, outputs, elapsed, rc) for point in points])
+        per_input = [
+            _sweep_rows(dc, points, ref, _outputs(dc, ref[1], cfg, noise), elapsed, rc) for ref in references
+        ]
         rows += [row for point_rows in zip(*per_input) for row in point_rows]
     return rows
 
@@ -404,6 +425,8 @@ def spec_from_mapping(data: dict) -> ExperimentSpec:
     schemes_raw = data.get("schemes", ["cat", "1tp", "2tp", "tpsafe"])
     if isinstance(schemes_raw, str):
         schemes_raw = [s.strip() for s in schemes_raw.split(",") if s.strip()]
+    if not isinstance(schemes_raw, (list, tuple)) or not all(isinstance(s, str) for s in schemes_raw):
+        raise ExperimentError(f"schemes must be a string or a list of strings, got {schemes_raw!r}")
     schemes = tuple(Scheme.from_name(s) for s in schemes_raw)
 
     inputs = (InputStateParams(),)

@@ -60,6 +60,15 @@ class TestParams:
         with pytest.raises(ValueError):
             MemoryParam.from_t1(0.0)
 
+    @pytest.mark.parametrize("r", [float("nan"), float("inf")])
+    def test_memory_rate_must_be_finite(self, r):
+        with pytest.raises(ValueError, match="depolarization rate must be finite"):
+            MemoryParam(r)
+
+    def test_nan_t1_rejected(self):
+        with pytest.raises(ValueError, match="depolarization rate must be finite"):
+            MemoryParam.from_t1(float("nan"))
+
 
 class TestWernerState:
     def test_unit_fidelity_is_pure_bell(self):

@@ -205,12 +205,22 @@ class TestRunSweep:
 
     def test_fidelity_outside_unit_interval_raises(self, monkeypatch):
         spec = ExperimentSpec(schemes=(Scheme.CAT_COMM,))
-        monkeypatch.setattr(experiments, "fidelity_pure", lambda ideal, rho: 1.0 + 1e-13)
+        monkeypatch.setattr(experiments, "_fidelities", lambda ideal, outputs: np.full(len(outputs), 1.0 + 1e-13))
         (row,) = run_sweep(spec)  # rounding residue is clamped
         assert row.f_out == 1.0 and row.output_error == 0.0
-        monkeypatch.setattr(experiments, "fidelity_pure", lambda ideal, rho: 1.0 + 1e-9)
+        monkeypatch.setattr(experiments, "_fidelities", lambda ideal, outputs: np.full(len(outputs), 1.0 + 1e-9))
         with pytest.raises(ExperimentError, match="scheme=cat.*outside"):
             run_sweep(spec)
+
+    @pytest.mark.parametrize("bad", [-1e-9, 1.0 + 1e-9, math.nan])
+    def test_fidelity_outside_unit_interval_names_its_own_point(self, monkeypatch, bad):
+        # One batch of three points, the middle one out of range.
+        spec = ExperimentSpec(schemes=(Scheme.CAT_COMM,), f_w=(0.9, 0.92, 0.94))
+        monkeypatch.setattr(experiments, "_fidelities", lambda ideal, outputs: np.array([0.5, bad, -1e-13]))
+        with pytest.raises(ExperimentError) as info:
+            run_sweep(spec)
+        assert str(info.value).startswith("grid point (scheme=cat, f_w=0.92, eps_cnot=0.004, r=0.055, alpha=")
+        assert str(info.value).endswith(f"has fidelity {bad!r}, outside [0, 1] beyond rounding")
 
     def test_input_grid_needs_two_qubit_circuit(self, tmp_path):
         ghz = tmp_path / "ghz.qasm"
@@ -420,6 +430,15 @@ class TestCliSweeps:
         assert main(["sweep", "--spec", str(spec_path)]) == 1
         assert "not valid JSON" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("schemes", [5, None, {"cat": 1}, ["cat", 5]], ids=repr)
+    def test_schemes_neither_string_nor_list_of_strings(self, tmp_path, capsys, schemes):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({"schemes": schemes}))
+        assert main(["sweep", "--spec", str(spec_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"qdcsim: error: schemes must be a string or a list of strings, got {schemes!r}\n"
+        assert captured.out == ""
+
 
 class TestCliSpecFlags:
     """A --spec file sets the flags it shares with the command line; giving both is an error."""
@@ -506,6 +525,10 @@ class TestCliErrorRanges:
             ("eps_ebit=1.5", "Werner fidelity must lie in [0,1], got -0.5"),
             ("eps_cnot=-0.1", "CNOT error must lie in [0,1], got -0.1"),
             ("r=-1", "depolarization rate must be >= 0, got -1.0"),
+            ("r=nan", "depolarization rate must be finite, got nan"),
+            ("r=inf", "depolarization rate must be finite, got inf"),
+            ("f_w=0:inf:1", "range grid needs finite start, stop and step, got '0:inf:1'"),
+            ("r=nan:1:0.5", "range grid needs finite start, stop and step, got 'nan:1:0.5'"),
         ],
     )
     @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out-file"])
@@ -523,6 +546,7 @@ class TestCliErrorRanges:
             ("f_w", 1.2, "Werner fidelity must lie in [0,1], got 1.2"),
             ("eps_cnot", -0.1, "CNOT error must lie in [0,1], got -0.1"),
             ("r", -1.0, "depolarization rate must be >= 0, got -1.0"),
+            ("r", math.inf, "depolarization rate must be finite, got inf"),
         ],
     )
     def test_spec_checks_each_value_where_declared(self, axis, value, message):

@@ -120,6 +120,11 @@ class TestDurations:
         with pytest.raises(ValueError):
             DurationTable(t_1q=-1.0)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_rejected(self, value):
+        with pytest.raises(ValueError, match="t_meas must be finite"):
+            DurationTable(t_meas=value)
+
     def test_event_costs(self):
         from qdcsim.compiler import (
             ClassicalMessage,

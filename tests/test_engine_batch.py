@@ -1,6 +1,8 @@
 """The batch axis: many noise points of one program and input run as one stacked tensor."""
 
 import itertools
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -9,7 +11,7 @@ from qdcsim import engine, experiments
 from qdcsim.analysis import InputStateParams
 from qdcsim.channels import GateErrorParam, MemoryParam, WernerParam
 from qdcsim.compiler import Scheme, compile_circuit, count_resources
-from qdcsim.engine import EngineError, SimConfig, simulate
+from qdcsim.engine import DurationTable, EngineError, SimConfig, simulate
 from qdcsim.experiments import ExperimentError, ExperimentSpec, parse_grid, run_sweep, sweep_csv
 from qdcsim.qasm import parse_qasm
 from qdcsim.states import PureState, fidelity_pure
@@ -66,9 +68,9 @@ class TestBatchedEqualsPerPoint:
         dc = compile_circuit(experiments.template_circuit(circuit), scheme)
         inp = random_input(np.random.default_rng(len(circuit)), 2)
         base = SimConfig(schedule_mode=schedule)
-        batched = list(engine._outputs(dc, inp, base, NOISE))
+        (batched,) = engine._outputs(dc, inp, base, NOISE)
         assert batches == [len(NOISE)]
-        assert len(batched) == len(NOISE)
+        assert batched.shape == (len(NOISE), 4, 4)
         for cfg, entries in zip(noise_configs(schedule_mode=schedule), batched):
             alone = simulate(dc, inp, cfg)
             np.testing.assert_allclose(entries, alone.rho_out.entries, rtol=0.0, atol=1e-12)
@@ -78,7 +80,7 @@ class TestBatchedEqualsPerPoint:
 
     def test_pure_bell_pairs_are_shared_by_the_batch(self):
         dc = compile_circuit(experiments.template_circuit("chain-2"), Scheme.TWO_TP)
-        batched = list(engine._outputs(dc, PureState.zero(2), SimConfig(ebit_state="psi_minus"), NOISE))
+        (batched,) = engine._outputs(dc, PureState.zero(2), SimConfig(ebit_state="psi_minus"), NOISE)
         for cfg, entries in zip(noise_configs(ebit_state="psi_minus"), batched):
             alone = simulate(dc, PureState.zero(2), cfg).rho_out.entries
             np.testing.assert_allclose(entries, alone, rtol=0.0, atol=1e-12)
@@ -95,7 +97,8 @@ class TestBatchedEqualsPerPoint:
         for got, entries in zip(engine._outputs(dc, inp, SimConfig(), NOISE), expected):
             np.testing.assert_allclose(got, entries, rtol=0.0, atol=1e-15)
 
-    def test_results_share_no_memory(self):
+    def test_results_share_no_memory(self, monkeypatch):
+        monkeypatch.setattr(engine, "_BATCH_BYTES", 1)  # one point per batch
         dc = compile_circuit(experiments.template_circuit("remote-cnot"), Scheme.CAT_COMM)
         first, second = engine._outputs(dc, PureState.zero(2), SimConfig(), NOISE[:2])
         assert not np.shares_memory(first, second)
@@ -214,14 +217,14 @@ class TestBatchAdmission:
         monkeypatch.setattr(engine, "_available_bytes", lambda: 3 * engine._working_set_bytes(WIDTH) - 1)
         dc = compile_circuit(experiments.template_circuit("remote-cnot"), Scheme.TWO_TP)
         results = list(engine._outputs(dc, PureState.zero(2), SimConfig(), NOISE[:5]))
-        assert len(results) == 5 and batches == [2, 2, 1]
+        assert [len(r) for r in results] == batches == [2, 2, 1]
 
     def test_unknown_free_memory_leaves_the_cap(self, monkeypatch, batches):
         monkeypatch.setattr(engine, "_available_bytes", lambda: None)
         cap_batch(monkeypatch, 10)
         dc = compile_circuit(experiments.template_circuit("remote-cnot"), Scheme.ONE_TP)
-        assert len(list(engine._outputs(dc, PureState.zero(2), SimConfig(), NOISE))) == 27
-        assert batches == [10, 10, 7]
+        results = list(engine._outputs(dc, PureState.zero(2), SimConfig(), NOISE))
+        assert [len(r) for r in results] == batches == [10, 10, 7]
 
     def test_point_that_does_not_fit_alone_refused_before_allocation(self, monkeypatch, batches):
         monkeypatch.setattr(engine, "_available_bytes", lambda: engine._working_set_bytes(WIDTH) - 1)
@@ -233,8 +236,8 @@ class TestBatchAdmission:
     def test_cap_below_one_point_still_runs_one_at_a_time(self, monkeypatch, batches):
         monkeypatch.setattr(engine, "_BATCH_BYTES", 1)
         dc = compile_circuit(experiments.template_circuit("remote-cnot"), Scheme.CAT_COMM)
-        assert len(list(engine._outputs(dc, PureState.zero(2), SimConfig(), NOISE[:3]))) == 3
-        assert batches == [1, 1, 1]
+        results = list(engine._outputs(dc, PureState.zero(2), SimConfig(), NOISE[:3]))
+        assert [len(r) for r in results] == batches == [1, 1, 1]
 
     def test_wide_register_batched_within_the_cap(self, monkeypatch):
         # 12 live wires take 0.54 GB per point, past the default byte cap, so
@@ -253,3 +256,95 @@ class TestBatchAdmission:
         with pytest.raises(Admitted) as info:
             next(engine._outputs(dc, PureState.zero(10), SimConfig(), NOISE))
         assert info.value.args == (12, 1)
+
+
+class TestKeptBuffers:
+    """Small register buffers outlive their run, so nothing a run returns may point into them."""
+
+    # Under the monolithic scheme the output is the whole one-wire register,
+    # so the output einsum does no trace and could return a view.
+    ONE_WIRE = parse_qasm("qreg q[1]; h q[0];")
+
+    def kept(self) -> tuple[np.ndarray, np.ndarray]:
+        (pair,) = engine._kept_buffers
+        return pair
+
+    def shares_kept_memory(self, array: np.ndarray) -> bool:
+        return any(np.shares_memory(array, buf) for buf in self.kept())
+
+    def test_outputs_never_alias_the_kept_buffers(self):
+        dc = compile_circuit(self.ONE_WIRE, Scheme.MONOLITHIC)
+        (first,) = engine._outputs(dc, PureState.zero(1), SimConfig(), NOISE)
+        assert not self.shares_kept_memory(first)
+        alone = simulate(dc, PureState.zero(1), SimConfig(memory=MemoryParam(30.0)))
+        assert not self.shares_kept_memory(alone.rho_out.entries)
+        # A later run on another input writes through the same buffers.
+        before, alone_before = first.copy(), alone.rho_out.entries.copy()
+        (later,) = engine._outputs(dc, PureState(np.array([0.0, 1.0], dtype=complex)), SimConfig(), NOISE)
+        assert not self.shares_kept_memory(later)
+        assert not np.array_equal(later, before)
+        np.testing.assert_array_equal(first, before)
+        np.testing.assert_array_equal(alone.rho_out.entries, alone_before)
+
+    def test_wide_run_keeps_nothing(self):
+        # 8 live wires: each buffer takes 1 MiB, above the cap, so it is freed with the run.
+        dc = compile_circuit(parse_qasm("qreg q[6]; cx q[0],q[5];"), Scheme.CAT_COMM)
+        assert engine._plan_for(dc, DurationTable(), "sequential").width == 8
+        assert engine._working_set_bytes(8) // 2 > engine._BATCH_BYTES
+        small = compile_circuit(self.ONE_WIRE, Scheme.MONOLITHIC)
+        list(engine._outputs(small, PureState.zero(1), SimConfig(), NOISE[:1]))
+        kept = self.kept()
+        simulate(dc, PureState.zero(6))
+        assert self.kept() is kept
+
+    def test_concurrent_runs_never_share_buffers(self):
+        # A run pops the kept pair, so runs in other threads allocate their own.
+        dc = compile_circuit(experiments.template_circuit("chain-2"), Scheme.ONE_TP)
+        inputs = [random_input(np.random.default_rng(seed), 2) for seed in range(6)]
+        want = [np.concatenate(list(engine._outputs(dc, inp, SimConfig(), NOISE))) for inp in inputs]
+        got = [None] * len(inputs)
+
+        def work(i):
+            for _ in range(5):
+                got[i] = np.concatenate(list(engine._outputs(dc, inputs[i], SimConfig(), NOISE)))
+                np.testing.assert_array_equal(got[i], want[i])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(len(inputs))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(g, w)
+
+
+def test_pair_terms_built_once_per_key(monkeypatch):
+    built = []
+    settled_terms = engine._settled_terms
+
+    def spy(sop, flip):
+        built.append((sop.tobytes(), flip))
+        return settled_terms(sop, flip)
+
+    monkeypatch.setattr(engine, "_settled_terms", spy)
+    engine._pair_terms.cache_clear()
+    try:
+        programs = [(c, s) for c in CIRCUITS for s in REMOTE]
+        # Twice over, each time from fresh programs, so every plan is built anew.
+        plans = [
+            [engine._Plan(compile_circuit(experiments.template_circuit(c), s), DurationTable(), "sequential")
+             for c, s in programs]
+            for _ in range(2)
+        ]
+        assert built and len(set(built)) == len(built) == engine._pair_terms.cache_info().currsize
+        for first, again in zip(*plans):
+            assert np.array_equal(first.pair_terms, again.pair_terms)
+        assert not engine._pair_terms("cx", (), False).flags.writeable
+    finally:
+        engine._pair_terms.cache_clear()
