@@ -85,13 +85,14 @@ class InputStateParams:
     theta: float = 0.0
 
     def __post_init__(self) -> None:
+        # A NaN passes every bound check below, so finiteness comes first.
+        for name in ("alpha", "phi", "gamma", "theta"):
+            if not cmath.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if abs(self.alpha) > 1.0 + _AMP_TOL:
             raise ValueError(f"|alpha| must not exceed 1, got {abs(self.alpha)}")
         if abs(self.gamma) > 1.0 + _AMP_TOL:
             raise ValueError(f"|gamma| must not exceed 1, got {self.gamma}")
-        for name in ("phi", "theta"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
 
     @classmethod
     def from_alpha2(

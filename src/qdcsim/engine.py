@@ -61,7 +61,9 @@ one point each, since each point draws its own outcomes.  A grid of noise
 rows that share one config runs through :func:`_outputs`, which yields
 each batch's reduced outputs as one ``(B, d, d)`` array and nothing else;
 :func:`simulate` is the one-row case and the only place a
-:class:`SimResult` is built.
+:class:`SimResult` is built.  In mixture mode the output at one ``r`` is a
+polynomial in ``f_w`` and in ``eps_cnot``, so ``_outputs`` runs a dense
+grid on those axes at degree + 1 Chebyshev nodes and interpolates.
 
 The tensor holds only the live wires.  A wire outside it is exactly |0>,
 in a product with the rest: communication qubits before their first use,
@@ -500,6 +502,10 @@ class _Plan:
         self.single_settle = np.array([s[1] for s in self.singles], dtype=int)
         self.single_terms = np.array([s[2].reshape(-1) for s in self.singles], dtype=complex).reshape(-1, 16)
         self.settle_s = np.array(self.settle_s, dtype=float)
+        # A run's output is a polynomial in f_w and in eps_cnot: each Werner
+        # pair is affine in f_w and each noisy CNOT in eps_cnot.
+        self.f_w_degree = sum(1 for kind, _, slot, _ in self.steps if kind == _JOIN and slot == _EBIT_SLOT)
+        self.eps_cnot_degree = int(self.pair_noisy.sum())
 
     def _slot(self, sop) -> int:
         self.sops.append(sop)
@@ -891,6 +897,113 @@ def _admit(dc: DistributedCircuit, input_state: PureState, cfg: SimConfig) -> tu
     return plan, max(1, budget // need)
 
 
+def _axis_nodes(x: np.ndarray, degree: int) -> tuple[np.ndarray, np.ndarray]:
+    """The values to run along one noise axis, and each row's weights on them.
+
+    ``x`` holds the axis value of each row, and the output is a polynomial
+    of ``degree`` along the axis.  With at most degree + 1 distinct values
+    the nodes are those values.  Otherwise they are degree + 1 Chebyshev
+    points of the second kind on the values' [min, max], and the weights
+    are the barycentric ones (Berrut & Trefethen, SIAM Review 46(3), 2004),
+    so that ``weights[k] @ p(nodes) == p(x[k])``.  A value equal to a node
+    weighs that node alone, so its row reads the node's output exactly.
+    """
+    values = np.array(sorted(set(x.tolist())))
+    if len(values) <= degree + 1:
+        return values, (x[:, None] == values).astype(float)
+    j = np.arange(degree + 1)
+    lo, hi = values[0], values[-1]
+    nodes = (hi + lo) / 2.0 + (hi - lo) / 2.0 * np.cos(np.pi * j / max(degree, 1))
+    nodes[0], nodes[-1] = hi, lo
+    diff = x[:, None] - nodes
+    weights = (diff == 0.0).astype(float)
+    off = ~weights.any(axis=1)
+    c = ((-1.0) ** j * np.where((j == 0) | (j == degree), 0.5, 1.0)) / diff[off]
+    weights[off] = c / c.sum(axis=1, keepdims=True)
+    return nodes, weights
+
+
+@dataclass(frozen=True)
+class _Group:
+    """The rows of one ``r`` in a mixture grid, and the noise rows the engine runs for them.
+
+    ``runs`` is the tensor product of the ``f_w`` and ``eps_cnot`` nodes of
+    :func:`_axis_nodes`, and row k reads ``sum_ij wf[k, i] we[k, j] out[i, j]``
+    from the outputs ``out[i, j]`` at them.
+    """
+
+    rows: np.ndarray
+    runs: np.ndarray
+    wf: np.ndarray
+    we: np.ndarray
+
+
+def _groups(plan: _Plan, ebit_state: str | None, noise: np.ndarray) -> list[_Group] | None:
+    """The rows of ``noise`` grouped by ``r``, in the order of each group's first row.
+
+    None when some group's nodes would take as many runs as it has rows: a
+    product grid's groups all hold the same ``f_w`` and ``eps_cnot`` values,
+    so then none gains.  A forced ``ebit_state`` leaves ``f_w`` unused, so
+    its degree is 0.
+    """
+    f_degree = 0 if ebit_state is not None else plan.f_w_degree
+    rows_of: dict[float, list[int]] = {}  # in the order of first rows
+    for i, r in enumerate(noise[:, 2].tolist()):
+        rows_of.setdefault(r, []).append(i)
+    groups = []
+    for r, rows in rows_of.items():
+        rows = np.array(rows)
+        f_nodes, wf = _axis_nodes(noise[rows, 0], f_degree)
+        e_nodes, we = _axis_nodes(noise[rows, 1], plan.eps_cnot_degree)
+        if len(f_nodes) * len(e_nodes) >= len(rows):
+            return None
+        f, e = np.meshgrid(f_nodes, e_nodes, indexing="ij")
+        runs = np.column_stack((f.reshape(-1), e.reshape(-1), np.full(f.size, r)))
+        groups.append(_Group(rows, runs, wf, we))
+    return groups
+
+
+def _interpolated(
+    plan: _Plan, input_state: PureState, ebit_state: str | None, noise: np.ndarray, groups: list, batch: int
+):
+    """Yield the outputs at the rows of ``noise`` from ``groups``' runs, in row order, ``batch`` at most at a time.
+
+    A group's runs go in batches of ``batch`` when its first row is about to
+    be yielded, and their outputs are kept until the end.  When they fail,
+    the rows before the group's first row are yielded first, so the error
+    surfaces at that row.
+    """
+    group_of, local = np.empty(len(noise), dtype=int), np.empty(len(noise), dtype=int)
+    for g, group in enumerate(groups):
+        group_of[group.rows], local[group.rows] = g, np.arange(len(group.rows))
+    dim = 1 << plan.n_result
+    outs: list[np.ndarray] = []  # the outputs at each group's runs, as (f_w node, eps_cnot node, d * d)
+
+    def rows(start: int, stop: int) -> np.ndarray:
+        out = np.empty((stop - start, dim * dim), dtype=complex)
+        at, k = group_of[start:stop], local[start:stop]
+        for g in set(at.tolist()):
+            here = at == g
+            out[here] = np.einsum("ki,kj,ijx->kx", groups[g].wf[k[here]], groups[g].we[k[here]], outs[g])
+        return out.reshape(-1, dim, dim)
+
+    for start in range(0, len(noise), batch):
+        stop = min(start + batch, len(noise))
+        while len(outs) < len(groups) and groups[len(outs)].rows[0] < stop:
+            group = groups[len(outs)]
+            try:
+                out = np.concatenate(
+                    [_run(plan, input_state, group.runs[s : s + batch], ebit_state, None)
+                     for s in range(0, len(group.runs), batch)]
+                )
+            except Exception:
+                if group.rows[0] > start:
+                    yield rows(start, group.rows[0])
+                raise
+            outs.append(out.reshape(group.wf.shape[1], group.we.shape[1], -1))
+        yield rows(start, stop)
+
+
 def _outputs(dc: DistributedCircuit, input_state: PureState, cfg: SimConfig, noise: np.ndarray):
     """Yield the reduced outputs of ``dc`` on ``input_state`` at the rows of ``noise``, one batch at a time.
 
@@ -900,8 +1013,23 @@ def _outputs(dc: DistributedCircuit, input_state: PureState, cfg: SimConfig, noi
     Each batch comes as one ``(B, d, d)`` array that owns its memory, the
     batches in row order; an error raised while a batch runs surfaces when
     that batch is asked for.
+
+    In mixture mode, the output at one ``r`` is an exact polynomial in
+    ``f_w`` (of degree the plan's Werner pairs) and in ``eps_cnot`` (its
+    noisy CNOTs).  So the rows are grouped by ``r``; an axis with more
+    values in a group than degree + 1 is run only at degree + 1 Chebyshev
+    nodes, and the rows are evaluated from the runs by barycentric
+    interpolation (:func:`_interpolated`).  Such rows agree with direct
+    runs to 1e-12, not to the bit; a row whose values are nodes reads its
+    run's output exactly.  A grid where that would take as many runs as
+    rows runs every row, as below.  So do sampled mode, whose draws depend
+    on the point, and the ``r`` axis, which enters through exponentials.
     """
     plan, batch = _admit(dc, input_state, cfg)
+    groups = _groups(plan, cfg.ebit_state, noise) if cfg.measurement_mode == "mixture" else None
+    if groups:
+        yield from _interpolated(plan, input_state, cfg.ebit_state, noise, groups, batch)
+        return
     for start in range(0, len(noise), batch):
         sampler = _Sampler(cfg.seed, None) if cfg.measurement_mode == "sampled" else None
         yield _run(plan, input_state, noise[start : start + batch], cfg.ebit_state, sampler)

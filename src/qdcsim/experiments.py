@@ -2,7 +2,8 @@
 
 A sweep enumerates (scheme x error grid x input grid) points in declared
 order, simulates them (the error-grid points of one scheme and input in
-batches), and emits one CSV row per point.  A spec range-checks every
+batches, a dense ``f_w`` or ``eps_cnot`` axis from a few node runs), and
+emits one CSV row per point.  A spec range-checks every
 error value when it is declared, so a sweep never starts on a bad grid.
 Mixture-mode runs are fully deterministic, so repeated runs of the same
 spec produce byte-identical files; the CSV schema is versioned in a
@@ -281,11 +282,16 @@ def run_sweep(spec: ExperimentSpec) -> list[SweepRow]:
     points share and the noise grid as ``(f_w, eps_cnot, r)`` rows, and
     runs the rows of one scheme and input together: in mixture mode as one
     batched tensor, as many to a batch as its byte cap and the free memory
-    allow.  Each batch comes back as one array of outputs and is scored in
+    allow.  In mixture mode a dense ``f_w`` or ``eps_cnot`` axis is run only
+    at degree + 1 Chebyshev nodes per ``r`` and its rows are interpolated
+    from them (see ``engine._outputs``); they agree with direct runs to
+    1e-12, not to the bit.  Sampled mode and the ``r`` axis run every point
+    directly.  Each batch comes back as one array of outputs and is scored in
     one expression: its fidelities, their rounding check and clamp; only
     the rows are built point by point.  A fidelity outside [0, 1] beyond
     rounding names its own point; an error while a batch runs names the
-    batch's first point.
+    batch's first point, and one while nodes run the first point of their
+    ``r``.
     """
     circuit = load_circuit(spec.circuit)
     points = list(itertools.product(spec.f_w, spec.eps_cnot, spec.r))
@@ -368,7 +374,12 @@ def _axis(section: dict, key: str, default: float) -> tuple[float, ...]:
         return parse_grid(raw)
     if isinstance(raw, (int, float)):
         return (float(raw),)
-    return tuple(float(v) for v in raw)
+    try:
+        return tuple(float(v) for v in raw)
+    except (TypeError, ValueError):
+        raise ExperimentError(
+            f"grid '{key}' must be a range string, a number or a list of numbers, got {raw!r}"
+        ) from None
 
 
 def _input_grid_from_mapping(section: dict) -> tuple[InputStateParams, ...]:
@@ -437,10 +448,17 @@ def spec_from_mapping(data: dict) -> ExperimentSpec:
 
     seed = data.get("seed")
     if seed is not None:
-        seed = int(seed)
+        try:
+            seed = int(seed)
+        except (TypeError, ValueError):
+            raise ExperimentError(f"seed must be an integer, got {seed!r}") from None
+
+    circuit = data.get("circuit", "remote-cnot")
+    if not isinstance(circuit, str):
+        raise ExperimentError(f"circuit must be a template name or a file path, got {circuit!r}")
 
     return ExperimentSpec(
-        circuit=data.get("circuit", "remote-cnot"),
+        circuit=circuit,
         schemes=schemes,
         f_w=f_w_grid,
         eps_cnot=_axis(data, "eps_cnot", profile.eps_cnot),

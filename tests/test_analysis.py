@@ -152,6 +152,15 @@ class TestInputStateParams:
         with pytest.raises(ValueError, match="phi"):
             InputStateParams(phi=float("nan"))
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [(f, v) for f in ("alpha", "phi", "gamma", "theta") for v in (math.nan, math.inf, -math.inf)]
+        + [("alpha", complex(0.5, math.nan))],
+    )
+    def test_non_finite_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be finite$"):
+            InputStateParams(**{field: value})
+
 
 class TestOracle1tp:
     def test_fixed_points(self):

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from qdcsim import experiments
+from qdcsim import engine, experiments
 from qdcsim.cli import main
 from qdcsim.compiler import Scheme, compile_circuit, count_resources
 from qdcsim.experiments import (
@@ -438,6 +438,33 @@ class TestCliSweeps:
         captured = capsys.readouterr()
         assert captured.err == f"qdcsim: error: schemes must be a string or a list of strings, got {schemes!r}\n"
         assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "key,value,message",
+        [
+            ("circuit", 5, "circuit must be a template name or a file path, got 5"),
+            ("seed", [1], "seed must be an integer, got [1]"),
+            ("f_w", [[0.9]], "grid 'f_w' must be a range string, a number or a list of numbers, got [[0.9]]"),
+        ],
+    )
+    def test_malformed_spec_value_names_its_key(self, tmp_path, capsys, key, value, message):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({key: value}))
+        assert main(["sweep", "--spec", str(spec_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"qdcsim: error: {message}\n"
+        assert captured.out == ""
+        with pytest.raises(ExperimentError, match=f"^{key} |'{key}'"):
+            spec_from_mapping({key: value})
+
+    def test_input_scan_non_finite_gamma_fails_before_any_point(self, monkeypatch, capsys):
+        ran = []
+        monkeypatch.setattr(engine, "_run", lambda *args: ran.append(args))
+        assert main(["input-scan", "--scheme", "cat", "--grid", "gamma=nan"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "qdcsim: error: gamma must be finite\n"
+        assert captured.out == ""
+        assert ran == []
 
 
 class TestCliSpecFlags:

@@ -1,4 +1,10 @@
-"""The batch axis: many noise points of one program and input run as one stacked tensor."""
+"""The batch axis: many noise points of one program and input run as one stacked tensor.
+
+A mixture grid with more ``f_w`` or ``eps_cnot`` values at one ``r`` than
+its degree + 1 runs only at polynomial nodes (see ``test_poly_axes.py``).
+The tests of the direct path use grids that gain nothing from nodes:
+DIRECT_NOISE has at most degree + 1 values on each of those axes.
+"""
 
 import itertools
 import sys
@@ -28,12 +34,16 @@ R = (0.0, 0.055, 30.0)
 
 NOISE = np.array(list(itertools.product(F_W, EPS_CNOT, R)))  # one (f_w, eps_cnot, r) row per point
 
+# Every remote scheme has at least one ebit and two noisy CNOTs, so two
+# f_w values and three eps_cnot values per r take as many runs as points.
+DIRECT_NOISE = np.array(list(itertools.product(F_W[:2], EPS_CNOT, R)))
 
-def noise_configs(**kwargs) -> list[SimConfig]:
-    """The config of each row of NOISE, for runs one point at a time."""
+
+def noise_configs(noise=NOISE, **kwargs) -> list[SimConfig]:
+    """The config of each row of ``noise``, for runs one point at a time."""
     return [
         SimConfig(werner=WernerParam(f), gate_err=GateErrorParam(e), memory=MemoryParam(r), **kwargs)
-        for f, e, r in NOISE
+        for f, e, r in noise
     ]
 
 
@@ -68,10 +78,10 @@ class TestBatchedEqualsPerPoint:
         dc = compile_circuit(experiments.template_circuit(circuit), scheme)
         inp = random_input(np.random.default_rng(len(circuit)), 2)
         base = SimConfig(schedule_mode=schedule)
-        (batched,) = engine._outputs(dc, inp, base, NOISE)
-        assert batches == [len(NOISE)]
-        assert batched.shape == (len(NOISE), 4, 4)
-        for cfg, entries in zip(noise_configs(schedule_mode=schedule), batched):
+        (batched,) = engine._outputs(dc, inp, base, DIRECT_NOISE)
+        assert batches == [len(DIRECT_NOISE)]
+        assert batched.shape == (len(DIRECT_NOISE), 4, 4)
+        for cfg, entries in zip(noise_configs(DIRECT_NOISE, schedule_mode=schedule), batched):
             alone = simulate(dc, inp, cfg)
             np.testing.assert_allclose(entries, alone.rho_out.entries, rtol=0.0, atol=1e-12)
             # What a sweep reads once per scheme instead of from each point's result.
@@ -105,10 +115,10 @@ class TestBatchedEqualsPerPoint:
 
 
 class TestSweepAcrossBatchSizes:
-    SPEC = ExperimentSpec(
-        f_w=parse_grid("0.90:0.99:0.001"),
-        inputs=(InputStateParams.from_alpha2(0.3, phi=1.0), InputStateParams.from_alpha2(0.8, theta=0.4)),
-    )
+    INPUTS = (InputStateParams.from_alpha2(0.3, phi=1.0), InputStateParams.from_alpha2(0.8, theta=0.4))
+    # 91 points along r run directly; 91 along f_w run at each scheme's n_ebit + 1 nodes.
+    SPEC = ExperimentSpec(r=parse_grid("0.0:0.09:0.001"), inputs=INPUTS)
+    POLY_SPEC = ExperimentSpec(f_w=parse_grid("0.90:0.99:0.001"), inputs=INPUTS)
 
     def sweep(self, monkeypatch, batches, points: int, spec: ExperimentSpec):
         cap_batch(monkeypatch, points)
@@ -121,6 +131,17 @@ class TestSweepAcrossBatchSizes:
         for b, (_, sizes) in runs.items():
             # 4 schemes x 2 inputs, each 91 noise points cut into batches of b.
             assert sizes == ([b] * (91 // b) + [91 % b] * (91 % b > 0)) * 8
+        rows = {b: r for b, (r, _) in runs.items()}
+        assert sweep_csv(rows[7]) == sweep_csv(rows[1]) == sweep_csv(rows[91])
+        f_out = {b: np.array([row.f_out for row in r]) for b, r in rows.items()}
+        np.testing.assert_allclose(f_out[7], f_out[1], rtol=0.0, atol=1e-15)
+        np.testing.assert_allclose(f_out[91], f_out[1], rtol=0.0, atol=1e-15)
+
+    def test_node_csv_identical_for_batches_of_1_7_and_91(self, monkeypatch, batches):
+        runs = {b: self.sweep(monkeypatch, batches, b, self.POLY_SPEC) for b in (1, 7, 91)}
+        nodes = [n_ebit + 1 for n_ebit in (1, 1, 2, 2) for _ in self.INPUTS]  # cat, 1tp, 2tp, tpsafe
+        for b, (_, sizes) in runs.items():
+            assert sizes == [size for n in nodes for size in ([1] * n if b == 1 else [n])]
         rows = {b: r for b, (r, _) in runs.items()}
         assert sweep_csv(rows[7]) == sweep_csv(rows[1]) == sweep_csv(rows[91])
         f_out = {b: np.array([row.f_out for row in r]) for b, r in rows.items()}
@@ -155,10 +176,35 @@ class TestSweepAcrossBatchSizes:
             return run(plan, input_state, noise, ebit_state, sampler)
 
         monkeypatch.setattr(engine, "_run", fail_second_batch)
-        spec = ExperimentSpec(schemes=(Scheme.CAT_COMM,), f_w=(0.9, 0.91, 0.92, 0.93, 0.94, 0.95))
+        spec = ExperimentSpec(schemes=(Scheme.CAT_COMM,), r=(0.0, 0.01, 0.02, 0.03, 0.04, 0.05))
         cap_batch(monkeypatch, 4)
-        with pytest.raises(ExperimentError, match=r"grid point \(scheme=cat, f_w=0\.94, .*injected"):
+        first_of_second_batch = r"grid point \(scheme=cat, f_w=0\.94, eps_cnot=0\.004, r=0\.04, .*injected"
+        with pytest.raises(ExperimentError, match=first_of_second_batch):
             run_sweep(spec)
+        assert calls == [4, 2]
+
+    def test_failing_node_run_named_by_its_groups_first_point(self, monkeypatch):
+        # cat has one ebit, so each r runs f_w at two nodes, in one batch.
+        # The first batch of rows holds both r; the second run, the nodes of
+        # r = 0.055, fails, so the error names that r's first grid point, the
+        # second row, and not the batch's first.
+        run = engine._run
+        calls = []
+
+        def fail_second_run(plan, input_state, noise, ebit_state, sampler):
+            calls.append(len(noise))
+            if len(calls) == 2:
+                raise EngineError("injected")
+            return run(plan, input_state, noise, ebit_state, sampler)
+
+        monkeypatch.setattr(engine, "_run", fail_second_run)
+        spec = ExperimentSpec(schemes=(Scheme.CAT_COMM,), f_w=(0.9, 0.91, 0.92, 0.93, 0.94, 0.95), r=(0.0, 0.055))
+        cap_batch(monkeypatch, 4)
+        with pytest.raises(ExperimentError) as info:
+            run_sweep(spec)
+        assert str(info.value).startswith("grid point (scheme=cat, f_w=0.9, eps_cnot=0.004, r=0.055, alpha=")
+        assert str(info.value).endswith(") failed: injected")
+        assert calls == [2, 2]
 
     def test_failing_point_named_by_its_whole_input(self, monkeypatch):
         # Two inputs that differ only in phi: the error must say which one failed.
@@ -223,8 +269,17 @@ class TestBatchAdmission:
         monkeypatch.setattr(engine, "_available_bytes", lambda: None)
         cap_batch(monkeypatch, 10)
         dc = compile_circuit(experiments.template_circuit("remote-cnot"), Scheme.ONE_TP)
+        results = list(engine._outputs(dc, PureState.zero(2), SimConfig(), DIRECT_NOISE))
+        assert [len(r) for r in results] == batches == [10, 8]
+
+    def test_node_runs_follow_the_cap(self, monkeypatch, batches):
+        # 1tp: each r's 3 x 3 f_w x eps_cnot points run at 2 x 3 nodes.
+        monkeypatch.setattr(engine, "_available_bytes", lambda: None)
+        cap_batch(monkeypatch, 4)
+        dc = compile_circuit(experiments.template_circuit("remote-cnot"), Scheme.ONE_TP)
         results = list(engine._outputs(dc, PureState.zero(2), SimConfig(), NOISE))
-        assert [len(r) for r in results] == batches == [10, 10, 7]
+        assert batches == [4, 2] * 3
+        assert [len(r) for r in results] == [4] * 6 + [3]
 
     def test_point_that_does_not_fit_alone_refused_before_allocation(self, monkeypatch, batches):
         monkeypatch.setattr(engine, "_available_bytes", lambda: engine._working_set_bytes(WIDTH) - 1)
