@@ -63,7 +63,9 @@ each batch's reduced outputs as one ``(B, d, d)`` array and nothing else;
 :func:`simulate` is the one-row case and the only place a
 :class:`SimResult` is built.  In mixture mode the output at one ``r`` is a
 polynomial in ``f_w`` and in ``eps_cnot``, so ``_outputs`` runs a dense
-grid on those axes at degree + 1 Chebyshev nodes and interpolates.
+grid on those axes at degree + 1 Chebyshev nodes and interpolates.  An
+axis's nodes and barycentric weights are worked out per distinct value,
+once per process for each axis and degree (:func:`_chebyshev_weights`).
 
 The tensor holds only the live wires.  A wire outside it is exactly |0>,
 in a product with the rest: communication qubits before their first use,
@@ -911,15 +913,28 @@ def _axis_nodes(x: np.ndarray, degree: int) -> tuple[np.ndarray, np.ndarray]:
     values = np.array(sorted(set(x.tolist())))
     if len(values) <= degree + 1:
         return values, (x[:, None] == values).astype(float)
+    nodes, weights = _chebyshev_weights(values.tobytes(), degree)
+    return nodes, weights[np.searchsorted(values, x)]
+
+
+@functools.lru_cache(maxsize=16)
+def _chebyshev_weights(values: bytes, degree: int) -> tuple[np.ndarray, np.ndarray]:
+    """The Chebyshev nodes of :func:`_axis_nodes` on the sorted distinct ``values``, and each value's weights.
+
+    Built once per axis and degree, read-only: every scheme, and every
+    repeat of a sweep, reads the same axis.
+    """
+    values = np.frombuffer(values)
     j = np.arange(degree + 1)
     lo, hi = values[0], values[-1]
     nodes = (hi + lo) / 2.0 + (hi - lo) / 2.0 * np.cos(np.pi * j / max(degree, 1))
     nodes[0], nodes[-1] = hi, lo
-    diff = x[:, None] - nodes
+    diff = values[:, None] - nodes
     weights = (diff == 0.0).astype(float)
     off = ~weights.any(axis=1)
     c = ((-1.0) ** j * np.where((j == 0) | (j == degree), 0.5, 1.0)) / diff[off]
     weights[off] = c / c.sum(axis=1, keepdims=True)
+    nodes.flags.writeable = weights.flags.writeable = False
     return nodes, weights
 
 
@@ -947,12 +962,9 @@ def _groups(plan: _Plan, ebit_state: str | None, noise: np.ndarray) -> list[_Gro
     its degree is 0.
     """
     f_degree = 0 if ebit_state is not None else plan.f_w_degree
-    rows_of: dict[float, list[int]] = {}  # in the order of first rows
-    for i, r in enumerate(noise[:, 2].tolist()):
-        rows_of.setdefault(r, []).append(i)
     groups = []
-    for r, rows in rows_of.items():
-        rows = np.array(rows)
+    for r in dict.fromkeys(noise[:, 2].tolist()):  # in the order of first rows
+        rows = np.flatnonzero(noise[:, 2] == r)
         f_nodes, wf = _axis_nodes(noise[rows, 0], f_degree)
         e_nodes, we = _axis_nodes(noise[rows, 1], plan.eps_cnot_degree)
         if len(f_nodes) * len(e_nodes) >= len(rows):

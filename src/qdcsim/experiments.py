@@ -3,22 +3,25 @@
 A sweep enumerates (scheme x error grid x input grid) points in declared
 order, simulates them (the error-grid points of one scheme and input in
 batches, a dense ``f_w`` or ``eps_cnot`` axis from a few node runs), and
-emits one CSV row per point.  A spec range-checks every
-error value when it is declared, so a sweep never starts on a bad grid.
-Mixture-mode runs are fully deterministic, so repeated runs of the same
-spec produce byte-identical files; the CSV schema is versioned in a
-leading comment so downstream plot scripts can pin it.
+emits one row per point: a :class:`SweepRow` tuple of its CSV cells.  A
+spec range-checks every error value when it is declared, so a sweep never
+starts on a bad grid.  Built-in circuits and compiled programs are kept
+per process (up to ``_MEMO_SIZE`` each), so a repeated sweep compiles and
+plans nothing.  Mixture-mode runs are fully deterministic, so repeated
+runs of the same spec produce byte-identical files; the CSV schema is
+versioned in a leading comment so downstream plot scripts can pin it.
+The CSV is formatted column by column, each distinct cell object once.
 """
 
 from __future__ import annotations
 
-import dataclasses
+import functools
 import itertools
 import json
 import math
-import operator
 import os
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -128,8 +131,15 @@ class _UnknownTemplate(ExperimentError):
     """No built-in template has that name."""
 
 
+# How many built-in circuits, and compiled (circuit, scheme) programs, a
+# process keeps for reuse.  A kept program keeps its engine plans alive, so
+# a repeated sweep runs on plans it has already built.
+_MEMO_SIZE = 32
+
+
+@functools.lru_cache(maxsize=_MEMO_SIZE)
 def template_circuit(name: str) -> Circuit:
-    """Built-in circuits: 'remote-cnot' and 'chain-<k>' repeats of it."""
+    """Built-in circuits: 'remote-cnot' and 'chain-<k>' repeats of it, parsed once per name."""
     if name == "remote-cnot":
         return parse_qasm("qreg q[2]; cx q[0],q[1];", name=name)
     if name.startswith("chain-"):
@@ -186,8 +196,9 @@ class ExperimentSpec:
                 param(value)
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
+    """One sweep point's CSV row; a tuple of its cells in column order."""
+
     scheme: str
     f_w: float
     eps_cnot: float
@@ -203,7 +214,7 @@ class SweepRow:
     n_ebit: int
 
 
-SWEEP_COLUMNS = tuple(f.name for f in dataclasses.fields(SweepRow))
+SWEEP_COLUMNS = SweepRow._fields
 
 
 def _input_for(dc: DistributedCircuit, p: InputStateParams) -> PureState:
@@ -239,7 +250,8 @@ def _sweep_rows(
             f"alpha={p.alpha}, phi={p.phi}, gamma={p.gamma}, theta={p.theta})"
         )
 
-    alpha = float(abs(p.alpha))
+    scheme, alpha, phi, gamma, theta = dc.scheme.value, float(abs(p.alpha)), p.phi, p.gamma, p.theta
+    n_cnot, n_ebit = rc.n_cnot, rc.n_ebit
     rows: list[SweepRow] = []
     while len(rows) < len(points):
         try:
@@ -252,33 +264,34 @@ def _sweep_rows(
             raise ExperimentError(
                 f"{where(len(rows) + i)} has fidelity {float(f_out[i])!r}, outside [0, 1] beyond rounding"
             )
-        for (f_w, eps_cnot, r), f in zip(points[len(rows) :], np.clip(f_out, 0.0, 1.0).tolist()):
-            rows.append(
-                SweepRow(
-                    scheme=dc.scheme.value,
-                    f_w=f_w,
-                    eps_cnot=eps_cnot,
-                    r=r,
-                    alpha=alpha,
-                    phi=p.phi,
-                    gamma=p.gamma,
-                    theta=p.theta,
-                    f_out=f,
-                    output_error=1.0 - f,
-                    elapsed_s=elapsed,
-                    n_cnot=rc.n_cnot,
-                    n_ebit=rc.n_ebit,
-                )
-            )
+        rows += [
+            SweepRow(scheme, f_w, eps_cnot, r, alpha, phi, gamma, theta, f, 1.0 - f, elapsed, n_cnot, n_ebit)
+            for (f_w, eps_cnot, r), f in zip(points[len(rows) :], np.clip(f_out, 0.0, 1.0).tolist())
+        ]
     return rows
+
+
+@functools.lru_cache(maxsize=_MEMO_SIZE)
+def _compiled(circuit: Circuit, scheme: Scheme) -> DistributedCircuit:
+    """``circuit`` compiled for ``scheme``, once per distinct pair while the pair stays in the memo.
+
+    Keyed by value, so a circuit parsed again from an unchanged file finds
+    its program, and a changed one compiles anew.  The program keeps its
+    engine plans alive (``engine._plan_for``), so a repeated sweep rebuilds
+    none of them.
+    """
+    return compile_circuit(circuit, scheme)
 
 
 def run_sweep(spec: ExperimentSpec) -> list[SweepRow]:
     """Simulate every grid point of ``spec`` and return its rows in declared order.
 
-    Each scheme is compiled once, and its elapsed time, its resource counts,
-    each input state and each input's noiseless reference are worked out
-    once per scheme.  The engine gets one config for every setting the
+    Each scheme's program comes from a per-process memo keyed by the
+    circuit's value and the scheme, so a repeated spec reuses the program
+    and its engine plans; its elapsed time and resource counts are worked
+    out once per call.  Every scheme compiles the same source circuit, so
+    each input state and its noiseless reference are worked out once per
+    input, for all schemes.  The engine gets one config for every setting the
     points share and the noise grid as ``(f_w, eps_cnot, r)`` rows, and
     runs the rows of one scheme and input together: in mixture mode as one
     batched tensor, as many to a batch as its byte cap and the free memory
@@ -287,8 +300,8 @@ def run_sweep(spec: ExperimentSpec) -> list[SweepRow]:
     from them (see ``engine._outputs``); they agree with direct runs to
     1e-12, not to the bit.  Sampled mode and the ``r`` axis run every point
     directly.  Each batch comes back as one array of outputs and is scored in
-    one expression: its fidelities, their rounding check and clamp; only
-    the rows are built point by point.  A fidelity outside [0, 1] beyond
+    one expression: its fidelities, their rounding check and clamp; the
+    rows are tuples built positionally.  A fidelity outside [0, 1] beyond
     rounding names its own point; an error while a batch runs names the
     batch's first point, and one while nodes run the first point of their
     ``r``.
@@ -302,11 +315,12 @@ def run_sweep(spec: ExperimentSpec) -> list[SweepRow]:
         schedule_mode=spec.schedule_mode,
         seed=spec.seed,
     )
-    rows = []
+    rows, references = [], None
     for scheme in spec.schemes:
-        dc = compile_circuit(circuit, scheme)
-        inputs = [(p, _input_for(dc, p)) for p in spec.inputs]
-        references = [(p, inp, ideal_output(dc, inp)) for p, inp in inputs]
+        dc = _compiled(circuit, scheme)
+        if references is None:  # every scheme's program has the same source circuit
+            inputs = [(p, _input_for(dc, p)) for p in spec.inputs]
+            references = [(p, inp, ideal_output(dc, inp)) for p, inp in inputs]
         elapsed, rc = elapsed_time(dc, cfg), count_resources(dc)
         per_input = [
             _sweep_rows(dc, points, ref, _outputs(dc, ref[1], cfg, noise), elapsed, rc) for ref in references
@@ -323,18 +337,26 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _column_text(column: tuple) -> list[str]:
+    """``_fmt`` of each cell, worked out once per distinct object.
+
+    Keyed by identity, not value, so ``-0.0`` and ``0.0``, or ``1`` and
+    ``1.0``, each keep their own text; ``column`` keeps every cell alive, so
+    no id is reused while the keys are read.
+    """
+    distinct = dict(zip(map(id, column), column))
+    text = dict(zip(distinct, map(_fmt, distinct.values())))
+    return list(map(text.__getitem__, map(id, column)))
+
+
 def _csv(schema: str, columns: tuple[str, ...], rows) -> str:
-    """Schema comment, header, then one line per row of cells."""
-    lines = [f"# {schema}", ",".join(columns)]
-    lines += [",".join(map(_fmt, cells)) for cells in rows]
-    return "\n".join(lines) + "\n"
-
-
-_sweep_cells = operator.attrgetter(*SWEEP_COLUMNS)
+    """Schema comment, header, then one line per row of cells, formatted column by column."""
+    texts = [_column_text(column) for column in zip(*rows)]
+    return "\n".join([f"# {schema}", ",".join(columns), *map(",".join, zip(*texts))]) + "\n"
 
 
 def sweep_csv(rows: list[SweepRow]) -> str:
-    return _csv(SWEEP_SCHEMA, SWEEP_COLUMNS, map(_sweep_cells, rows))
+    return _csv(SWEEP_SCHEMA, SWEEP_COLUMNS, rows)
 
 
 # First-order models that ``compare`` puts beside the simulation, each as
@@ -363,7 +385,7 @@ def run_compare(spec: ExperimentSpec) -> list[tuple[SweepRow, dict]]:
 
 
 def compare_csv(pairs: list[tuple[SweepRow, dict]]) -> str:
-    rows = (_sweep_cells(row) + tuple(extras[c] for c in _EXTRA_COLUMNS) for row, extras in pairs)
+    rows = (row + tuple(extras[c] for c in _EXTRA_COLUMNS) for row, extras in pairs)
     return _csv(COMPARE_SCHEMA, COMPARE_COLUMNS, rows)
 
 

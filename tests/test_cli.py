@@ -258,7 +258,7 @@ class TestRunCompare:
         assert text.strip().split("\n")[0] == "# qdcsim compare v1"
         assert text.strip().split("\n")[-1].endswith("n/a,n/a")
 
-    def test_compiles_each_scheme_once(self, monkeypatch):
+    def test_compiles_each_scheme_once(self, monkeypatch, fresh_programs):
         compiled = []
         compile_ = experiments.compile_circuit
 

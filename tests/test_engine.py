@@ -439,7 +439,7 @@ class TestPlanCache:
         monkeypatch.setattr(engine, "_Plan", spy)
         return built
 
-    def test_one_plan_per_scheme_and_schedule_in_a_sweep(self, builds):
+    def test_one_plan_per_scheme_and_schedule_in_a_sweep(self, builds, fresh_programs):
         f_w = parse_grid("0.90:0.99:0.001")
         for schedule in ("sequential", "layered"):
             spec = ExperimentSpec(schemes=(Scheme.CAT_COMM, Scheme.TP_SAFE), f_w=f_w, schedule_mode=schedule)
