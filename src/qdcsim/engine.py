@@ -39,13 +39,24 @@ correction is the controlled Pauli on the measured record in both modes.
 Which wire each tensor axis belongs to is known to the plan alone; a run
 only tracks the tensor's size.
 
+The state is held in the per-wire Pauli basis (:mod:`qdcsim.pauli`): one
+real axis of length 4 per live wire, with entries Tr(P rho) for P = I, X,
+Y, Z.  Every map the engine applies preserves Hermiticity, so states and
+superoperators are all real there.  Each map is changed to the Pauli basis
+once, where it is built: at import, when a 2-wire gate's terms or a plan's
+1-qubit gates are made, and for the Werner pair from two fixed vectors.  A
+run changes basis twice only: the pure input on entry, and the result
+wires on exit, back to a complex ``(B, d, d)`` output.  In this basis
+tracing a wire out keeps its I entries, |0> is (1, 0, 0, 1), full decay
+keeps I alone and dephasing keeps I and Z.
+
 A run holds a batch of noise points of one program and one input: B
-density tensors stacked on a leading axis, in one complex buffer and an
-equal scratch buffer, both sized for B tensors at the plan's peak live
-width.  When each takes at most ``_BATCH_BYTES`` the pair is kept after
-the run and the next run that fits reuses it, so a paper-scale batch
-writes into memory already mapped; wider runs allocate and free their own,
-and leave nothing resident.  Every pass is one matrix product between
+state tensors stacked on a leading axis, in one real buffer and an equal
+scratch buffer, both sized for B tensors at the plan's peak live width.
+When each takes at most ``_BATCH_BYTES`` the pair is kept after the run
+and the next run that fits reuses it, so a paper-scale batch writes into
+memory already mapped; wider runs allocate and free their own, and leave
+nothing resident.  Every pass is one matrix product between
 them, preceded by a transposing copy only when the pass's wires are not
 already adjacent at the front, just after the first wire, or at the back.
 A noise-free map (a 1-qubit gate, a fresh |0>) is one superoperator shared
@@ -117,6 +128,7 @@ from .compiler import (
     count_resources,
 )
 from .gates import Gate, gate_unitary
+from .pauli import PAULI_T, from_pauli, pure_to_pauli, to_pauli
 from .qasm import Circuit, lower_to_basis
 from .states import _BELL_KINDS, DensityMatrix, PureState, apply_gate_pure, bell_state
 
@@ -328,53 +340,54 @@ def elapsed_time(dc: DistributedCircuit, cfg: SimConfig) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Superoperators.  A map on k wires is a 4^k x 4^k matrix acting on the
-# row-major vectorization of the k-wire block, whose index runs over
-# (ket_1..ket_k, bra_1..bra_k); U rho U-dagger is then kron(U, conj(U)).
+# Superoperators, in the Pauli basis (see :mod:`qdcsim.pauli`): each is
+# written down in the (ket, bra) basis and taken to the Pauli basis once,
+# where it is built.
 # ---------------------------------------------------------------------------
 
 
 def _unitary_superop(u: np.ndarray) -> np.ndarray:
+    """The Pauli transfer matrix of rho -> U rho U-dagger."""
     u = np.asarray(u, dtype=complex)
     d = u.shape[0]
-    return (u[:, None, :, None] * u.conj()[None, :, None, :]).reshape(d * d, d * d)
+    return to_pauli((u[:, None, :, None] * u.conj()[None, :, None, :]).reshape(d * d, d * d))
 
 
 def _prepare_superop(sub: np.ndarray) -> np.ndarray:
     """Discard the wires and load ``sub``: rho -> Tr(rho) sub."""
-    return np.outer(sub.reshape(-1), np.eye(sub.shape[0], dtype=complex).reshape(-1))
+    return to_pauli(np.outer(sub.reshape(-1), np.eye(sub.shape[0]).reshape(-1)))
 
 
+# In the Pauli basis: full decay keeps I alone, dephasing keeps I and Z, and |0> is (1, 0, 0, 1).
 _DEPOLARIZE_1Q = _prepare_superop(np.eye(2) / 2.0)
-_IDENTITY_1Q = np.eye(4, dtype=complex)
-_ZERO_1Q = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
-_DEPHASE = np.diag([1.0, 0.0, 0.0, 1.0]).astype(complex)
-_CNOT_FAILURE = _prepare_superop(np.eye(4, dtype=complex) / 4.0)
+_IDENTITY_1Q = np.eye(4)
+_ZERO_1Q = to_pauli(np.diag([1.0, 0.0]).reshape(-1))
+_DEPHASE = to_pauli(np.diag([1.0, 0.0, 0.0, 1.0]))
+_CNOT_FAILURE = _prepare_superop(np.eye(4) / 4.0)
 # _PROJECT[outcome] keeps the |outcome><outcome| block of one wire, unnormalized.
-_PROJECT = (
-    np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex),
-    np.diag([0.0, 0.0, 0.0, 1.0]).astype(complex),
-)
+_PROJECT = (to_pauli(np.diag([1.0, 0.0, 0.0, 0.0])), to_pauli(np.diag([0.0, 0.0, 0.0, 1.0])))
+# A Werner pair is f_w times the first plus (1 - f_w) / 3 times the second.
+_WERNER_TERMS = (to_pauli(_PHI_PLUS.reshape(-1)), to_pauli(_OTHER_BELL.reshape(-1)))
+_BELL_PAULI = {kind: to_pauli(DensityMatrix.from_pure(bell_state(kind)).entries.reshape(-1)) for kind in _BELL_KINDS}
 
 
 def _settled_terms(sop: np.ndarray, flip: bool) -> np.ndarray:
-    """The five terms of ``sop`` after the decay owed, for a block laid out as (ket, bra) pairs.
+    """The five terms of the Pauli-basis 2-wire map ``sop`` after the decay owed.
 
     The decay owed on wires a and b is ``D(ka) x D(kb)`` with
     ``D(k) = k I + (1 - k) P`` and P the full decay, so the settled map is
     ``sum_j c_j (1 - eps) T_j + eps T_4`` with
     ``c = (ka kb, ka (1-kb), (1-ka) kb, (1-ka)(1-kb))``, ``T_j = sop @ X_j``
     for ``X = (I x I, I x P, P x I, P x P)``, and ``T_4`` the CNOT failure:
-    it discards both wires, so the decay before it does not matter.  In
-    this layout a product map is a Kronecker product; ``flip`` puts the
-    second wire's pair first.
+    it discards both wires, so the decay before it does not matter.  With
+    each wire's index adjacent a product map is a Kronecker product;
+    ``flip`` puts the second wire first.
     """
-    axes = (1, 3, 0, 2) if flip else (0, 2, 1, 3)
-    perm = axes + tuple(4 + a for a in axes)
-    sop, failure = (m.reshape((2,) * 8).transpose(perm).reshape(16, 16) for m in (sop, _CNOT_FAILURE))
+    if flip:
+        sop = sop.reshape(4, 4, 4, 4).transpose(1, 0, 3, 2).reshape(16, 16)
     ends = (_IDENTITY_1Q, _DEPOLARIZE_1Q)
     decay = [np.kron(ends[j], ends[i]) if flip else np.kron(ends[i], ends[j]) for i in (0, 1) for j in (0, 1)]
-    return np.stack([sop @ x for x in decay] + [failure]).reshape(5, 256)
+    return np.stack([sop @ x for x in decay] + [_CNOT_FAILURE]).reshape(5, 256)
 
 
 @functools.lru_cache(maxsize=256)
@@ -393,7 +406,7 @@ def _pair_terms(kind: str, params: tuple[float, ...], flip: bool) -> np.ndarray:
 # Working set
 # ---------------------------------------------------------------------------
 
-_BYTES_PER_ENTRY = np.dtype(complex).itemsize
+_BYTES_PER_ENTRY = np.dtype(float).itemsize
 
 
 def _working_set_bytes(n_qubits: int) -> int:
@@ -423,11 +436,12 @@ def _available_bytes() -> int | None:
 #       is not None.
 #   (_PAIR, i, perm, shape): the same with the i-th settled 2-wire map,
 #       built from its terms at the latest just before the pass.
-#   (_DROP, shape, -, -): trace out the wire whose pair is axis 1 of the
-#       tensor viewed as shape (before, 4, after).
+#   (_DROP, shape, -, -): trace out the wire whose Pauli index is axis 1 of
+#       the tensor viewed as shape (before, 4, after).
 #   (_JOIN, wires, slot, -): append ``wires`` in the state sops[slot].
-#   (_MEASURE, slot, (tag, settle), (subscripts, wire)): in sampled mode,
-#       draw the outcome and put its projection in sops[slot] for the next step.
+#   (_MEASURE, slot, (tag, settle), shape): in sampled mode, draw the outcome
+#       of the wire at axis 1 of the tensor viewed as shape (before, 4, after)
+#       and put its projection in sops[slot] for the next step.
 _APPLY, _PAIR, _DROP, _JOIN, _MEASURE = range(5)
 _ZERO_SLOT, _EBIT_SLOT = 0, 1
 
@@ -437,8 +451,8 @@ class _Plan:
 
     Built once per ``(dc, durations, schedule_mode)`` by walking the events
     as a run would.  The walk tracks what the run's tensor holds: ``order``
-    lists the live wires, and each wire's ket and bra are adjacent axes, in
-    that order, so a 1-wire map never needs its axes re-indexed.  It records:
+    lists the live wires, each one axis, its Pauli index, so a 1-wire map
+    never needs its axes re-indexed.  It records:
 
     - ``steps``: the passes over the tensor, see the step kinds above;
     - ``sops``: the superoperator of each _APPLY and _JOIN step, a constant
@@ -490,19 +504,20 @@ class _Plan:
                 self.install_ebit(ev)
         for w in dc.result_wires:
             self._apply_decayed(w, _IDENTITY_1Q)
-        self.output_einsum = (
-            [label for w in self.order for label in (w, self.n + w if w in dc.result_wires else w)],
-            list(dc.result_wires) + [self.n + w for w in dc.result_wires],
-        )
+        # The output keeps each result wire's axis and the I entry of every
+        # other wire, then puts the result wires in their order.
+        kept = [w for w in self.order if w in dc.result_wires]
+        self.output_take = tuple(slice(None) if w in dc.result_wires else 0 for w in self.order)
+        self.output_axes = tuple(kept.index(w) for w in dc.result_wires)
         self.n_result = len(dc.result_wires)
         self.elapsed = (layers[-1].start + layers[-1].duration) if layers else 0.0
         self.resources = count_resources(dc)
         self.pair_settle = np.array([p[:2] for p in self.pairs], dtype=int).reshape(-1, 2)
         self.pair_noisy = np.array([p[2] for p in self.pairs], dtype=float)
-        self.pair_terms = np.array([p[3] for p in self.pairs], dtype=complex).reshape(-1, 5, 256)
+        self.pair_terms = np.array([p[3] for p in self.pairs], dtype=float).reshape(-1, 5, 256)
         self.single_slots = tuple(s[0] for s in self.singles)
         self.single_settle = np.array([s[1] for s in self.singles], dtype=int)
-        self.single_terms = np.array([s[2].reshape(-1) for s in self.singles], dtype=complex).reshape(-1, 16)
+        self.single_terms = np.array([s[2].reshape(-1) for s in self.singles], dtype=float).reshape(-1, 16)
         self.settle_s = np.array(self.settle_s, dtype=float)
         # A run's output is a polynomial in f_w and in eps_cnot: each Werner
         # pair is affine in f_w and each noisy CNOT in eps_cnot.
@@ -543,7 +558,7 @@ class _Plan:
         if set(self.order[lo : lo + k]) != set(wires) or 1 < lo < m - k:
             old, lo = self.order, 0
             self.order = list(wires) + [w for w in old if w not in wires]
-            perm = tuple(a for w in self.order for a in (2 * old.index(w), 2 * old.index(w) + 1))
+            perm = tuple(old.index(w) for w in self.order)
         self.steps.append((kind, ref, perm, (4**lo, 4**k, 4 ** (m - lo - k))))
 
     def _apply_settled(self, gate: Gate, noisy: bool) -> None:
@@ -573,11 +588,11 @@ class _Plan:
             # decay, and a projection cannot wait for it.
             w = ev.qubit
             self._hold((w,))
-            diagonal = [label for v in self.order for label in (v, v)]
-            at = len(self.steps)
+            p, at = self.order.index(w), len(self.steps)
+            shape = (4**p, 4, 4 ** (len(self.order) - p - 1))
             self._apply_decayed(w, _DEPHASE)
             slot, settle, _ = self.singles[-1]
-            self.steps.insert(at, (_MEASURE, slot, (ev.tag, settle), (diagonal, w)))
+            self.steps.insert(at, (_MEASURE, slot, (ev.tag, settle), shape))
             self.tag_qubit[ev.tag] = w
             self.records.add(w)
         elif isinstance(ev, ConditionalCorrection):
@@ -649,11 +664,10 @@ def _bind(
     """
     sops = list(plan.sops)
     if ebit_state is None:
-        f_w = noise[:, 0, None, None]
-        ebit = f_w * _PHI_PLUS + ((1.0 - f_w) / 3.0) * _OTHER_BELL
+        f_w = noise[:, 0, None]
+        sops[_EBIT_SLOT] = f_w * _WERNER_TERMS[0] + ((1.0 - f_w) / 3.0) * _WERNER_TERMS[1]
     else:
-        ebit = DensityMatrix.from_pure(bell_state(ebit_state)).entries
-    sops[_EBIT_SLOT] = ebit.reshape(-1, 2, 2, 2, 2).transpose(0, 1, 3, 2, 4)  # as (ket, bra) pairs
+        sops[_EBIT_SLOT] = _BELL_PAULI[ebit_state]
     keeps = keeps.T  # one row per settle point
     u = keeps[plan.pair_settle][..., None] * (1.0, -1.0) + (0.0, 1.0)  # (k, 1 - k) of both wires
     eps = plan.pair_noisy[:, None] * noise[:, 1]
@@ -672,18 +686,19 @@ def _bind(
 # ---------------------------------------------------------------------------
 
 # The most bytes one run's two buffers may take for a batch of noise points:
-# 64 points at the paper's 4 live wires, one point from 7 live wires up.
+# 64 points at the paper's 4 live wires (4 KiB each), one point from 7 live
+# wires up.
 # Past a few dozen points the dispatch per pass is already shared, so a
 # larger batch buys little speed for its memory.  It only sets how many
 # points share a tensor; a point that does not fit alone is refused by the
 # free-memory check as before.  Register buffers of at most this many bytes
 # each are kept between runs (``_kept_buffers``).
-_BATCH_BYTES = 2**19
+_BATCH_BYTES = 2**18
 
 # The most bytes of settled 2-wire maps a run builds at once: a run of one
 # point builds the maps of up to 16 pairs in one call, a batch of 16 points
 # or more builds each pair's maps just before its pass.
-_PAIR_MAP_BYTES = 2**16
+_PAIR_MAP_BYTES = 2**15
 
 
 # The register buffers of a finished run, when each takes at most
@@ -696,7 +711,7 @@ _kept_buffers: list[tuple[np.ndarray, np.ndarray]] = []
 
 
 def _take_buffers(entries: int) -> tuple[np.ndarray, np.ndarray]:
-    """Two buffers of at least ``entries`` complex entries each: the kept pair when it may serve."""
+    """Two buffers of at least ``entries`` real entries each: the kept pair when it may serve."""
     if entries * _BYTES_PER_ENTRY <= _BATCH_BYTES:
         try:
             buf, scratch = _kept_buffers.pop()
@@ -705,22 +720,22 @@ def _take_buffers(entries: int) -> tuple[np.ndarray, np.ndarray]:
         else:
             if buf.size >= entries:
                 return buf, scratch
-    return np.empty(entries, dtype=complex), np.empty(entries, dtype=complex)
+    return np.empty(entries), np.empty(entries)
 
 
 class _Register:
-    """The run's density tensors over the live wires, one per noise point, with each wire's axes adjacent.
+    """The run's states over the live wires, one per noise point, as real Pauli vectors.
 
-    Each tensor has ``size`` entries, two axes of length 2 per live wire:
-    which wire an axis belongs to is the plan's business, not the
-    register's.  The ``batch`` tensors are the first ``batch * size``
-    entries of ``buf``, point after point; ``buf`` and ``scratch`` are
-    large enough for the plan's peak width, either allocated for the run
-    or the pair kept from an earlier one (see :meth:`release`), and every
-    pass reads one and writes the other.  Every view of them starts with
-    the axes ``lead``: the batch axis, or none for a single point.  A
-    superoperator is either one map for every point or a stack of one per
-    point, which ``matmul`` broadcasts over.
+    Each tensor has ``size`` entries, one axis of length 4 per live wire,
+    its Pauli index: which wire an axis belongs to is the plan's business,
+    not the register's.  The ``batch`` tensors are the first
+    ``batch * size`` entries of ``buf``, point after point; ``buf`` and
+    ``scratch`` are large enough for the plan's peak width, either
+    allocated for the run or the pair kept from an earlier one (see
+    :meth:`release`), and every pass reads one and writes the other.  Every
+    view of them starts with the axes ``lead``: the batch axis, or none for
+    a single point.  A superoperator is either one map for every point or a
+    stack of one per point, which ``matmul`` broadcasts over.
     """
 
     def __init__(self, buffers: tuple[np.ndarray, np.ndarray], batch: int, size: int):
@@ -731,11 +746,24 @@ class _Register:
 
     @classmethod
     def from_pure(cls, amplitudes: np.ndarray, width: int, batch: int) -> "_Register":
-        """``batch`` copies of the pure state ``amplitudes`` on the first wires, in buffers for ``width``."""
+        """``batch`` copies of the pure state ``amplitudes`` on the first wires, in buffers for ``width``.
+
+        The change to the Pauli basis works in the scratch buffer.  When
+        that cannot hold two complex arrays of the input's size (the input
+        spans the full width and the batch holds fewer than four points),
+        the first wire's four Pauli blocks are converted one at a time, so
+        the run never holds more than its buffers.
+        """
         k = amplitudes.shape[0].bit_length() - 1
         buffers = _take_buffers(batch * 4**width)
-        out = buffers[0][: batch * 4**k].reshape((batch,) + (2, 2) * k)
-        np.multiply(amplitudes.reshape((2, 1) * k), amplitudes.conj().reshape((1, 2) * k), out=out)
+        out = buffers[0][: batch * 4**k].reshape(batch, 4, -1)  # by the first wire's Pauli index
+        if 4 ** (k + 1) <= buffers[1].size:
+            pure_to_pauli([(1, amplitudes, amplitudes)], k, buffers[1], out.reshape(batch, -1))
+        else:
+            halves = amplitudes.reshape(2, -1)  # by the first wire's ket
+            for p, row in enumerate(PAULI_T):  # row[2 ket + bra] = Tr(P |ket><bra|)
+                terms = [(t, halves[i // 2], halves[i % 2]) for i, t in enumerate(row) if t]
+                pure_to_pauli(terms, k - 1, buffers[1], out[:, p])
         return cls(buffers, batch, 4**k)
 
     def release(self) -> None:
@@ -745,7 +773,7 @@ class _Register:
         self.buf = self.scratch = None
 
     def join(self, wires: tuple[int, ...], block: np.ndarray) -> None:
-        """Append absent ``wires`` in the state ``block``: their density matrix, each wire's axes paired.
+        """Append absent ``wires`` in the state ``block``, their Pauli vector.
 
         ``block`` is one state for every point or a stack of one per point.
         """
@@ -760,11 +788,15 @@ class _Register:
         self.size *= k
 
     def drop(self, shape: tuple[int, int, int]) -> None:
-        """Trace out the wire whose pair is axis 1 of each tensor viewed as ``shape``."""
-        v = self.buf[: self.batch * self.size].reshape(self.lead + shape)
+        """Trace out the wire at axis 1 of each tensor viewed as ``shape``: keep its I entries.
+
+        A single tensor's first wire needs no copy: its I entries lead.
+        """
+        v = self.buf[: self.batch * self.size].reshape((self.batch,) + shape)
         self.size //= 4
-        out = self.scratch[: self.batch * self.size].reshape(self.lead + (shape[0], shape[2]))
-        np.add(v[..., 0, :], v[..., 3, :], out=out)
+        if self.batch == 1 and shape[0] == 1:
+            return
+        np.copyto(self.scratch[: self.batch * self.size].reshape(self.batch, shape[0], shape[2]), v[:, :, 0])
         self.buf, self.scratch = self.scratch, self.buf
 
     def apply(self, sop: np.ndarray, perm, shape: tuple[int, int, int]) -> None:
@@ -773,7 +805,7 @@ class _Register:
         if perm is None:
             self.buf, self.scratch = self.scratch, self.buf
         else:
-            rank = self.lead + (2,) * len(perm)
+            rank = self.lead + (4,) * len(perm)
             if self.lead:
                 perm = (0, *(a + 1 for a in perm))
             np.copyto(dst.reshape(rank), src.reshape(rank).transpose(perm))
@@ -786,12 +818,21 @@ class _Register:
             shape = self.lead + shape
             np.matmul(sop if sop.ndim == 2 else sop[:, None], src.reshape(shape), out=dst.reshape(shape))
 
-    def einsum(self, subscripts: list[int], out: list[int]) -> np.ndarray:
-        """``np.einsum`` over each tensor's axes, with the batch axis, if any, kept in front."""
-        v = self.buf[: self.batch * self.size].reshape(self.lead + (2,) * (self.size.bit_length() - 1))
-        if self.lead:
-            subscripts, out = [..., *subscripts], [..., *out]
-        return np.einsum(v, subscripts, out)
+    def reduced(self, take: tuple, axes: tuple[int, ...]) -> np.ndarray:
+        """The density matrices of the wires ``take`` keeps, in the order ``axes`` gives, as a (B, d, d) array.
+
+        ``take`` holds a full slice for each live wire kept and 0, its I
+        entry, for each one traced out.  The register is spent, as by
+        :meth:`release`, before the change of basis, which then holds two
+        complex arrays of the output's size.  The result owns its memory
+        and is exactly Hermitian.
+        """
+        v = self.buf[: self.batch * self.size].reshape((self.batch,) + (4,) * len(take))[(slice(None),) + take]
+        c = np.empty((self.batch,) + (4,) * len(axes), dtype=complex)
+        np.copyto(c, v.transpose(0, *(1 + a for a in axes)))
+        del v
+        self.release()
+        return from_pauli(c.reshape(self.batch, -1), len(axes))
 
 
 class _Sampler:
@@ -804,10 +845,14 @@ class _Sampler:
         self.outcomes: dict[str, int] = {}
         self.branch_p = 1.0
 
-    def projection(self, tag: str, pops: np.ndarray, keep: float) -> np.ndarray:
-        """The normalized projection onto the outcome for ``tag``, after the decay owed."""
-        pops = keep * pops + (1.0 - keep) * pops.sum() / 2.0
-        p1 = float(pops[1])
+    def projection(self, tag: str, pauli: np.ndarray, keep: float) -> np.ndarray:
+        """The normalized projection onto the outcome for ``tag``, after the decay owed.
+
+        ``pauli`` is the measured wire's Pauli vector with every other wire traced out.
+        """
+        z = keep * float(pauli[3])
+        pops = ((float(pauli[0]) + z) / 2.0, (float(pauli[0]) - z) / 2.0)
+        p1 = pops[1]
         if tag in self.forced:
             outcome = self.forced[tag]
             if outcome not in (0, 1):
@@ -822,7 +867,7 @@ class _Sampler:
         self.outcomes[tag] = outcome
         self.branch_p *= p_out
         decay = keep * _IDENTITY_1Q + (1.0 - keep) * _DEPOLARIZE_1Q
-        return _PROJECT[outcome] @ decay / float(pops[outcome])
+        return _PROJECT[outcome] @ decay / pops[outcome]
 
 
 def _run(
@@ -842,7 +887,7 @@ def _run(
     sops, coef = _bind(plan, ebit_state, noise, keeps, lead)
     # How many pairs' maps are built together.
     chunk = max(1, _PAIR_MAP_BYTES // (batch * 256 * _BYTES_PER_ENTRY))
-    maps = np.empty((min(chunk, len(coef)), batch, 256), dtype=complex)
+    maps = np.empty((min(chunk, len(coef)), batch, 256))
     reg = _Register.from_pure(input_state.amplitudes, plan.width, batch)
     for kind, a, b, c in plan.steps:
         if kind == _APPLY:
@@ -858,21 +903,16 @@ def _run(
         elif kind == _JOIN:
             reg.join(a, sops[b])
         elif sampler is not None:
-            (tag, settle), (diagonal, wire) = b, c
-            sops[a] = sampler.projection(tag, np.real(reg.einsum(diagonal, [wire])), float(keeps[0, settle]))
-    dim = 1 << plan.n_result
-    out = reg.einsum(*plan.output_einsum).reshape(-1, dim, dim)
-    if np.may_share_memory(out, reg.buf):  # an einsum without a trace may return a view
-        out = out.copy()
-    reg.release()
-    return out
+            tag, settle = b
+            sops[a] = sampler.projection(tag, reg.buf[: reg.size].reshape(c)[0, :, 0], float(keeps[0, settle]))
+    return reg.reduced(plan.output_take, plan.output_axes)
 
 
 def _admit(dc: DistributedCircuit, input_state: PureState, cfg: SimConfig) -> tuple[_Plan, int]:
     """The plan for a run of ``dc`` on ``input_state`` under ``cfg``, and how many points one run may hold.
 
     Raises :class:`EngineError` when the register exceeds the config's cap,
-    when a single point's working set exceeds the free memory, or when the
+    when a single point's memory need exceeds the free memory, or when the
     input does not fit the circuit.  Sampled runs hold one point, since
     each point draws its own outcomes; mixture runs as many as
     ``_BATCH_BYTES`` and the free memory allow.
@@ -882,7 +922,11 @@ def _admit(dc: DistributedCircuit, input_state: PureState, cfg: SimConfig) -> tu
             f"register of {dc.n_total} qubits exceeds the configured cap of {cfg.max_qubits}"
         )
     plan = _plan_for(dc, cfg.durations, cfg.schedule_mode)
-    need, have = _working_set_bytes(plan.width), _available_bytes()
+    # The register, or, once it is freed, the two complex arrays the result
+    # wires' change of basis holds; the second is larger only when the
+    # result wires are every wire the register holds at its widest.
+    need = max(_working_set_bytes(plan.width), 2 * np.dtype(complex).itemsize * 4**plan.n_result)
+    have = _available_bytes()
     if have is not None and need > have:
         raise EngineError(
             f"register of {dc.n_total} qubits holds up to {plan.width} at once and needs "

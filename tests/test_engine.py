@@ -615,9 +615,9 @@ class TestGuards:
             simulate(dc, PureState.zero(2), SimConfig())
 
     def test_working_set_estimate(self):
-        # Register plus equal-sized scratch: the default cap's 14 qubits need 8.6 GB.
-        assert engine._working_set_bytes(14) == 2 * 16 * 4**14
-        assert engine._working_set_bytes(6) == 2 * 16 * 4**6
+        # Register plus equal-sized scratch, 8 bytes per real entry: the default cap's 14 qubits need 4.3 GB.
+        assert engine._working_set_bytes(14) == 2 * 8 * 4**14
+        assert engine._working_set_bytes(6) == 2 * 8 * 4**6
 
     def test_register_too_big_for_free_memory_rejected(self, monkeypatch):
         dc = compile_circuit(remote_cnot(), Scheme.CAT_COMM)  # 6 qubits, at most 4 live at once
@@ -643,8 +643,39 @@ class TestGuards:
         with pytest.raises(EngineError, match="memory"):
             simulate(dc, PureState.zero(10), SimConfig())
 
+    def test_peak_width_admitted_with_half_the_complex_working_set(self, monkeypatch):
+        # 12 live wires of real Pauli vectors, register and scratch: 2 * 8 * 4**12
+        # bytes (0.27 GB), half of what a complex register would take.
+        dc = compile_circuit(parse_qasm("qreg q[10]; cx q[0],q[9];"), Scheme.CAT_COMM)
+        assert dc.n_total == 14 and engine._plan_for(dc, DurationTable(), "sequential").width == 12
+
+        class Admitted(Exception):
+            pass
+
+        def admitted(*args):
+            raise Admitted
+
+        monkeypatch.setattr(engine._Register, "from_pure", admitted)
+        monkeypatch.setattr(engine, "_available_bytes", lambda: 2 * 8 * 4**12)
+        with pytest.raises(Admitted):
+            simulate(dc, PureState.zero(10), SimConfig())
+        monkeypatch.setattr(engine, "_available_bytes", lambda: 2 * 8 * 4**12 - 1)
+        with pytest.raises(EngineError, match="memory"):
+            simulate(dc, PureState.zero(10), SimConfig())
+
+    def test_full_width_output_counted(self, monkeypatch):
+        # A monolithic run's result spans the whole register, so the two complex
+        # arrays its change of basis holds set the need: 2 * 16 * 4**6 bytes.
+        dc = compile_circuit(parse_qasm("qreg q[6]; h q[0]; cx q[0],q[5];"), Scheme.MONOLITHIC)
+        assert engine._plan_for(dc, DurationTable(), "sequential").width == 6
+        monkeypatch.setattr(engine, "_available_bytes", lambda: 2 * 16 * 4**6 - 1)
+        with pytest.raises(EngineError, match="memory"):
+            simulate(dc, PureState.zero(6), SimConfig())
+        monkeypatch.setattr(engine, "_available_bytes", lambda: 2 * 16 * 4**6)
+        assert simulate(dc, PureState.zero(6), SimConfig()).rho_out.n_qubits == 6
+
     def test_wide_register_admitted_by_peak_width(self, monkeypatch):
-        # All 14 wires would need 8.6 GB; the 12 live at once need 0.54 GB.
+        # All 14 wires would need 4.3 GB; the 12 live at once need 0.27 GB.
         dc = compile_circuit(parse_qasm("qreg q[10]; cx q[0],q[9];"), Scheme.CAT_COMM)
         monkeypatch.setattr(engine, "_available_bytes", lambda: 10**9)
 

@@ -98,8 +98,8 @@ class TestBatchedEqualsPerPoint:
     @pytest.mark.parametrize("budget", [1, 3 * 27 * 16**3, 2**30])
     def test_pair_maps_built_one_or_many_at_a_time(self, monkeypatch, budget):
         # For the 27 points: a budget below one pair's maps builds them pass
-        # by pass, the middle one three pairs at a time, a large one all in
-        # one call.
+        # by pass, the middle one six pairs at a time (8-byte entries), a
+        # large one all in one call.
         dc = compile_circuit(experiments.template_circuit("chain-2"), Scheme.TP_SAFE)
         inp = random_input(np.random.default_rng(2), 2)
         expected = list(engine._outputs(dc, inp, SimConfig(), NOISE))
@@ -317,7 +317,7 @@ class TestKeptBuffers:
     """Small register buffers outlive their run, so nothing a run returns may point into them."""
 
     # Under the monolithic scheme the output is the whole one-wire register,
-    # so the output einsum does no trace and could return a view.
+    # so it traces nothing out of the buffers.
     ONE_WIRE = parse_qasm("qreg q[1]; h q[0];")
 
     def kept(self) -> tuple[np.ndarray, np.ndarray]:
@@ -342,7 +342,7 @@ class TestKeptBuffers:
         np.testing.assert_array_equal(alone.rho_out.entries, alone_before)
 
     def test_wide_run_keeps_nothing(self):
-        # 8 live wires: each buffer takes 1 MiB, above the cap, so it is freed with the run.
+        # 8 live wires: each buffer takes 512 KiB, above the cap, so it is freed with the run.
         dc = compile_circuit(parse_qasm("qreg q[6]; cx q[0],q[5];"), Scheme.CAT_COMM)
         assert engine._plan_for(dc, DurationTable(), "sequential").width == 8
         assert engine._working_set_bytes(8) // 2 > engine._BATCH_BYTES
