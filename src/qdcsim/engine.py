@@ -57,8 +57,12 @@ When each takes at most ``_BATCH_BYTES`` the pair is kept after the run
 and the next run that fits reuses it, so a paper-scale batch writes into
 memory already mapped; wider runs allocate and free their own, and leave
 nothing resident.  Every pass is one matrix product between
-them, preceded by a transposing copy only when the pass's wires are not
-already adjacent at the front, just after the first wire, or at the back.
+them, on the tensor viewed as (before, rows, after) around the pass's
+wires.  It is preceded by a transposing copy to the front only when those
+wires are not adjacent, or when a 1-wire map has exactly one wire after it
+and three or more before: there ``matmul`` would make 64 or more 4 x 4
+products per point, which cost more than the copy.  A joining wire goes
+to the front, so the next pass on a fresh wire usually finds it there.
 A noise-free map (a 1-qubit gate, a fresh |0>) is one superoperator shared
 by the batch; a noisy one (a settled 2-wire or 1-wire map, the Werner
 pair) is a stack with one map per point, which ``matmul`` broadcasts over.
@@ -438,7 +442,8 @@ def _available_bytes() -> int | None:
 #       built from its terms at the latest just before the pass.
 #   (_DROP, shape, -, -): trace out the wire whose Pauli index is axis 1 of
 #       the tensor viewed as shape (before, 4, after).
-#   (_JOIN, wires, slot, -): append ``wires`` in the state sops[slot].
+#   (_JOIN, wires, slot, -): put ``wires`` at the front of the tensor, in
+#       the state sops[slot].
 #   (_MEASURE, slot, (tag, settle), shape): in sampled mode, draw the outcome
 #       of the wire at axis 1 of the tensor viewed as shape (before, 4, after)
 #       and put its projection in sops[slot] for the next step.
@@ -466,9 +471,11 @@ class _Plan:
     - ``telemetry``, ``resources`` and ``elapsed``, the same for every run;
     - ``width``: the most wires the tensor ever holds at once.
 
-    A pass needs no copy when its wires are adjacent at the front of the
-    tensor, right after the first wire, or at the back; otherwise one copy
-    moves them to the front.
+    A join puts its wires at the front of ``order``.  A pass on adjacent
+    wires runs in place, on the tensor viewed as (before, rows, after);
+    one copy first moves the wires to the front when they are not
+    adjacent, or when a 1-wire map has one wire after it and three or more
+    before, where ``matmul`` would run one 4 x 4 product per 4 entries.
     """
 
     def __init__(self, dc: DistributedCircuit, durations: DurationTable, schedule_mode: str):
@@ -536,7 +543,7 @@ class _Plan:
 
     def _join(self, wires: tuple[int, ...], slot: int) -> None:
         self.steps.append((_JOIN, wires, slot, None))
-        self.order += wires
+        self.order = list(wires) + self.order
         self.width = max(self.width, len(self.order))
 
     def _hold(self, wires: tuple[int, ...]) -> None:
@@ -555,7 +562,7 @@ class _Plan:
         self._hold(wires)
         lo, m, k = min(map(self.order.index, wires)), len(self.order), len(wires)
         perm = None
-        if set(self.order[lo : lo + k]) != set(wires) or 1 < lo < m - k:
+        if set(self.order[lo : lo + k]) != set(wires) or (k == 1 and lo >= 3 and m - lo == 2):
             old, lo = self.order, 0
             self.order = list(wires) + [w for w in old if w not in wires]
             perm = tuple(old.index(w) for w in self.order)
@@ -773,16 +780,18 @@ class _Register:
         self.buf = self.scratch = None
 
     def join(self, wires: tuple[int, ...], block: np.ndarray) -> None:
-        """Append absent ``wires`` in the state ``block``, their Pauli vector.
+        """Put absent ``wires`` at the front of each tensor, in the state ``block``, their Pauli vector.
 
         ``block`` is one state for every point or a stack of one per point.
+        With the new axes leading, the product is one contiguous pass:
+        numpy's inner loop runs over the whole tensor, not over ``block``.
         """
         k = 4 ** len(wires)
         n = self.batch * self.size
         np.multiply(
-            self.buf[:n].reshape(self.batch, self.size, 1),
-            block.reshape(-1, 1, k),
-            out=self.scratch[: n * k].reshape(self.batch, self.size, k),
+            block.reshape(-1, k, 1),
+            self.buf[:n].reshape(self.batch, 1, self.size),
+            out=self.scratch[: n * k].reshape(self.batch, k, self.size),
         )
         self.buf, self.scratch = self.scratch, self.buf
         self.size *= k
@@ -855,8 +864,6 @@ class _Sampler:
         p1 = pops[1]
         if tag in self.forced:
             outcome = self.forced[tag]
-            if outcome not in (0, 1):
-                raise EngineError(f"forced outcome for '{tag}' must be 0 or 1")
         else:
             if self.rng is None:
                 self.rng = np.random.default_rng(self.seed)
@@ -1091,6 +1098,19 @@ def _outputs(dc: DistributedCircuit, input_state: PureState, cfg: SimConfig, noi
         yield _run(plan, input_state, noise[start : start + batch], cfg.ebit_state, sampler)
 
 
+def _check_forced(plan: _Plan, forced: dict[str, int]) -> None:
+    """Raise :class:`EngineError` unless every forced tag is one the plan measures, pinned to 0 or 1."""
+    unknown = [repr(tag) for tag in forced if tag not in plan.tag_qubit]
+    bad = [f"{tag!r}: {value!r}" for tag, value in forced.items() if value not in (0, 1)]
+    problems = []
+    if unknown:
+        problems.append("tags the program never measures: " + ", ".join(unknown))
+    if bad:
+        problems.append("values other than 0 or 1: " + ", ".join(bad))
+    if problems:
+        raise EngineError("invalid forced outcomes: " + "; ".join(problems))
+
+
 def simulate(
     dc: DistributedCircuit,
     input_state: PureState,
@@ -1109,6 +1129,8 @@ def simulate(
     if forced_outcomes and cfg.measurement_mode != "sampled":
         raise EngineError("forced outcomes require measurement_mode='sampled'")
     plan, _ = _admit(dc, input_state, cfg)
+    if forced_outcomes:
+        _check_forced(plan, forced_outcomes)
     sampler = _Sampler(cfg.seed, forced_outcomes) if cfg.measurement_mode == "sampled" else None
     noise = np.array([(cfg.werner.f_w, cfg.gate_err.eps_cnot, cfg.memory.r)])
     return SimResult(

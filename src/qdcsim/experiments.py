@@ -337,6 +337,20 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _texts(cells: tuple) -> list[str]:
+    """``_fmt`` of each cell, as one ``%`` operation over all of them.
+
+    ``%.12g`` gives a float the text of ``f"{v:.12g}"``, -0.0, +-inf and
+    nan included, ``%s`` gives any other cell its ``str``, and None's spec,
+    ``n/a``, takes no argument.  A cell whose text holds a newline would
+    split in two; then each cell is formatted alone.
+    """
+    specs = {k: "%.12g" if issubclass(k, float) else "n/a" if k is type(None) else "%s" for k in set(map(type, cells))}
+    args = cells if type(None) not in specs else tuple(v for v in cells if v is not None)
+    text = ("\n".join(map(specs.__getitem__, map(type, cells))) % args).split("\n")
+    return text if len(text) == len(cells) else list(map(_fmt, cells))
+
+
 def _column_text(column: tuple) -> list[str]:
     """``_fmt`` of each cell, worked out once per distinct object.
 
@@ -345,7 +359,9 @@ def _column_text(column: tuple) -> list[str]:
     no id is reused while the keys are read.
     """
     distinct = dict(zip(map(id, column), column))
-    text = dict(zip(distinct, map(_fmt, distinct.values())))
+    if len(distinct) == len(column):
+        return _texts(column)
+    text = dict(zip(distinct, _texts(tuple(distinct.values()))))
     return list(map(text.__getitem__, map(id, column)))
 
 

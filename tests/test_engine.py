@@ -347,6 +347,30 @@ class TestMeasurementModes:
         with pytest.raises(EngineError, match="sampled"):
             simulate(dc, plus_zero(), SimConfig(), forced_outcomes={"m0": 0})
 
+    @pytest.mark.parametrize(
+        "forced,named",
+        [
+            ({"bogus": 1}, ["'bogus'"]),
+            ({"m0": 0, "bogus": 2}, ["'bogus'", "'bogus': 2"]),
+            ({"m0": 2, "m1": -1}, ["'m0': 2", "'m1': -1"]),
+            ({"m0": 1, "m1": 0, "x": 0, "y": 1}, ["'x'", "'y'"]),
+        ],
+    )
+    def test_invalid_forced_outcomes_rejected_before_any_step(self, monkeypatch, forced, named):
+        dc = compile_circuit(remote_cnot(), Scheme.CAT_COMM)
+        simulate(dc, plus_zero(), SimConfig())  # the plan exists; only the run is refused
+
+        def no_run(*args):
+            raise AssertionError("a step ran")
+
+        monkeypatch.setattr(engine, "_run", no_run)
+        with pytest.raises(EngineError) as err:
+            simulate(dc, plus_zero(), SimConfig(measurement_mode="sampled", seed=0), forced_outcomes=forced)
+        for name in named:
+            assert name in str(err.value)
+        assert ("never measures" in str(err.value)) == any(tag not in ("m0", "m1") for tag in forced)
+        assert ("other than 0 or 1" in str(err.value)) == any(v not in (0, 1) for v in forced.values())
+
     def test_zero_probability_branch_rejected(self):
         # A qubit resting in |0> cannot read 1; forcing that branch must fail
         # loudly instead of renormalizing a zero state.
@@ -422,6 +446,50 @@ class TestLiveWires:
             simulate(dc, random_input(np.random.default_rng(5), circuit.n_qubits), cfg)
             assert widths, f"{scheme.value}: no wire joined"
             assert max(widths) <= widest < dc.n_total, f"{scheme.value}: {max(widths)} wires held"
+
+
+class TestLayout:
+    """Where a plan keeps each wire: a join puts it at the front, and a pass runs in place where it can."""
+
+    @staticmethod
+    def copies(dc):
+        plan = engine._Plan(dc, DurationTable(), "sequential")
+        return sum(1 for kind, _, perm, _ in plan.steps if kind in (engine._APPLY, engine._PAIR) and perm is not None)
+
+    @pytest.mark.parametrize(
+        "source,scheme,most",
+        [
+            (TestLiveWires.SIX_QUBITS, Scheme.CAT_COMM, 11),
+            (TestLiveWires.SIX_QUBITS, Scheme.TP_SAFE, 15),
+            ("qreg q[2]; cx q[0],q[1];", Scheme.CAT_COMM, 1),
+            ("qreg q[2]; cx q[0],q[1];", Scheme.ONE_TP, 2),
+            ("qreg q[2]; cx q[0],q[1];", Scheme.TWO_TP, 3),
+            ("qreg q[2]; cx q[0],q[1];", Scheme.TP_SAFE, 3),
+        ],
+        ids=lambda v: v.value if isinstance(v, Scheme) else None,
+    )
+    def test_transposing_copies_bounded(self, source, scheme, most):
+        assert self.copies(compile_circuit(parse_qasm(source), scheme)) <= most
+
+    def test_ebit_install_leaves_its_pair_at_the_front(self, monkeypatch):
+        seen = []
+        install = engine._Plan.install_ebit
+
+        def spy(plan, ev):
+            install(plan, ev)
+            seen.append((plan.order[:2], [ev.qubit_a, ev.qubit_b]))
+
+        monkeypatch.setattr(engine._Plan, "install_ebit", spy)
+        for source in ("qreg q[2]; cx q[0],q[1];", TestLiveWires.SIX_QUBITS):
+            for scheme in REMOTE:
+                try:
+                    dc = compile_circuit(parse_qasm(source), scheme)
+                except SchemeInapplicableError:
+                    continue
+                engine._Plan(dc, DurationTable(), "sequential")
+        assert len(seen) >= 8
+        for front, pair in seen:
+            assert front == pair
 
 
 class TestPlanCache:

@@ -251,3 +251,63 @@ def test_absent_wires_match_eager_reference(program, schedule, r):
     tags = [ev.tag for ev in events if isinstance(ev, Measure)]
     for bits in itertools.product((0, 1), repeat=len(tags)):
         _agree(dc, inp, sampled, dict(zip(tags, bits)))
+
+
+# Passes that land mid-register with two or more wires after them run in
+# place, on the tensor viewed as (before, rows, after).  Wires 0-3 are data
+# qubits; the pair 4, 5 joins at the front, so the data wires' passes sit
+# behind it.
+MID_REGISTER_EVENTS = (
+    _gate("h", 1), EbitRequest(4, 5), _gate("t", 0), _gate("cx", 0, 1), _gate("cx", 1, 0), _gate("cx", 5, 0),
+    Measure(5, "m0"), ConditionalCorrection("x", 0, "m0"), Reinit(5), _gate("h", 2), _gate("cx", 1, 2),
+    Measure(4, "m1"), ConditionalCorrection("z", 1, "m1"), Reinit(4),
+    LocalGate(Gate("ry", (1,), (0.7,))),
+)
+MID_REGISTER_NOISE = ((0.94, 0.004, 0.055), (0.9, 0.03, 20.0), (0.97, 0.01, 3.0))
+
+
+def _mid_register_program():
+    placement = tuple(QubitRef(i, Role.PROCESSING, Site.QPU_A if i < 2 else Site.QPU_B) for i in range(4)) + (
+        QubitRef(4, Role.COMMUNICATION, Site.QPU_A),
+        QubitRef(5, Role.COMMUNICATION, Site.QPU_B),
+    )
+    return DistributedCircuit(
+        source=Circuit(4, (), name="mid-register"),
+        scheme=Scheme.CAT_COMM,
+        placement=placement,
+        events=MID_REGISTER_EVENTS,
+        result_wires=(0, 1, 2, 3),
+    )
+
+
+def _noise_config(row, **kw):
+    f_w, eps, r = row
+    return SimConfig(werner=WernerParam(f_w), gate_err=GateErrorParam(eps), memory=MemoryParam(r), **kw)
+
+
+@pytest.mark.parametrize("schedule", ["sequential", "layered"])
+def test_in_place_passes_match_eager_reference(schedule):
+    dc = _mid_register_program()
+    plan = engine._Plan(dc, engine.DurationTable(), schedule)
+    in_place = {
+        shape[1]  # rows: 4 for a 1-wire map, 16 for a 2-wire one
+        for kind, _, perm, shape in plan.steps
+        if kind in (engine._APPLY, engine._PAIR) and perm is None and shape[0] > 1 and shape[2] >= 16
+    }
+    assert in_place == {4, 16}, "both a 1-wire and a 2-wire pass must run in place mid-register"
+    rng = np.random.default_rng(11)
+    amp = rng.normal(size=16) + 1j * rng.normal(size=16)
+    inp = PureState(amp / np.linalg.norm(amp))
+    # One point per run.
+    for row in MID_REGISTER_NOISE:
+        _agree(dc, inp, _noise_config(row, schedule_mode=schedule))
+        for bits in itertools.product((0, 1), repeat=2):
+            _agree(dc, inp, _noise_config(row, schedule_mode=schedule, measurement_mode="sampled"),
+                   {"m0": bits[0], "m1": bits[1]})
+    # Every point in one batch, each with its own settled maps and Werner pair.
+    cfg = SimConfig(schedule_mode=schedule)
+    assert engine._admit(dc, inp, cfg)[1] >= len(MID_REGISTER_NOISE)
+    (got,) = engine._outputs(dc, inp, cfg, np.array(MID_REGISTER_NOISE))
+    for out, row in zip(got, MID_REGISTER_NOISE):
+        want, _ = reference_simulate(dc, inp, _noise_config(row, schedule_mode=schedule))
+        np.testing.assert_allclose(out, want.entries, atol=TOL, rtol=0.0)
