@@ -21,8 +21,6 @@ from .channels import (
     GateErrorParam,
     MemoryParam,
     WernerParam,
-    memory_depol,
-    noisy_cnot,
     werner_state,
 )
 from .compiler import (
@@ -70,16 +68,13 @@ from .states import (
     QubitRef,
     Role,
     Site,
-    apply_gate,
-    apply_unitary,
     bell_state,
     fidelity_general,
     fidelity_pure,
     maximally_mixed,
-    partial_trace,
 )
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 __all__ = [
     "ApproxKind",
@@ -112,8 +107,6 @@ __all__ = [
     "SweepRow",
     "TelemetryRow",
     "WernerParam",
-    "apply_gate",
-    "apply_unitary",
     "bell_state",
     "build_input_state",
     "compare_csv",
@@ -131,13 +124,10 @@ __all__ = [
     "load_spec",
     "lower_to_basis",
     "maximally_mixed",
-    "memory_depol",
-    "noisy_cnot",
     "oracle_1tp",
     "oracle_cat",
     "oracle_cat_cnot",
     "parse_qasm",
-    "partial_trace",
     "partition_qubits",
     "run_compare",
     "run_sweep",

@@ -67,14 +67,8 @@ _SWEEPS = {
 
 # Flags that a --spec file also sets, by their argparse names.  Their parser
 # defaults are None, so one given next to --spec shows; without --spec, an
-# unset one takes its value here, if any.
+# unset one is left out of the spec mapping, which supplies its default.
 _SPEC_FLAGS = ("grid", "scheme", "circuit", "profile", "schedule_mode", "measurement_mode", "seed")
-_FLAG_DEFAULTS = {
-    "circuit": "remote-cnot",
-    "profile": "soa",
-    "schedule_mode": "sequential",
-    "measurement_mode": "mixture",
-}
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -161,13 +155,11 @@ def _spec_from_args(args, allowed_axes, default_grid) -> ExperimentSpec:
             )
         return spec_from_mapping(data)
     data = _parse_grid_flags(args.grid or default_grid, allowed_axes)
-    for dest, default in _FLAG_DEFAULTS.items():
-        value = getattr(args, dest)
-        data[dest] = default if value is None else value
+    for dest in ("circuit", "profile", "schedule_mode", "measurement_mode", "seed"):
+        if getattr(args, dest) is not None:
+            data[dest] = getattr(args, dest)
     if args.scheme:
         data["schemes"] = ",".join(args.scheme)
-    if args.seed is not None:
-        data["seed"] = args.seed
     return spec_from_mapping(data)
 
 
@@ -175,8 +167,11 @@ def _write(path: str, text: str) -> None:
     if path == "-":
         sys.stdout.write(text)
         return
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ExperimentError(f"cannot write output file '{path}': {exc}") from exc
 
 
 def _cmd_compile(args) -> int:

@@ -53,15 +53,13 @@ keeps I alone and dephasing keeps I and Z.
 A run holds a batch of noise points of one program and one input: B
 state tensors stacked on a leading axis, in one real buffer and an equal
 scratch buffer, both sized for B tensors at the plan's peak live width.
-When each takes at most ``_BATCH_BYTES`` the pair is kept after the run
-and the next run that fits reuses it, so a paper-scale batch writes into
-memory already mapped; wider runs allocate and free their own, and leave
-nothing resident.  Every pass is one matrix product between
-them, on the tensor viewed as (before, rows, after) around the pass's
-wires.  It is preceded by a transposing copy to the front only when those
-wires are not adjacent, or when a 1-wire map has exactly one wire after it
-and three or more before: there ``matmul`` would make 64 or more 4 x 4
-products per point, which cost more than the copy.  A joining wire goes
+The run allocates the pair when it starts and frees it when it ends, so
+nothing outlives a run but its outputs.  Every pass is one matrix product
+between them, on the tensor viewed as (before, rows, after) around the
+pass's wires.  It is preceded by a transposing copy to the front only when
+those wires are not adjacent, or when a 1-wire map has exactly one wire
+after it and three or more before: there ``matmul`` would make 64 or more
+4 x 4 products per point, which cost more than the copy.  A joining wire goes
 to the front, so the next pass on a fresh wire usually finds it there.
 A noise-free map (a 1-qubit gate, a fresh |0>) is one superoperator shared
 by the batch; a noisy one (a settled 2-wire or 1-wire map, the Werner
@@ -87,8 +85,6 @@ in a product with the rest: communication qubits before their first use,
 and every wire after its ``Reinit``.  Such a wire joins the tensor as |0>
 when an event touches it; an ebit install traces its two targets out and
 joins the pair in the Werner state, and ``Reinit`` traces its wire out.
-Every output a run returns owns its memory: it shares none with the
-register's buffers, which a later run may overwrite.
 
 Memory decay is kept in a ledger of idle seconds per wire instead of being
 applied after every event.  This is exact, not an approximation:
@@ -416,7 +412,7 @@ _BYTES_PER_ENTRY = np.dtype(float).itemsize
 def _working_set_bytes(n_qubits: int) -> int:
     """Bytes a run on ``n_qubits`` live wires holds: the register and the kernel's equal-sized scratch.
 
-    A run takes both buffers once, at its plan's peak live width, so no
+    A run allocates both buffers once, at its plan's peak live width, so no
     join grows them.
     """
     return 2 * _BYTES_PER_ENTRY * 4**n_qubits
@@ -694,40 +690,16 @@ def _bind(
 
 # The most bytes one run's two buffers may take for a batch of noise points:
 # 64 points at the paper's 4 live wires (4 KiB each), one point from 7 live
-# wires up.
-# Past a few dozen points the dispatch per pass is already shared, so a
-# larger batch buys little speed for its memory.  It only sets how many
-# points share a tensor; a point that does not fit alone is refused by the
-# free-memory check as before.  Register buffers of at most this many bytes
-# each are kept between runs (``_kept_buffers``).
+# wires up.  It only caps the batch: past a few dozen points the dispatch
+# per pass is already shared, so a larger batch buys little speed for its
+# memory, and a point that does not fit alone is refused by the free-memory
+# check.
 _BATCH_BYTES = 2**18
 
 # The most bytes of settled 2-wire maps a run builds at once: a run of one
 # point builds the maps of up to 16 pairs in one call, a batch of 16 points
 # or more builds each pair's maps just before its pass.
 _PAIR_MAP_BYTES = 2**15
-
-
-# The register buffers of a finished run, when each takes at most
-# _BATCH_BYTES: the next run that fits in them takes them instead of
-# allocating its own, and gives them back when it ends.  A paper-scale
-# batch thus writes into memory already mapped; a wider run allocates and
-# frees its buffers, so it leaves nothing resident.  Taking is a pop, so
-# runs in two threads never hold the same pair.
-_kept_buffers: list[tuple[np.ndarray, np.ndarray]] = []
-
-
-def _take_buffers(entries: int) -> tuple[np.ndarray, np.ndarray]:
-    """Two buffers of at least ``entries`` real entries each: the kept pair when it may serve."""
-    if entries * _BYTES_PER_ENTRY <= _BATCH_BYTES:
-        try:
-            buf, scratch = _kept_buffers.pop()
-        except IndexError:
-            pass
-        else:
-            if buf.size >= entries:
-                return buf, scratch
-    return np.empty(entries), np.empty(entries)
 
 
 class _Register:
@@ -737,16 +709,15 @@ class _Register:
     its Pauli index: which wire an axis belongs to is the plan's business,
     not the register's.  The ``batch`` tensors are the first
     ``batch * size`` entries of ``buf``, point after point; ``buf`` and
-    ``scratch`` are large enough for the plan's peak width, either
-    allocated for the run or the pair kept from an earlier one (see
-    :meth:`release`), and every pass reads one and writes the other.  Every
-    view of them starts with the axes ``lead``: the batch axis, or none for
-    a single point.  A superoperator is either one map for every point or a
+    ``scratch`` are allocated for the run, large enough for the plan's peak
+    width, and every pass reads one and writes the other.  Every view of
+    them starts with the axes ``lead``: the batch axis, or none for a
+    single point.  A superoperator is either one map for every point or a
     stack of one per point, which ``matmul`` broadcasts over.
     """
 
-    def __init__(self, buffers: tuple[np.ndarray, np.ndarray], batch: int, size: int):
-        self.buf, self.scratch = buffers
+    def __init__(self, buf: np.ndarray, scratch: np.ndarray, batch: int, size: int):
+        self.buf, self.scratch = buf, scratch
         self.batch = batch
         self.lead = (batch,) if batch > 1 else ()
         self.size = size
@@ -762,22 +733,16 @@ class _Register:
         the run never holds more than its buffers.
         """
         k = amplitudes.shape[0].bit_length() - 1
-        buffers = _take_buffers(batch * 4**width)
-        out = buffers[0][: batch * 4**k].reshape(batch, 4, -1)  # by the first wire's Pauli index
-        if 4 ** (k + 1) <= buffers[1].size:
-            pure_to_pauli([(1, amplitudes, amplitudes)], k, buffers[1], out.reshape(batch, -1))
+        buf, scratch = np.empty(batch * 4**width), np.empty(batch * 4**width)
+        out = buf[: batch * 4**k].reshape(batch, 4, -1)  # by the first wire's Pauli index
+        if 4 ** (k + 1) <= scratch.size:
+            pure_to_pauli([(1, amplitudes, amplitudes)], k, scratch, out.reshape(batch, -1))
         else:
             halves = amplitudes.reshape(2, -1)  # by the first wire's ket
             for p, row in enumerate(PAULI_T):  # row[2 ket + bra] = Tr(P |ket><bra|)
                 terms = [(t, halves[i // 2], halves[i % 2]) for i, t in enumerate(row) if t]
-                pure_to_pauli(terms, k - 1, buffers[1], out[:, p])
-        return cls(buffers, batch, 4**k)
-
-    def release(self) -> None:
-        """Keep the buffers for the next run if each takes at most ``_BATCH_BYTES``; the register is spent."""
-        if self.buf.nbytes <= _BATCH_BYTES:
-            _kept_buffers[:] = [(self.buf, self.scratch)]
-        self.buf = self.scratch = None
+                pure_to_pauli(terms, k - 1, scratch, out[:, p])
+        return cls(buf, scratch, batch, 4**k)
 
     def join(self, wires: tuple[int, ...], block: np.ndarray) -> None:
         """Put absent ``wires`` at the front of each tensor, in the state ``block``, their Pauli vector.
@@ -831,16 +796,15 @@ class _Register:
         """The density matrices of the wires ``take`` keeps, in the order ``axes`` gives, as a (B, d, d) array.
 
         ``take`` holds a full slice for each live wire kept and 0, its I
-        entry, for each one traced out.  The register is spent, as by
-        :meth:`release`, before the change of basis, which then holds two
-        complex arrays of the output's size.  The result owns its memory
-        and is exactly Hermitian.
+        entry, for each one traced out.  The register drops its buffers, and
+        is spent, before the change of basis, which then holds two complex
+        arrays of the output's size.  The result is exactly Hermitian.
         """
         v = self.buf[: self.batch * self.size].reshape((self.batch,) + (4,) * len(take))[(slice(None),) + take]
         c = np.empty((self.batch,) + (4,) * len(axes), dtype=complex)
         np.copyto(c, v.transpose(0, *(1 + a for a in axes)))
         del v
-        self.release()
+        self.buf = self.scratch = None
         return from_pauli(c.reshape(self.batch, -1), len(axes))
 
 
@@ -884,9 +848,8 @@ def _run(
 
     ``noise`` holds one ``(f_w, eps_cnot, r)`` row per point, and
     ``ebit_state``, when given, replaces every point's Werner pair.  A
-    sampled run (``sampler`` given) holds a single point.  The outputs own
-    their memory: they never alias the register's buffers, which the next
-    run may take over.
+    sampled run (``sampler`` given) holds a single point.  The register is
+    allocated here and freed on return.
     """
     batch = len(noise)
     lead = (batch,) if batch > 1 else ()
@@ -919,15 +882,20 @@ def _admit(dc: DistributedCircuit, input_state: PureState, cfg: SimConfig) -> tu
     """The plan for a run of ``dc`` on ``input_state`` under ``cfg``, and how many points one run may hold.
 
     Raises :class:`EngineError` when the register exceeds the config's cap,
-    when a single point's memory need exceeds the free memory, or when the
-    input does not fit the circuit.  Sampled runs hold one point, since
-    each point draws its own outcomes; mixture runs as many as
-    ``_BATCH_BYTES`` and the free memory allow.
+    when the input does not fit the circuit, or when a single point's memory
+    need exceeds the free memory, checked in that order.  Sampled runs hold
+    one point, since each point draws its own outcomes; mixture runs as many
+    as ``_BATCH_BYTES`` and the free memory allow.
     """
     if dc.n_total > cfg.max_qubits:
         raise EngineError(
             f"register of {dc.n_total} qubits exceeds the configured cap of {cfg.max_qubits}"
         )
+    if input_state.n_qubits != dc.n_processing:
+        raise EngineError(
+            f"input covers {input_state.n_qubits} qubits, circuit has {dc.n_processing}"
+        )
+    input_state.validate()
     plan = _plan_for(dc, cfg.durations, cfg.schedule_mode)
     # The register, or, once it is freed, the two complex arrays the result
     # wires' change of basis holds; the second is larger only when the
@@ -939,11 +907,6 @@ def _admit(dc: DistributedCircuit, input_state: PureState, cfg: SimConfig) -> tu
             f"register of {dc.n_total} qubits holds up to {plan.width} at once and needs "
             f"{need / 1e9:.3g} GB, but only {have / 1e9:.3g} GB of memory is free"
         )
-    if input_state.n_qubits != dc.n_processing:
-        raise EngineError(
-            f"input covers {input_state.n_qubits} qubits, circuit has {dc.n_processing}"
-        )
-    input_state.validate()
     if cfg.measurement_mode == "sampled":
         return plan, 1
     budget = _BATCH_BYTES if have is None else min(_BATCH_BYTES, have)

@@ -163,8 +163,12 @@ def load_circuit(source: str) -> Circuit:
             if isinstance(exc, _UnknownTemplate):
                 raise ExperimentError(f"circuit '{source}' is neither a template nor a file") from None
             raise
-    with open(source, encoding="utf-8") as fh:
-        return parse_qasm(fh.read(), name=os.path.basename(source))
+    try:
+        with open(source, encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise ExperimentError(f"cannot read circuit file '{source}': {exc}") from exc
+    return parse_qasm(text, name=os.path.basename(source))
 
 
 @dataclass(frozen=True)

@@ -580,3 +580,29 @@ class TestCliErrorRanges:
         with pytest.raises(ValueError) as info:
             ExperimentSpec(**{axis: (0.5, value)})
         assert str(info.value) == message
+
+
+class TestCliFileErrors:
+    """A file the CLI cannot read or write ends in a one-line error and exit 1, not a traceback."""
+
+    @staticmethod
+    def one_line_error(capsys, *words) -> None:
+        err = capsys.readouterr().err
+        assert err.startswith("qdcsim: error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+        for word in words:
+            assert word in err
+
+    def test_sweep_out_in_missing_directory(self, tmp_path, capsys):
+        path = tmp_path / "missing" / "x.csv"
+        assert main(["sweep", "--scheme", "cat", "--out", str(path)]) == 1
+        self.one_line_error(capsys, "cannot write output file", str(path))
+
+    def test_compile_out_in_missing_directory(self, tmp_path, capsys):
+        path = tmp_path / "missing" / "x.json"
+        assert main(["compile", "remote-cnot", "--out", str(path)]) == 1
+        self.one_line_error(capsys, "cannot write output file", str(path))
+
+    def test_circuit_is_a_directory(self, tmp_path, capsys):
+        assert main(["sweep", "--circuit", str(tmp_path)]) == 1
+        self.one_line_error(capsys, "cannot read circuit file", str(tmp_path))

@@ -767,6 +767,21 @@ class TestGuards:
         with pytest.raises(ValueError, match="norm"):
             simulate(dc, PureState([1.0, 1.0, 0.0, 0.0]), SimConfig())
 
+    def test_input_errors_come_before_the_memory_check(self, monkeypatch):
+        # With almost no memory free, a wrong input still gets its own message.
+        dc = compile_circuit(parse_qasm("qreg q[10]; cx q[0],q[9];"), Scheme.CAT_COMM)
+        monkeypatch.setattr(engine, "_available_bytes", lambda: 10**6)
+        with pytest.raises(EngineError, match="memory"):
+            simulate(dc, PureState.zero(10), SimConfig())
+        with pytest.raises(EngineError, match="input covers 3 qubits, circuit has 10"):
+            simulate(dc, PureState.zero(3), SimConfig())
+        unnormalized = np.zeros(1 << 10, dtype=complex)
+        unnormalized[:2] = 1.0
+        with pytest.raises(ValueError, match="norm"):
+            simulate(dc, PureState(unnormalized), SimConfig())
+        with pytest.raises(EngineError, match="input covers 3 qubits"):
+            next(engine._outputs(dc, PureState.zero(3), SimConfig(), np.array([[1.0, 0.0, 0.0]])))
+
     def test_config_validation(self):
         with pytest.raises(ValueError, match="measurement_mode"):
             SimConfig(measurement_mode="exact")

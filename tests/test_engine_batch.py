@@ -9,6 +9,7 @@ DIRECT_NOISE has at most degree + 1 values on each of those axes.
 import itertools
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -313,47 +314,42 @@ class TestBatchAdmission:
         assert info.value.args == (12, 1)
 
 
-class TestKeptBuffers:
-    """Small register buffers outlive their run, so nothing a run returns may point into them."""
+class TestRunKeepsNothing:
+    """A run allocates its register and frees it on return: nothing but its outputs outlives it."""
 
     # Under the monolithic scheme the output is the whole one-wire register,
     # so it traces nothing out of the buffers.
     ONE_WIRE = parse_qasm("qreg q[1]; h q[0];")
 
-    def kept(self) -> tuple[np.ndarray, np.ndarray]:
-        (pair,) = engine._kept_buffers
-        return pair
-
-    def shares_kept_memory(self, array: np.ndarray) -> bool:
-        return any(np.shares_memory(array, buf) for buf in self.kept())
-
-    def test_outputs_never_alias_the_kept_buffers(self):
+    def test_outputs_unchanged_by_a_later_run(self):
         dc = compile_circuit(self.ONE_WIRE, Scheme.MONOLITHIC)
         (first,) = engine._outputs(dc, PureState.zero(1), SimConfig(), NOISE)
-        assert not self.shares_kept_memory(first)
         alone = simulate(dc, PureState.zero(1), SimConfig(memory=MemoryParam(30.0)))
-        assert not self.shares_kept_memory(alone.rho_out.entries)
-        # A later run on another input writes through the same buffers.
         before, alone_before = first.copy(), alone.rho_out.entries.copy()
         (later,) = engine._outputs(dc, PureState(np.array([0.0, 1.0], dtype=complex)), SimConfig(), NOISE)
-        assert not self.shares_kept_memory(later)
+        assert not np.shares_memory(later, first)
         assert not np.array_equal(later, before)
         np.testing.assert_array_equal(first, before)
         np.testing.assert_array_equal(alone.rho_out.entries, alone_before)
 
-    def test_wide_run_keeps_nothing(self):
-        # 8 live wires: each buffer takes 512 KiB, above the cap, so it is freed with the run.
-        dc = compile_circuit(parse_qasm("qreg q[6]; cx q[0],q[5];"), Scheme.CAT_COMM)
-        assert engine._plan_for(dc, DurationTable(), "sequential").width == 8
-        assert engine._working_set_bytes(8) // 2 > engine._BATCH_BYTES
-        small = compile_circuit(self.ONE_WIRE, Scheme.MONOLITHIC)
-        list(engine._outputs(small, PureState.zero(1), SimConfig(), NOISE[:1]))
-        kept = self.kept()
-        simulate(dc, PureState.zero(6))
-        assert self.kept() is kept
+    def test_run_allocates_and_frees_its_register(self):
+        # 7 live wires at the peak: each of the run's two buffers takes 4**7 * 8 bytes (128 KiB).
+        dc = compile_circuit(parse_qasm("qreg q[5]; cx q[0],q[4];"), Scheme.CAT_COMM)
+        assert engine._plan_for(dc, DurationTable(), "sequential").width == 7
+        simulate(dc, PureState.zero(5))  # builds the plan and its pair terms
+        tracemalloc.start()
+        try:
+            result = simulate(dc, PureState.zero(5))
+            _, peak = tracemalloc.get_traced_memory()
+            del result
+            left, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak >= 2 * 4**7 * 8
+        assert left < 4096
 
     def test_concurrent_runs_never_share_buffers(self):
-        # A run pops the kept pair, so runs in other threads allocate their own.
+        # Each run allocates its own register, so runs in other threads share none of it.
         dc = compile_circuit(experiments.template_circuit("chain-2"), Scheme.ONE_TP)
         inputs = [random_input(np.random.default_rng(seed), 2) for seed in range(6)]
         want = [np.concatenate(list(engine._outputs(dc, inp, SimConfig(), NOISE))) for inp in inputs]
