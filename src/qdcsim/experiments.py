@@ -491,6 +491,9 @@ def spec_from_mapping(data: dict) -> ExperimentSpec:
     seed = data.get("seed")
     if seed is not None:
         try:
+            # int() would truncate 1.7 to 1 and read True as 1.
+            if isinstance(seed, bool) or isinstance(seed, float) and not seed.is_integer():
+                raise ValueError
             seed = int(seed)
         except (TypeError, ValueError):
             raise ExperimentError(f"seed must be an integer, got {seed!r}") from None

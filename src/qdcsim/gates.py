@@ -7,12 +7,19 @@ kinds ``measure`` and ``barrier``.  The engine applies any unitary kind through
 classically controlled corrections run as ``cx`` and ``cz``.  Matrices are
 returned in the computational basis with the first listed qubit as the most
 significant bit.
+
+:data:`_U3_ANGLES` is the one place where a one-qubit kind's u3 angles are
+written: ``qasm.lower_to_basis`` lowers through it and :func:`gate_unitary`
+builds those kinds' matrices from it.  Only the fixed gates and the diagonal
+``rz`` keep their own exact matrices, which differ from the u3 form by a
+global phase at most.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -90,6 +97,29 @@ def u3_matrix(theta: float, phi: float, lam: float) -> np.ndarray:
     )
 
 
+_PI = math.pi
+
+# (theta, phi, lambda) of each one-qubit kind, from the gate's parameters.
+_U3_ANGLES: dict[str, Callable[..., tuple[float, float, float]]] = {
+    "u3": lambda theta, phi, lam: (theta, phi, lam),
+    "u": lambda theta, phi, lam: (theta, phi, lam),
+    "u2": lambda phi, lam: (_PI / 2.0, phi, lam),
+    "u1": lambda lam: (0.0, 0.0, lam),
+    "p": lambda lam: (0.0, 0.0, lam),
+    "x": lambda: (_PI, 0.0, _PI),
+    "y": lambda: (_PI, _PI / 2.0, _PI / 2.0),
+    "z": lambda: (0.0, 0.0, _PI),
+    "h": lambda: (_PI / 2.0, 0.0, _PI),
+    "s": lambda: (0.0, 0.0, _PI / 2.0),
+    "sdg": lambda: (0.0, 0.0, -_PI / 2.0),
+    "t": lambda: (0.0, 0.0, _PI / 4.0),
+    "tdg": lambda: (0.0, 0.0, -_PI / 4.0),
+    "rx": lambda theta: (theta, -_PI / 2.0, _PI / 2.0),
+    "ry": lambda theta: (theta, 0.0, 0.0),
+    # Equal to the diagonal rotation up to a global phase.
+    "rz": lambda lam: (0.0, 0.0, lam),
+}
+
 _SQ2 = 1.0 / math.sqrt(2.0)
 
 _FIXED_1Q: dict[str, np.ndarray] = {
@@ -120,22 +150,14 @@ def gate_unitary(gate: Gate) -> np.ndarray:
     Raises ValueError for non-unitary kinds (measure, barrier).
     """
     kind, p = gate.kind, gate.params
-    if kind in ("u3", "u"):
-        return u3_matrix(*p)
-    if kind == "u2":
-        return u3_matrix(math.pi / 2.0, p[0], p[1])
-    if kind in ("u1", "p"):
-        return u3_matrix(0.0, 0.0, p[0])
     if kind in _FIXED_1Q:
         return _FIXED_1Q[kind].copy()
-    if kind == "rx":
-        return u3_matrix(p[0], -math.pi / 2.0, math.pi / 2.0)
-    if kind == "ry":
-        return u3_matrix(p[0], 0.0, 0.0)
     if kind == "rz":
         # Differs from the openQASM u1 form by a global phase only.
         half = p[0] / 2.0
         return np.diag([cmath.exp(-1j * half), cmath.exp(1j * half)])
+    if kind in _U3_ANGLES:
+        return u3_matrix(*_U3_ANGLES[kind](*p))
     if kind == "cx":
         return CNOT.copy()
     if kind == "cz":

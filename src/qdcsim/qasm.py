@@ -7,6 +7,11 @@ rz, cx, cz, cp, swap).  Multiple quantum registers are concatenated into one
 flat wire space in declaration order.  Anything outside the subset raises
 :class:`QasmError` with a 1-based line/column span instead of crashing.
 
+The lexer is one compiled pattern with one named group per token kind; a
+token's column is its offset from the start of its line.  ``//`` comments
+run to the end of the line.  The version header is optional, but when given
+it must name major version 2 (``2``, ``2.0``, ``2.1``, ...).
+
 Mid-circuit measurement and classical conditionals are rejected: measured
 results never feed back into user circuits here, and the protocol-internal
 conditionals produced by the distributing compiler live at the event level,
@@ -16,9 +21,12 @@ not in QASM.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import re
+from collections.abc import Callable
+from dataclasses import dataclass
+from typing import Any
 
-from .gates import SUPPORTED_GATES, Gate
+from .gates import _U3_ANGLES, SUPPORTED_GATES, Gate
 
 
 @dataclass(frozen=True)
@@ -63,82 +71,45 @@ class Circuit:
 # Lexer
 # ---------------------------------------------------------------------------
 
-_SYMBOLS = {";", ",", "(", ")", "[", "]", "+", "-", "*", "/", "{", "}", "=", "<", ">"}
+# One alternative per token kind, tried in this order at each position.
+_TOKEN = re.compile(
+    r"""(?P<skip>[ \t\r\n]+|//[^\n]*)
+      | (?P<arrow>->)
+      | "(?P<string>[^"]*)"
+      | (?P<symbol>[;,()\[\]+\-*/{}=<>])
+      | (?P<number>[\d.]+(?:[eE][+-]?[\d.]*)?)
+      | (?P<id>\w+)""",
+    re.VERBOSE,
+)
 
 
 @dataclass(frozen=True)
 class _Token:
-    kind: str  # id | number | string | symbol | arrow | eof
+    kind: str  # id | number | string | arrow | eof, or the symbol itself
     text: str
     span: SourceSpan
 
 
 def _lex(text: str) -> list[_Token]:
     tokens: list[_Token] = []
-    line, col = 1, 1
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if text.startswith("//", i):
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        span = SourceSpan(line, col)
-        if text.startswith("->", i):
-            tokens.append(_Token("arrow", "->", span))
-            i += 2
-            col += 2
-            continue
-        if ch == '"':
-            j = text.find('"', i + 1)
-            if j < 0:
+    line, line_start, pos = 1, 0, 0
+    while pos < len(text):
+        span = SourceSpan(line, pos - line_start + 1)
+        m = _TOKEN.match(text, pos)
+        # \w also matches numeric characters that are not decimal digits.
+        if m is None or (m.lastgroup == "id" and not (text[pos].isalpha() or text[pos] == "_")):
+            if text[pos] == '"':
                 raise QasmError("unterminated string literal", span)
-            tokens.append(_Token("string", text[i + 1 : j], span))
-            col += j + 1 - i
-            i = j + 1
-            continue
-        if ch in _SYMBOLS:
-            tokens.append(_Token("symbol", ch, span))
-            i += 1
-            col += 1
-            continue
-        if ch.isdigit() or ch == ".":
-            j = i
-            seen_e = False
-            while j < n:
-                c = text[j]
-                if c.isdigit() or c == ".":
-                    j += 1
-                elif c in "eE" and not seen_e:
-                    seen_e = True
-                    j += 1
-                    if j < n and text[j] in "+-":
-                        j += 1
-                else:
-                    break
-            tokens.append(_Token("number", text[i:j], span))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(_Token("id", text[i:j], span))
-            col += j - i
-            i = j
-            continue
-        raise QasmError(f"unexpected character {ch!r}", span)
-    tokens.append(_Token("eof", "", SourceSpan(line, col)))
+            raise QasmError(f"unexpected character {text[pos]!r}", span)
+        kind, matched = m.lastgroup, m.group()
+        if kind != "skip":
+            word = m.group(kind)  # a string's text is what lies between its quotes
+            tokens.append(_Token(word if kind == "symbol" else kind, word, span))
+        if "\n" in matched:
+            line += matched.count("\n")
+            line_start = pos + matched.rindex("\n") + 1
+        pos = m.end()
+    tokens.append(_Token("eof", "", SourceSpan(line, pos - line_start + 1)))
     return tokens
 
 
@@ -152,6 +123,11 @@ class _Register:
     name: str
     size: int
     offset: int
+
+    def wires(self, idx: int | None) -> range:
+        """The flat wire of ``name[idx]``, or every wire of the register when ``idx`` is None."""
+        first = self.offset if idx is None else self.offset + idx
+        return range(first, first + (self.size if idx is None else 1))
 
 
 class _Parser:
@@ -172,57 +148,70 @@ class _Parser:
             self.pos += 1
         return tok
 
-    def expect(self, kind: str, text: str | None = None) -> _Token:
+    def accept(self, *kinds: str) -> str | None:
+        """Consume the next token if its kind is one of ``kinds``; return that kind."""
+        kind = self.peek().kind
+        if kind in kinds:
+            self.pos += 1
+            return kind
+        return None
+
+    def expect(self, kind: str) -> _Token:
         tok = self.peek()
-        if tok.kind != kind or (text is not None and tok.text != text):
-            want = text if text is not None else kind
-            raise QasmError(f"expected {want!r}, found {tok.text or 'end of input'!r}", tok.span)
+        if tok.kind != kind:
+            raise QasmError(f"expected {kind!r}, found {tok.text or 'end of input'!r}", tok.span)
         return self.advance()
+
+    def parse_list(self, parse_item: Callable[[], object]) -> list:
+        """One or more comma-separated items."""
+        items = [parse_item()]
+        while self.accept(","):
+            items.append(parse_item())
+        return items
+
+    def parse_number(self, convert: Callable[[str], Any], what: str) -> tuple[Any, _Token]:
+        """The next token, which must be a number, and its value as read by ``convert``."""
+        tok = self.expect("number")
+        try:
+            return convert(tok.text), tok
+        except ValueError:
+            raise QasmError(f"bad {what} {tok.text!r}", tok.span) from None
 
     # -- expressions for gate parameters ------------------------------------
 
     def parse_expr(self) -> float:
         value = self.parse_term()
-        while self.peek().kind == "symbol" and self.peek().text in "+-":
-            op = self.advance().text
+        while op := self.accept("+", "-"):
             rhs = self.parse_term()
             value = value + rhs if op == "+" else value - rhs
         return value
 
     def parse_term(self) -> float:
         value = self.parse_factor()
-        while self.peek().kind == "symbol" and self.peek().text in "*/":
-            op = self.advance().text
+        while op := self.accept("*", "/"):
+            divisor = self.peek()
             rhs = self.parse_factor()
             if op == "*":
                 value *= rhs
+            elif rhs == 0.0:
+                raise QasmError("division by zero in gate parameter", divisor.span)
             else:
-                if rhs == 0.0:
-                    raise QasmError("division by zero in gate parameter", self.peek().span)
                 value /= rhs
         return value
 
     def parse_factor(self) -> float:
-        tok = self.peek()
-        if tok.kind == "symbol" and tok.text == "-":
-            self.advance()
+        if self.accept("-"):
             return -self.parse_factor()
-        if tok.kind == "symbol" and tok.text == "+":
-            self.advance()
+        if self.accept("+"):
             return self.parse_factor()
-        if tok.kind == "symbol" and tok.text == "(":
-            self.advance()
+        if self.accept("("):
             value = self.parse_expr()
-            self.expect("symbol", ")")
+            self.expect(")")
             return value
-        if tok.kind == "number":
-            self.advance()
-            try:
-                return float(tok.text)
-            except ValueError:
-                raise QasmError(f"bad numeric literal {tok.text!r}", tok.span) from None
+        if self.peek().kind == "number":
+            return self.parse_number(float, "numeric literal")[0]
+        tok = self.advance()
         if tok.kind == "id" and tok.text == "pi":
-            self.advance()
             return math.pi
         raise QasmError(f"expected a numeric parameter, found {tok.text or 'end of input'!r}", tok.span)
 
@@ -233,22 +222,19 @@ class _Parser:
         reg = regs.get(tok.text)
         if reg is None:
             raise QasmError(f"unknown {what} register {tok.text!r}", tok.span)
-        if self.peek().kind == "symbol" and self.peek().text == "[":
-            self.advance()
-            idx_tok = self.expect("number")
-            try:
-                idx = int(idx_tok.text)
-            except ValueError:
-                raise QasmError(f"bad index {idx_tok.text!r}", idx_tok.span) from None
-            self.expect("symbol", "]")
-            if not 0 <= idx < reg.size:
-                raise QasmError(
-                    f"index {idx} out of range for {what} register "
-                    f"{reg.name!r} of size {reg.size}",
-                    idx_tok.span,
-                )
-            return reg, idx
-        return reg, None
+        if not self.accept("["):
+            return reg, None
+        idx, idx_tok = self.parse_number(int, "index")
+        self.expect("]")
+        if not 0 <= idx < reg.size:
+            raise QasmError(
+                f"index {idx} out of range for {what} register {reg.name!r} of size {reg.size}",
+                idx_tok.span,
+            )
+        return reg, idx
+
+    def parse_qubit(self) -> tuple[_Register, int | None]:
+        return self.parse_operand(self.qregs, "quantum")
 
     # -- statements ----------------------------------------------------------
 
@@ -257,27 +243,29 @@ class _Parser:
         if tok.kind == "id" and tok.text == "OPENQASM":
             self.advance()
             version = self.expect("number")
-            if not version.text.startswith("2"):
+            if not re.fullmatch(r"2(\.\d*)?", version.text):
                 raise QasmError(f"unsupported openQASM version {version.text}", version.span)
-            self.expect("symbol", ";")
+            self.expect(";")
         while self.peek().kind != "eof":
             self.parse_statement()
 
     def parse_statement(self) -> None:
-        tok = self.peek()
+        tok = self.advance()
         if tok.kind != "id":
             raise QasmError(f"expected a statement, found {tok.text!r}", tok.span)
         word = tok.text
         if word == "include":
-            self.advance()
             self.expect("string")
-            self.expect("symbol", ";")
+            self.expect(";")
         elif word in ("qreg", "creg"):
             self.parse_register(word)
         elif word == "barrier":
-            self.parse_barrier()
+            # Operands are parsed for validity but the marker carries no wires.
+            self.parse_list(self.parse_qubit)
+            self.expect(";")
+            self.ops.append(Gate("barrier", ()))
         elif word == "measure":
-            self.parse_measure()
+            self.parse_measure(tok.span)
         elif word == "if":
             raise QasmError("classical conditionals ('if') are not supported", tok.span)
         elif word in ("gate", "opaque", "reset"):
@@ -285,88 +273,56 @@ class _Parser:
         elif word == "OPENQASM":
             raise QasmError("version header must be the first statement", tok.span)
         else:
-            self.parse_gate_call()
+            self.parse_gate_call(tok)
 
     def parse_register(self, which: str) -> None:
-        self.advance()
         name_tok = self.expect("id")
         name = name_tok.text
         if name in self.qregs or name in self.cregs:
             raise QasmError(f"register {name!r} already defined", name_tok.span)
-        self.expect("symbol", "[")
-        size_tok = self.expect("number")
-        try:
-            size = int(size_tok.text)
-        except ValueError:
-            raise QasmError(f"bad register size {size_tok.text!r}", size_tok.span) from None
+        self.expect("[")
+        size, size_tok = self.parse_number(int, "register size")
         if size < 1:
             raise QasmError(f"register size must be positive, got {size}", size_tok.span)
-        self.expect("symbol", "]")
-        self.expect("symbol", ";")
+        self.expect("]")
+        self.expect(";")
         if which == "qreg":
             self.qregs[name] = _Register(name, size, self.n_qubits)
             self.n_qubits += size
         else:
             self.cregs[name] = _Register(name, size, 0)
 
-    def parse_barrier(self) -> None:
-        self.advance()
-        # Operands are parsed for validity but the marker carries no wires.
-        while True:
-            self.parse_operand(self.qregs, "quantum")
-            if self.peek().kind == "symbol" and self.peek().text == ",":
-                self.advance()
-                continue
-            break
-        self.expect("symbol", ";")
-        self.ops.append(Gate("barrier", ()))
-
-    def parse_measure(self) -> None:
-        span = self.peek().span
-        self.advance()
-        qreg, qidx = self.parse_operand(self.qregs, "quantum")
+    def parse_measure(self, span: SourceSpan) -> None:
+        qreg, qidx = self.parse_qubit()
         self.expect("arrow")
         creg, cidx = self.parse_operand(self.cregs, "classical")
-        self.expect("symbol", ";")
-        if qidx is None and cidx is None:
-            if qreg.size != creg.size:
-                raise QasmError(
-                    f"cannot broadcast measure: {qreg.name!r} has {qreg.size} qubits, "
-                    f"{creg.name!r} has {creg.size} bits",
-                    span,
-                )
-            for k in range(qreg.size):
-                self.ops.append(Gate("measure", (qreg.offset + k,)))
-        elif qidx is not None and cidx is not None:
-            self.ops.append(Gate("measure", (qreg.offset + qidx,)))
-        else:
+        self.expect(";")
+        if (qidx is None) != (cidx is None):
             raise QasmError("measure operands must be both indexed or both registers", span)
+        if qidx is None and qreg.size != creg.size:
+            raise QasmError(
+                f"cannot broadcast measure: {qreg.name!r} has {qreg.size} qubits, "
+                f"{creg.name!r} has {creg.size} bits",
+                span,
+            )
+        self.ops.extend(Gate("measure", (q,)) for q in qreg.wires(qidx))
 
-    def parse_gate_call(self) -> None:
-        name_tok = self.advance()
+    def parse_gate_call(self, name_tok: _Token) -> None:
         name = name_tok.text
         if name not in SUPPORTED_GATES:
             raise QasmError(f"unsupported gate {name!r}", name_tok.span)
         want_qubits, want_params = SUPPORTED_GATES[name]
         params: list[float] = []
-        if self.peek().kind == "symbol" and self.peek().text == "(":
-            self.advance()
-            if not (self.peek().kind == "symbol" and self.peek().text == ")"):
-                params.append(self.parse_expr())
-                while self.peek().kind == "symbol" and self.peek().text == ",":
-                    self.advance()
-                    params.append(self.parse_expr())
-            self.expect("symbol", ")")
+        if self.accept("(") and not self.accept(")"):
+            params = self.parse_list(self.parse_expr)
+            self.expect(")")
         if len(params) != want_params:
             raise QasmError(
                 f"gate {name!r} expects {want_params} parameter(s), got {len(params)}",
                 name_tok.span,
             )
-        operands: list[tuple[_Register, int | None]] = [self.parse_operand(self.qregs, "quantum")]
-        while self.peek().kind == "symbol" and self.peek().text == ",":
-            self.advance()
-            operands.append(self.parse_operand(self.qregs, "quantum"))
-        self.expect("symbol", ";")
+        operands = self.parse_list(self.parse_qubit)
+        self.expect(";")
         if len(operands) != want_qubits:
             raise QasmError(
                 f"gate {name!r} expects {want_qubits} operand(s), got {len(operands)}",
@@ -374,9 +330,7 @@ class _Parser:
             )
         if want_qubits == 1:
             reg, idx = operands[0]
-            targets = [reg.offset + idx] if idx is not None else [reg.offset + k for k in range(reg.size)]
-            for q in targets:
-                self.ops.append(Gate(name, (q,), tuple(params)))
+            self.ops.extend(Gate(name, (q,), tuple(params)) for q in reg.wires(idx))
         else:
             wires = []
             for reg, idx in operands:
@@ -406,9 +360,7 @@ def parse_qasm(text: str, name: str = "circuit") -> Circuit:
         if g.kind == "measure":
             seen_measure = True
         elif seen_measure and g.kind != "barrier":
-            raise QasmError(
-                "mid-circuit measurement is not supported; measures must come last"
-            )
+            raise QasmError("mid-circuit measurement is not supported; measures must come last")
     return Circuit(parser.n_qubits, tuple(parser.ops), name=name)
 
 
@@ -416,43 +368,15 @@ def parse_qasm(text: str, name: str = "circuit") -> Circuit:
 # Lowering to the U3 + CNOT basis
 # ---------------------------------------------------------------------------
 
-_PI = math.pi
-
-# Fixed 1q gates as (theta, phi, lambda); phases beyond global are exact.
-_U3_TABLE: dict[str, tuple[float, float, float]] = {
-    "x": (_PI, 0.0, _PI),
-    "y": (_PI, _PI / 2.0, _PI / 2.0),
-    "z": (0.0, 0.0, _PI),
-    "h": (_PI / 2.0, 0.0, _PI),
-    "s": (0.0, 0.0, _PI / 2.0),
-    "sdg": (0.0, 0.0, -_PI / 2.0),
-    "t": (0.0, 0.0, _PI / 4.0),
-    "tdg": (0.0, 0.0, -_PI / 4.0),
-}
-
-
 def _lower_gate(g: Gate) -> list[Gate]:
     kind, q, p = g.kind, g.qubits, g.params
-    if kind in ("u3", "cx", "measure", "barrier"):
+    if kind in ("cx", "measure", "barrier"):
         return [g]
-    if kind == "u":
-        return [Gate("u3", q, p)]
-    if kind == "u2":
-        return [Gate("u3", q, (_PI / 2.0, p[0], p[1]))]
-    if kind in ("u1", "p"):
-        return [Gate("u3", q, (0.0, 0.0, p[0]))]
-    if kind in _U3_TABLE:
-        return [Gate("u3", q, _U3_TABLE[kind])]
-    if kind == "rx":
-        return [Gate("u3", q, (p[0], -_PI / 2.0, _PI / 2.0))]
-    if kind == "ry":
-        return [Gate("u3", q, (p[0], 0.0, 0.0))]
-    if kind == "rz":
-        # Equal to the diagonal rotation up to a global phase.
-        return [Gate("u3", q, (0.0, 0.0, p[0]))]
+    if kind in _U3_ANGLES:
+        return [Gate("u3", q, _U3_ANGLES[kind](*p))]
     if kind == "cz":
-        h = (_PI / 2.0, 0.0, _PI)
-        return [Gate("u3", (q[1],), h), Gate("cx", q), Gate("u3", (q[1],), h)]
+        h = Gate("u3", (q[1],), _U3_ANGLES["h"]())
+        return [h, Gate("cx", q), h]
     if kind == "cp":
         half = p[0] / 2.0
         return [

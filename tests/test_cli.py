@@ -444,6 +444,8 @@ class TestCliSweeps:
         [
             ("circuit", 5, "circuit must be a template name or a file path, got 5"),
             ("seed", [1], "seed must be an integer, got [1]"),
+            ("seed", 1.7, "seed must be an integer, got 1.7"),
+            ("seed", True, "seed must be an integer, got True"),
             ("f_w", [[0.9]], "grid 'f_w' must be a range string, a number or a list of numbers, got [[0.9]]"),
         ],
     )
@@ -456,6 +458,11 @@ class TestCliSweeps:
         assert captured.out == ""
         with pytest.raises(ExperimentError, match=f"^{key} |'{key}'"):
             spec_from_mapping({key: value})
+
+    @pytest.mark.parametrize("value", [3, 3.0, "3"], ids=repr)
+    def test_whole_number_seed_is_kept(self, value):
+        seed = spec_from_mapping({"seed": value}).seed
+        assert seed == 3 and type(seed) is int
 
     def test_input_scan_non_finite_gamma_fails_before_any_point(self, monkeypatch, capsys):
         ran = []

@@ -89,6 +89,17 @@ class TestParse:
         with pytest.raises(QasmError, match="version"):
             parse_qasm("OPENQASM 3.0; qreg q[1];")
 
+    @pytest.mark.parametrize("version", ["20", "2e3", "3.0"])
+    def test_only_major_version_2_accepted(self, version):
+        with pytest.raises(QasmError) as err:
+            parse_qasm(f"OPENQASM {version}; qreg q[1];")
+        assert err.value.message == f"unsupported openQASM version {version}"
+        assert (err.value.span.line, err.value.span.column) == (1, 10)
+
+    @pytest.mark.parametrize("version", ["2", "2.", "2.0"])
+    def test_version_2_parses(self, version):
+        assert parse_qasm(f"OPENQASM {version}; qreg q[1]; x q[0];").n_qubits == 1
+
     def test_register_redefinition_rejected(self):
         with pytest.raises(QasmError, match="already defined"):
             parse_qasm("qreg q[2]; qreg q[3];")
@@ -166,6 +177,101 @@ class TestParse:
     def test_measure_broadcast_size_mismatch(self):
         with pytest.raises(QasmError, match="broadcast"):
             parse_qasm("qreg q[2]; creg c[3]; measure q -> c;")
+
+
+class TestDiagnostics:
+    """Each lexer and literal error carries its message and the span of the offending text."""
+
+    @pytest.mark.parametrize(
+        "src,message,line,column",
+        [
+            ('qreg q[1];\ninclude "qelib1.inc;', "unterminated string literal", 2, 9),
+            ("qreg q[1];\nx @q[0];", "unexpected character '@'", 2, 3),
+            ("qreg q[1];\nrx(\u00bd) q[0];", "unexpected character '\u00bd'", 2, 4),
+            ("qreg q[1]; rx(1.2.3) q[0];", "bad numeric literal '1.2.3'", 1, 15),
+            ("qreg q[2]; x q[1e0];", "bad index '1e0'", 1, 16),
+            ("qreg q[1.5];", "bad register size '1.5'", 1, 8),
+            # A zero divisor is reported where the divisor starts.
+            ("qreg q[1]; rx(1/0) q[0];", "division by zero in gate parameter", 1, 17),
+            ("qreg q[1]; rx(pi / (2-2)) q[0];", "division by zero in gate parameter", 1, 20),
+            # End of input after a trailing comment is the real end of the text.
+            ("qreg q[1];\nx // done", "expected 'id', found 'end of input'", 2, 10),
+            # A newline inside a string literal starts a new line.
+            ('include "a\nb"; qreg q[1];\nfoo q[0];', "unsupported gate 'foo'", 3, 1),
+        ],
+    )
+    def test_message_and_span(self, src, message, line, column):
+        with pytest.raises(QasmError) as err:
+            parse_qasm(src)
+        assert err.value.message == message
+        assert (err.value.span.line, err.value.span.column) == (line, column)
+
+
+class TestGateMatrices:
+    """gate_unitary against textbook definitions, independent of the u3 angle table."""
+
+    X = np.array([[0, 1], [1, 0]], dtype=complex)
+    Y = np.array([[0, -1j], [1j, 0]])
+    I2 = np.eye(2)
+
+    @staticmethod
+    def unitary(kind, *params):
+        return gate_unitary(Gate(kind, tuple(range(2 if kind in ("cx", "cz", "cp", "swap") else 1)), params))
+
+    @pytest.fixture
+    def angles(self):
+        return np.random.default_rng(7).uniform(-2 * PI, 2 * PI, size=(20, 3))
+
+    def test_rotations(self, angles):
+        for theta, _, _ in angles:
+            c, s = math.cos(theta / 2), math.sin(theta / 2)
+            np.testing.assert_allclose(self.unitary("rx", theta), c * self.I2 - 1j * s * self.X, rtol=0, atol=1e-15)
+            np.testing.assert_allclose(self.unitary("ry", theta), c * self.I2 - 1j * s * self.Y, rtol=0, atol=1e-15)
+            rz = np.diag([np.exp(-0.5j * theta), np.exp(0.5j * theta)])
+            np.testing.assert_allclose(self.unitary("rz", theta), rz, rtol=0, atol=1e-15)
+
+    def test_phase_gates(self, angles):
+        for lam, _, _ in angles:
+            want = np.diag([1, np.exp(1j * lam)])
+            np.testing.assert_allclose(self.unitary("u1", lam), want, rtol=0, atol=1e-15)
+            np.testing.assert_allclose(self.unitary("p", lam), want, rtol=0, atol=1e-15)
+            cp = np.diag([1, 1, 1, np.exp(1j * lam)])
+            np.testing.assert_allclose(self.unitary("cp", lam), cp, rtol=0, atol=1e-15)
+
+    def test_u2_and_u3(self, angles):
+        for theta, phi, lam in angles:
+            u2 = np.array([[1, -np.exp(1j * lam)], [np.exp(1j * phi), np.exp(1j * (phi + lam))]]) / math.sqrt(2)
+            np.testing.assert_allclose(self.unitary("u2", phi, lam), u2, rtol=0, atol=1e-15)
+            # U(theta, phi, lambda) = Rz(phi) Ry(theta) Rz(lambda) in the openQASM 2 paper;
+            # qelib1's u3 is that matrix times the global phase exp(i (phi + lambda) / 2).
+            c, s = math.cos(theta / 2), math.sin(theta / 2)
+            spec = np.array(
+                [
+                    [np.exp(-0.5j * (phi + lam)) * c, -np.exp(-0.5j * (phi - lam)) * s],
+                    [np.exp(0.5j * (phi - lam)) * s, np.exp(0.5j * (phi + lam)) * c],
+                ]
+            )
+            for kind in ("u3", "u"):
+                got = self.unitary(kind, theta, phi, lam)
+                np.testing.assert_allclose(got, np.exp(0.5j * (phi + lam)) * spec, rtol=0, atol=1e-14)
+
+    def test_fixed_gates(self):
+        r = 1 / math.sqrt(2)
+        want = {
+            "x": self.X,
+            "y": self.Y,
+            "z": np.diag([1, -1]),
+            "h": np.array([[r, r], [r, -r]]),
+            "s": np.diag([1, 1j]),
+            "sdg": np.diag([1, -1j]),
+            "t": np.diag([1, (1 + 1j) * r]),
+            "tdg": np.diag([1, (1 - 1j) * r]),
+            "cx": np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]]),
+            "cz": np.diag([1, 1, 1, -1]),
+            "swap": np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]]),
+        }
+        for kind, matrix in want.items():
+            np.testing.assert_allclose(self.unitary(kind), matrix, rtol=0, atol=1e-15, err_msg=kind)
 
 
 class TestLowering:
