@@ -32,6 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .channels import WernerParam
 from .compiler import ResourceCount
 from .states import PureState
 
@@ -125,11 +126,6 @@ def build_input_state(p: InputStateParams) -> PureState:
     return PureState(control).tensor(PureState(p.chi))
 
 
-def _check_fw(f_w: float) -> None:
-    if not 0.0 <= f_w <= 1.0:
-        raise ValueError(f"f_w must lie in [0, 1], got {f_w}")
-
-
 def oracle_1tp(f_w: float) -> float:
     """Fidelity of a teleported remote CNOT with entanglement error only.
 
@@ -137,7 +133,7 @@ def oracle_1tp(f_w: float) -> float:
     ebit evenly over the output, so the result is independent of the input
     state: (1 + 2 f_w) / 3.
     """
-    _check_fw(f_w)
+    WernerParam(f_w)
     return (1.0 + 2.0 * f_w) / 3.0
 
 
@@ -160,7 +156,7 @@ def oracle_cat(
     complex conjugate expectation instead and keeps only the real part.  The
     two agree whenever ``m`` is real.
     """
-    _check_fw(f_w)
+    WernerParam(f_w)
     u = np.asarray(u, dtype=complex)
     if u.shape != (2, 2) or not np.allclose(u @ u.conj().T, np.eye(2), atol=1e-10):
         raise ValueError("u must be a 2x2 unitary")
@@ -184,7 +180,7 @@ def oracle_cat_cnot(f_w: float, alpha: complex) -> float:
     The target expectation <chi|X|chi> vanishes for |0> and |1>, leaving
     f_w + (1 - f_w)/3 * (2|alpha|^2 - 1)^2.
     """
-    _check_fw(f_w)
+    WernerParam(f_w)
     a2 = abs(alpha) ** 2
     if a2 > 1.0 + _AMP_TOL:
         raise ValueError(f"|alpha| must not exceed 1, got {abs(alpha)}")

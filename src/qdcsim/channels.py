@@ -78,8 +78,7 @@ _OTHER_BELL = _bell_projector("phi_minus") + _bell_projector("psi_plus") + _bell
 
 def werner_state(f_w: float) -> DensityMatrix:
     """Two-qubit Werner mixture: f_w on |Phi+>, the rest split over the other Bell states."""
-    if not 0.0 <= f_w <= 1.0:
-        raise ValueError(f"Werner fidelity must lie in [0,1], got {f_w}")
+    WernerParam(f_w)
     return DensityMatrix(f_w * _PHI_PLUS + ((1.0 - f_w) / 3.0) * _OTHER_BELL)
 
 
@@ -89,8 +88,7 @@ def noisy_cnot(state: DensityMatrix, control: int, target: int, eps_cnot: float)
     With probability 1-eps the gate acts ideally; with probability eps the
     gate qubits are discarded and replaced by the maximally mixed pair.
     """
-    if not 0.0 <= eps_cnot <= 1.0:
-        raise ValueError(f"CNOT error must lie in [0,1], got {eps_cnot}")
+    GateErrorParam(eps_cnot)
     if control == target:
         raise ValueError("control and target must differ")
     ideal = apply_unitary(state, CNOT, (control, target))
@@ -105,10 +103,11 @@ def memory_depol(state: DensityMatrix, wire: int, dt: float, r: float) -> Densit
 
     Exponential mixing toward I/2; composing dt1 then dt2 equals dt1+dt2.
     """
+    if not math.isfinite(dt):
+        raise ValueError(f"duration must be finite, got {dt}")
     if dt < 0.0:
         raise ValueError(f"duration must be >= 0, got {dt}")
-    if r < 0.0:
-        raise ValueError(f"depolarization rate must be >= 0, got {r}")
+    MemoryParam(r)
     keep = math.exp(-dt * r)
     if keep == 1.0:
         return DensityMatrix(state.entries)

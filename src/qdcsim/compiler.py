@@ -33,7 +33,7 @@ and the control side always initiates the protocol.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Union
 
 from .gates import Gate
@@ -503,37 +503,18 @@ def compile_circuit(
 
 def compile_report(dc: DistributedCircuit) -> dict:
     """JSON-ready compilation summary: partition, remote gates, resources."""
-    res = count_resources(dc)
-    report = {
+    part = dc.partition
+    return {
         "name": dc.name,
         "scheme": dc.scheme.value,
         "n_processing": dc.n_processing,
         "n_total": dc.n_total,
-        "partition": None,
-        "remote_gates": [
-            {
-                "op_index": r.op_index,
-                "control_wire": r.control_wire,
-                "target_wire": r.target_wire,
-                "scheme": dc.scheme.value,
-            }
-            for r in dc.remote_gates
-        ],
-        "resources": {
-            "n_cnot": res.n_cnot,
-            "n_ebit": res.n_ebit,
-            "n_meas": res.n_meas,
-            "n_classical_msgs": res.n_classical_msgs,
-        },
+        "partition": None if part is None else {"qpu_a": sorted(part.qpu_a), "qpu_b": sorted(part.qpu_b)},
+        "remote_gates": [{**asdict(r), "scheme": dc.scheme.value} for r in dc.remote_gates],
+        "resources": asdict(count_resources(dc)),
         "result_wires": list(dc.result_wires),
         "n_events": len(dc.events),
     }
-    if dc.partition is not None:
-        report["partition"] = {
-            "qpu_a": sorted(dc.partition.qpu_a),
-            "qpu_b": sorted(dc.partition.qpu_b),
-        }
-    return report
 
 
 def report_to_text(report: dict) -> str:

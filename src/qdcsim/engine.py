@@ -17,10 +17,12 @@ explicit outcomes.  ``sampled`` mode draws outcomes from a seeded generator
 (or takes them from ``forced_outcomes``) and projects, which is the natural
 way to inspect a single protocol branch.
 
-Scheduling is sequential by default: one global clock, every event advances
-it once.  The ``layered`` mode packs resource-disjoint events into slots
-whose duration is the slot maximum, as a sensitivity study for how much the
-strictly serial timeline overstates decoherence.
+Scheduling puts the events into slots that run one after another, each as
+long as its slowest event.  The default, ``sequential``, gives every event
+its own slot: one global clock that each event advances once.  The
+``layered`` mode packs resource-disjoint events into shared slots, as a
+sensitivity study for how much the strictly serial timeline overstates
+decoherence.
 
 Execution.  Everything a run derives from the event list depends only on
 ``(dc, durations, schedule_mode)``, so it is worked out once, by walking
@@ -173,24 +175,22 @@ class DurationTable:
     def from_hardware(
         cls,
         *,
-        t_1q: float = 135e-6,
-        t_2q: float = 600e-6,
-        t_meas: float = 6e-3,
         ebit_rate_hz: float = _EBIT_RATE_HZ,
         link_length_m: float = _LINK_LENGTH_M,
         signal_speed_m_per_s: float = _SIGNAL_SPEED_M_PER_S,
+        **gate_times: float,
     ) -> "DurationTable":
+        """The table of a link given by its entanglement rate, length and signal speed.
+
+        ``t_ebit`` and ``t_classical`` follow from the link.  ``gate_times``
+        may set ``t_1q``, ``t_2q`` and ``t_meas``; each one left out keeps
+        its field's default.
+        """
         if ebit_rate_hz <= 0.0:
             raise ValueError("entanglement rate must be positive")
         if signal_speed_m_per_s <= 0.0:
             raise ValueError("signal speed must be positive")
-        return cls(
-            t_1q=t_1q,
-            t_2q=t_2q,
-            t_meas=t_meas,
-            t_ebit=1.0 / ebit_rate_hz,
-            t_classical=link_length_m / signal_speed_m_per_s,
-        )
+        return cls(t_ebit=1.0 / ebit_rate_hz, t_classical=link_length_m / signal_speed_m_per_s, **gate_times)
 
     def of(self, event: Event) -> float:
         if isinstance(event, LocalGate):
@@ -237,6 +237,10 @@ class SimConfig:
             raise ValueError(f"ebit_state must be one of {_BELL_KINDS}")
         if self.max_qubits < 1:
             raise ValueError("max_qubits must be positive")
+        if self.seed is not None and (
+            isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)) or self.seed < 0
+        ):
+            raise ValueError(f"seed must be None or a non-negative integer, got {self.seed!r}")
 
 
 @dataclass(frozen=True)
@@ -300,29 +304,22 @@ class _Layer:
 
 
 def _build_layers(dc: DistributedCircuit, durations: DurationTable, schedule_mode: str) -> list[_Layer]:
-    if schedule_mode == "sequential":
-        layers = []
-        clock = 0.0
-        for idx, ev in enumerate(dc.events):
-            dt = durations.of(ev)
-            layers.append(_Layer(clock, dt, ((idx, ev),)))
-            clock += dt
-        return layers
+    """The events in slots, each as long as its slowest member, one after another from time 0.
 
-    # Layered: greedy ASAP packing; events conflict when they share a qubit
-    # or a measurement tag.  Slot duration is the slowest member.
+    Sequential gives each event its own slot.  Layered packs greedily, as
+    soon as possible: events conflict when they share a qubit or a
+    measurement tag.
+    """
     tag_home = {ev.tag: ev.qubit for ev in dc.events if isinstance(ev, Measure)}
     slot_of: dict = {}
     buckets: list[list[tuple[int, Event]]] = []
     for idx, ev in enumerate(dc.events):
-        res = _event_resources(ev, tag_home)
-        slot = 0
-        for r in res:
-            if r in slot_of:
-                slot = max(slot, slot_of[r] + 1)
-        for r in res:
-            slot_of[r] = slot
-        while len(buckets) <= slot:
+        slot = idx
+        if schedule_mode == "layered":
+            res = _event_resources(ev, tag_home)
+            slot = max((slot_of[r] + 1 for r in res if r in slot_of), default=0)
+            slot_of.update(dict.fromkeys(res, slot))
+        if slot == len(buckets):
             buckets.append([])
         buckets[slot].append((idx, ev))
     layers = []
@@ -440,9 +437,10 @@ def _available_bytes() -> int | None:
 #       the tensor viewed as shape (before, 4, after).
 #   (_JOIN, wires, slot, -): put ``wires`` at the front of the tensor, in
 #       the state sops[slot].
-#   (_MEASURE, slot, (tag, settle), shape): in sampled mode, draw the outcome
-#       of the wire at axis 1 of the tensor viewed as shape (before, 4, after)
-#       and put its projection in sops[slot] for the next step.
+#   (_MEASURE, slot, tag, shape): in sampled mode, draw the outcome of the
+#       wire at axis 1 of the tensor viewed as shape (before, 4, after), and
+#       put its projection after the measurement map sops[slot] in that slot
+#       for the next step.
 _APPLY, _PAIR, _DROP, _JOIN, _MEASURE = range(5)
 _ZERO_SLOT, _EBIT_SLOT = 0, 1
 
@@ -594,8 +592,7 @@ class _Plan:
             p, at = self.order.index(w), len(self.steps)
             shape = (4**p, 4, 4 ** (len(self.order) - p - 1))
             self._apply_decayed(w, _DEPHASE)
-            slot, settle, _ = self.singles[-1]
-            self.steps.insert(at, (_MEASURE, slot, (ev.tag, settle), shape))
+            self.steps.insert(at, (_MEASURE, self.singles[-1][0], ev.tag, shape))
             self.tag_qubit[ev.tag] = w
             self.records.add(w)
         elif isinstance(ev, ConditionalCorrection):
@@ -818,12 +815,14 @@ class _Sampler:
         self.outcomes: dict[str, int] = {}
         self.branch_p = 1.0
 
-    def projection(self, tag: str, pauli: np.ndarray, keep: float) -> np.ndarray:
-        """The normalized projection onto the outcome for ``tag``, after the decay owed.
+    def projection(self, tag: str, pauli: np.ndarray, measured: np.ndarray) -> np.ndarray:
+        """The normalized projection onto the outcome for ``tag``, after the measurement map ``measured``.
 
-        ``pauli`` is the measured wire's Pauli vector with every other wire traced out.
+        ``pauli`` is the measured wire's Pauli vector with every other wire
+        traced out, and ``measured`` the wire's dephasing after the decay
+        owed, whose Z row reads the Z entry that decides the outcome.
         """
-        z = keep * float(pauli[3])
+        z = float(measured[3] @ pauli)
         pops = ((float(pauli[0]) + z) / 2.0, (float(pauli[0]) - z) / 2.0)
         p1 = pops[1]
         if tag in self.forced:
@@ -837,8 +836,7 @@ class _Sampler:
             raise EngineError(f"outcome {outcome} for tag '{tag}' has probability {p_out:.3g}")
         self.outcomes[tag] = outcome
         self.branch_p *= p_out
-        decay = keep * _IDENTITY_1Q + (1.0 - keep) * _DEPOLARIZE_1Q
-        return _PROJECT[outcome] @ decay / pops[outcome]
+        return _PROJECT[outcome] @ measured / pops[outcome]
 
 
 def _run(
@@ -873,8 +871,7 @@ def _run(
         elif kind == _JOIN:
             reg.join(a, sops[b])
         elif sampler is not None:
-            tag, settle = b
-            sops[a] = sampler.projection(tag, reg.buf[: reg.size].reshape(c)[0, :, 0], float(keeps[0, settle]))
+            sops[a] = sampler.projection(b, reg.buf[: reg.size].reshape(c)[0, :, 0], sops[a])
     return reg.reduced(plan.output_take, plan.output_axes)
 
 
@@ -994,40 +991,36 @@ def _interpolated(
 ):
     """Yield the outputs at the rows of ``noise`` from ``groups``' runs, in row order, ``batch`` at most at a time.
 
-    A group's runs go in batches of ``batch`` when its first row is about to
-    be yielded, and their outputs are kept until the end.  When they fail,
-    the rows before the group's first row are yielded first, so the error
-    surfaces at that row.
+    Every group's runs go first, in batches of ``batch``.  When a group's
+    runs fail, the rows before the group's first row are yielded first, so
+    the error surfaces at that row.
     """
     group_of, local = np.empty(len(noise), dtype=int), np.empty(len(noise), dtype=int)
     for g, group in enumerate(groups):
         group_of[group.rows], local[group.rows] = g, np.arange(len(group.rows))
     dim = 1 << plan.n_result
     outs: list[np.ndarray] = []  # the outputs at each group's runs, as (f_w node, eps_cnot node, d * d)
-
-    def rows(start: int, stop: int) -> np.ndarray:
+    end, error = len(noise), None
+    for group in groups:
+        try:
+            out = np.concatenate(
+                [_run(plan, input_state, group.runs[s : s + batch], ebit_state, None)
+                 for s in range(0, len(group.runs), batch)]
+            )
+        except Exception as exc:
+            end, error = group.rows[0], exc
+            break
+        outs.append(out.reshape(group.wf.shape[1], group.we.shape[1], -1))
+    for start in range(0, end, batch):
+        stop = min(start + batch, end)
         out = np.empty((stop - start, dim * dim), dtype=complex)
         at, k = group_of[start:stop], local[start:stop]
         for g in set(at.tolist()):
             here = at == g
             out[here] = np.einsum("ki,kj,ijx->kx", groups[g].wf[k[here]], groups[g].we[k[here]], outs[g])
-        return out.reshape(-1, dim, dim)
-
-    for start in range(0, len(noise), batch):
-        stop = min(start + batch, len(noise))
-        while len(outs) < len(groups) and groups[len(outs)].rows[0] < stop:
-            group = groups[len(outs)]
-            try:
-                out = np.concatenate(
-                    [_run(plan, input_state, group.runs[s : s + batch], ebit_state, None)
-                     for s in range(0, len(group.runs), batch)]
-                )
-            except Exception:
-                if group.rows[0] > start:
-                    yield rows(start, group.rows[0])
-                raise
-            outs.append(out.reshape(group.wf.shape[1], group.we.shape[1], -1))
-        yield rows(start, stop)
+        yield out.reshape(-1, dim, dim)
+    if error is not None:
+        raise error
 
 
 def _outputs(dc: DistributedCircuit, input_state: PureState, cfg: SimConfig, noise: np.ndarray):
@@ -1111,15 +1104,6 @@ def simulate(
 # ---------------------------------------------------------------------------
 
 
-def _ideal_circuit(circuit: Circuit, input_state: PureState) -> PureState:
-    psi = input_state
-    for g in lower_to_basis(circuit).ops:
-        if g.kind in ("measure", "barrier"):
-            continue
-        psi = apply_gate_pure(psi, g)
-    return psi
-
-
 def ideal_output(target: Circuit | DistributedCircuit, input_state: PureState) -> PureState:
     """Noiseless reference state over the logical wires, for fidelity_pure.
 
@@ -1131,4 +1115,8 @@ def ideal_output(target: Circuit | DistributedCircuit, input_state: PureState) -
         raise EngineError(
             f"input covers {input_state.n_qubits} qubits, circuit has {circuit.n_qubits}"
         )
-    return _ideal_circuit(circuit, input_state)
+    psi = input_state
+    for g in lower_to_basis(circuit).ops:
+        if g.kind not in ("measure", "barrier"):
+            psi = apply_gate_pure(psi, g)
+    return psi

@@ -40,7 +40,7 @@ from .engine import DurationTable, SimConfig, _outputs, elapsed_time, ideal_outp
 # Unused by the sweep; kept bound because perfbench/tracer.py wraps them here by name.
 from .engine import simulate  # noqa: F401
 from .qasm import Circuit, parse_qasm
-from .states import PureState
+from .states import PureState, _fidelities
 from .states import fidelity_pure  # noqa: F401
 
 __all__ = [
@@ -235,12 +235,6 @@ def _input_for(dc: DistributedCircuit, p: InputStateParams) -> PureState:
 _F_OUT_ROUNDING = 1e-12  # how far a fidelity may stray outside [0, 1] by rounding alone
 
 
-def _fidelities(ideal: PureState, outputs: np.ndarray) -> np.ndarray:
-    """``<psi| rho |psi>`` of each output in a ``(B, d, d)`` stack, rounded as :func:`fidelity_pure` rounds one."""
-    a = ideal.amplitudes
-    return np.real(((a.conj() @ outputs)[:, None, :] @ a[:, None])[:, 0, 0])
-
-
 def _sweep_rows(
     dc: DistributedCircuit, points: list, reference: tuple, outputs, elapsed: float, rc: ResourceCount
 ) -> list[SweepRow]:
@@ -257,20 +251,20 @@ def _sweep_rows(
     scheme, alpha, phi, gamma, theta = dc.scheme.value, float(abs(p.alpha)), p.phi, p.gamma, p.theta
     n_cnot, n_ebit = rc.n_cnot, rc.n_ebit
     rows: list[SweepRow] = []
-    while len(rows) < len(points):
+    while (start := len(rows)) < len(points):
         try:
             f_out = _fidelities(ideal, next(outputs))
         except Exception as exc:
-            raise ExperimentError(f"{where(len(rows))} failed: {exc}") from exc
+            raise ExperimentError(f"{where(start)} failed: {exc}") from exc
         outside = np.flatnonzero(~((f_out >= -_F_OUT_ROUNDING) & (f_out <= 1.0 + _F_OUT_ROUNDING)))
         if outside.size:
             i = outside[0]
             raise ExperimentError(
-                f"{where(len(rows) + i)} has fidelity {float(f_out[i])!r}, outside [0, 1] beyond rounding"
+                f"{where(start + i)} has fidelity {float(f_out[i])!r}, outside [0, 1] beyond rounding"
             )
         rows += [
             SweepRow(scheme, f_w, eps_cnot, r, alpha, phi, gamma, theta, f, 1.0 - f, elapsed, n_cnot, n_ebit)
-            for (f_w, eps_cnot, r), f in zip(points[len(rows) :], np.clip(f_out, 0.0, 1.0).tolist())
+            for (f_w, eps_cnot, r), f in zip(points[start : start + len(f_out)], np.clip(f_out, 0.0, 1.0).tolist())
         ]
     return rows
 
@@ -497,6 +491,8 @@ def spec_from_mapping(data: dict) -> ExperimentSpec:
             seed = int(seed)
         except (TypeError, ValueError):
             raise ExperimentError(f"seed must be an integer, got {seed!r}") from None
+        if seed < 0:
+            raise ExperimentError(f"seed must be non-negative, got {seed}")
 
     circuit = data.get("circuit", "remote-cnot")
     if not isinstance(circuit, str):

@@ -330,7 +330,7 @@ class _Parser:
             )
         if want_qubits == 1:
             reg, idx = operands[0]
-            self.ops.extend(Gate(name, (q,), tuple(params)) for q in reg.wires(idx))
+            targets = [(q,) for q in reg.wires(idx)]
         else:
             wires = []
             for reg, idx in operands:
@@ -342,7 +342,11 @@ class _Parser:
                 wires.append(reg.offset + idx)
             if wires[0] == wires[1]:
                 raise QasmError(f"gate {name!r} operands must be distinct wires", name_tok.span)
-            self.ops.append(Gate(name, tuple(wires), tuple(params)))
+            targets = [tuple(wires)]
+        bad = [p for p in params if not math.isfinite(p)]
+        if bad:
+            raise QasmError(f"gate {name!r} has non-finite parameter {bad[0]}", name_tok.span)
+        self.ops.extend(Gate(name, qubits, tuple(params)) for qubits in targets)
 
 
 def parse_qasm(text: str, name: str = "circuit") -> Circuit:

@@ -160,52 +160,50 @@ def bell_state(kind: str) -> PureState:
 
 # ---------------------------------------------------------------------------
 # Tensor plumbing.  A density matrix over n wires is viewed as a rank-2n
-# tensor with axes [ket_0..ket_{n-1}, bra_0..bra_{n-1}].
+# tensor with axes [ket_0..ket_{n-1}, bra_0..bra_{n-1}], a pure state over
+# n wires as a rank-n tensor.
 # ---------------------------------------------------------------------------
 
 
-def _as_tensor(dm: DensityMatrix) -> tuple[np.ndarray, int]:
-    n = dm.n_qubits
-    return dm.entries.reshape((2,) * (2 * n)), n
-
-
-def _to_matrix(tensor: np.ndarray, n_keep: int) -> np.ndarray:
-    dim = 1 << n_keep
-    return tensor.reshape(dim, dim)
-
-
-def _unitary_on_tensor(t: np.ndarray, u: np.ndarray, wires: Sequence[int], n: int) -> np.ndarray:
-    m = len(wires)
-    u_t = np.asarray(u, dtype=complex).reshape((2,) * (2 * m))
-    fresh = list(range(2 * n, 2 * n + m))
-    in_idx = list(range(2 * n))
-
-    out_idx = list(in_idx)
-    for i, w in enumerate(wires):
-        out_idx[w] = fresh[i]
-    t = np.einsum(u_t, fresh + [wires[i] for i in range(m)], t, in_idx, out_idx)
-
-    out_idx = list(in_idx)
-    for i, w in enumerate(wires):
-        out_idx[n + w] = fresh[i]
-    t = np.einsum(np.conj(u_t), fresh + [n + wires[i] for i in range(m)], t, in_idx, out_idx)
-    return t
-
-
-def apply_unitary(state: DensityMatrix, u: np.ndarray, wires: Sequence[int]) -> DensityMatrix:
-    """U rho U-dagger with ``u`` acting on the listed wires (first wire = high bit)."""
-    t, n = _as_tensor(state)
+def _check_wires(wires: Iterable[int], n: int) -> list[int]:
+    """``wires`` as a list, once checked to be distinct wires of a register of ``n`` qubits."""
     wires = list(wires)
     if len(set(wires)) != len(wires):
         raise ValueError(f"duplicate wires {wires}")
     for w in wires:
         if not 0 <= w < n:
             raise ValueError(f"wire {w} outside register of {n} qubits")
+    return wires
+
+
+def _contract(t: np.ndarray, op: np.ndarray, axes: Sequence[int]) -> np.ndarray:
+    """Apply the matrix ``op`` to the ``axes`` of ``t``: the axes in ``op``'s input order, the first the high bit."""
+    m, rank = len(axes), t.ndim
+    fresh = list(range(rank, rank + m))
+    out_idx = list(range(rank))
+    for f, a in zip(fresh, axes):
+        out_idx[a] = f
+    return np.einsum(op.reshape((2,) * (2 * m)), fresh + list(axes), t, list(range(rank)), out_idx)
+
+
+def _times(t: np.ndarray, factor: np.ndarray, axes: Sequence[int]) -> np.ndarray:
+    """``t`` times ``factor``, whose axes lie along the ``axes`` of ``t``."""
+    shape = [1] * t.ndim
+    for a, size in zip(axes, factor.shape):
+        shape[a] = size
+    return t * factor.reshape(shape)
+
+
+def apply_unitary(state: DensityMatrix, u: np.ndarray, wires: Sequence[int]) -> DensityMatrix:
+    """U rho U-dagger with ``u`` acting on the listed wires (first wire = high bit)."""
+    n = state.n_qubits
+    wires = _check_wires(wires, n)
     u = np.asarray(u, dtype=complex)
     want = 1 << len(wires)
     if u.shape != (want, want):
         raise ValueError(f"unitary shape {u.shape} does not match {len(wires)} wire(s)")
-    return DensityMatrix(_to_matrix(_unitary_on_tensor(t, u, wires, n), n))
+    t = _contract(state.entries.reshape((2,) * (2 * n)), u, wires)
+    return DensityMatrix(_contract(t, np.conj(u), [n + w for w in wires]).reshape(state.entries.shape))
 
 
 def apply_gate(state: DensityMatrix, gate: Gate) -> DensityMatrix:
@@ -215,19 +213,7 @@ def apply_gate(state: DensityMatrix, gate: Gate) -> DensityMatrix:
 
 def apply_unitary_pure(state: PureState, u: np.ndarray, wires: Sequence[int]) -> PureState:
     n = state.n_qubits
-    wires = list(wires)
-    for w in wires:
-        if not 0 <= w < n:
-            raise ValueError(f"wire {w} outside register of {n} qubits")
-    m = len(wires)
-    u_t = np.asarray(u, dtype=complex).reshape((2,) * (2 * m))
-    t = state.amplitudes.reshape((2,) * n)
-    fresh = list(range(n, n + m))
-    in_idx = list(range(n))
-    out_idx = list(in_idx)
-    for i, w in enumerate(wires):
-        out_idx[w] = fresh[i]
-    t = np.einsum(u_t, fresh + wires, t, in_idx, out_idx)
+    t = _contract(state.amplitudes.reshape((2,) * n), np.asarray(u, dtype=complex), _check_wires(wires, n))
     return PureState(t.reshape(-1))
 
 
@@ -241,24 +227,24 @@ def partial_trace(state: DensityMatrix, keep: Iterable[int]) -> DensityMatrix:
     return reduce_to_wires(state, keep_sorted)
 
 
+def _traced(n: int, wires: Iterable[int]) -> list[int]:
+    """The einsum indices of a rank-2n density tensor with the ``wires`` traced out: each bra index is its ket's."""
+    idx = list(range(2 * n))
+    for w in wires:
+        idx[n + w] = w
+    return idx
+
+
 def reduce_to_wires(state: DensityMatrix, wires: Sequence[int]) -> DensityMatrix:
     """Reduced state over ``wires``, reordered so wires[0] is the high bit."""
-    t, n = _as_tensor(state)
-    wires = list(wires)
+    n = state.n_qubits
+    wires = _check_wires(wires, n)
     if not wires:
         raise ValueError("must keep at least one wire")
-    if len(set(wires)) != len(wires):
-        raise ValueError(f"duplicate wires {wires}")
-    for w in wires:
-        if not 0 <= w < n:
-            raise ValueError(f"wire {w} outside register of {n} qubits")
-    in_idx = list(range(2 * n))
-    for w in range(n):
-        if w not in wires:
-            in_idx[n + w] = in_idx[w]
-    out_idx = [w for w in wires] + [n + w for w in wires]
-    reduced = np.einsum(t, in_idx, out_idx)
-    return DensityMatrix(_to_matrix(reduced, len(wires)))
+    t = state.entries.reshape((2,) * (2 * n))
+    reduced = np.einsum(t, _traced(n, (w for w in range(n) if w not in wires)), wires + [n + w for w in wires])
+    dim = 1 << len(wires)
+    return DensityMatrix(reduced.reshape(dim, dim))
 
 
 def replace_subsystem(state: DensityMatrix, wires: Sequence[int], sub: DensityMatrix) -> DensityMatrix:
@@ -267,27 +253,19 @@ def replace_subsystem(state: DensityMatrix, wires: Sequence[int], sub: DensityMa
     Models discarding qubits and loading a fresh state onto the same physical
     slots (re-initialization, entanglement distribution, depolarized mixing).
     """
-    t, n = _as_tensor(state)
+    n = state.n_qubits
     wires = list(wires)
     m = len(wires)
     if sub.n_qubits != m:
         raise ValueError(f"replacement state has {sub.n_qubits} qubits, expected {m}")
-    if len(set(wires)) != len(wires):
-        raise ValueError(f"duplicate wires {wires}")
-    for w in wires:
-        if not 0 <= w < n:
-            raise ValueError(f"wire {w} outside register of {n} qubits")
-    sub_t = sub.entries.reshape((2,) * (2 * m))
-    fresh_ket = list(range(2 * n, 2 * n + m))
-    fresh_bra = list(range(2 * n + m, 2 * n + 2 * m))
-    in_idx = list(range(2 * n))
+    wires = _check_wires(wires, n)
+    fresh = list(range(2 * n, 2 * n + 2 * m))  # the ket then the bra indices of ``sub``
     out_idx = list(range(2 * n))
-    for i, w in enumerate(wires):
-        in_idx[n + w] = in_idx[w]
-        out_idx[w] = fresh_ket[i]
-        out_idx[n + w] = fresh_bra[i]
-    t = np.einsum(t, in_idx, sub_t, fresh_ket + fresh_bra, out_idx)
-    return DensityMatrix(_to_matrix(t, n))
+    for f, a in zip(fresh, wires + [n + w for w in wires]):
+        out_idx[a] = f
+    t = state.entries.reshape((2,) * (2 * n))
+    t = np.einsum(t, _traced(n, wires), sub.entries.reshape((2,) * (2 * m)), fresh, out_idx)
+    return DensityMatrix(t.reshape(state.entries.shape))
 
 
 def dephase(state: DensityMatrix, wire: int) -> DensityMatrix:
@@ -296,14 +274,10 @@ def dephase(state: DensityMatrix, wire: int) -> DensityMatrix:
     This is the channel form of an unread computational-basis measurement;
     the wire stays in the register as a classical record.
     """
-    t, n = _as_tensor(state)
-    if not 0 <= wire < n:
-        raise ValueError(f"wire {wire} outside register of {n} qubits")
-    shape = [1] * (2 * n)
-    shape[wire] = 2
-    shape[n + wire] = 2
-    mask = np.eye(2, dtype=complex).reshape(shape)
-    return DensityMatrix(_to_matrix(t * mask, n))
+    n = state.n_qubits
+    (wire,) = _check_wires((wire,), n)
+    t = _times(state.entries.reshape((2,) * (2 * n)), np.eye(2, dtype=complex), (wire, n + wire))
+    return DensityMatrix(t.reshape(state.entries.shape))
 
 
 def project(state: DensityMatrix, wire: int, outcome: int) -> tuple[float, DensityMatrix | None]:
@@ -314,17 +288,12 @@ def project(state: DensityMatrix, wire: int, outcome: int) -> tuple[float, Densi
     """
     if outcome not in (0, 1):
         raise ValueError(f"outcome must be 0 or 1, got {outcome}")
-    t, n = _as_tensor(state)
-    if not 0 <= wire < n:
-        raise ValueError(f"wire {wire} outside register of {n} qubits")
+    n = state.n_qubits
+    (wire,) = _check_wires((wire,), n)
     v = np.zeros(2, dtype=complex)
     v[outcome] = 1.0
-    ket_shape = [1] * (2 * n)
-    ket_shape[wire] = 2
-    bra_shape = [1] * (2 * n)
-    bra_shape[n + wire] = 2
-    t = t * v.reshape(ket_shape) * v.reshape(bra_shape)
-    mat = _to_matrix(t, n)
+    t = _times(_times(state.entries.reshape((2,) * (2 * n)), v, (wire,)), v, (n + wire,))
+    mat = t.reshape(state.entries.shape)
     p = float(np.real(np.trace(mat)))
     if p <= 1e-15:
         return 0.0, None
@@ -351,11 +320,16 @@ def fidelity_general(ideal: DensityMatrix, noisy: DensityMatrix) -> float:
     return total * total
 
 
+def _fidelities(ideal: PureState, outputs: np.ndarray) -> np.ndarray:
+    """``<psi| rho |psi>`` of each density matrix in a ``(B, d, d)`` stack."""
+    a = ideal.amplitudes
+    return np.real(((a.conj() @ outputs)[:, None, :] @ a[:, None])[:, 0, 0])
+
+
 def fidelity_pure(ideal: PureState, noisy: DensityMatrix) -> float:
     """<psi| rho |psi>, the fidelity against a pure reference."""
     if ideal.amplitudes.shape[0] != noisy.entries.shape[0]:
         raise ValueError(
             f"dimension mismatch: {ideal.amplitudes.shape[0]} vs {noisy.entries.shape[0]}"
         )
-    a = ideal.amplitudes
-    return float(np.real(a.conj() @ noisy.entries @ a))
+    return float(_fidelities(ideal, noisy.entries[None])[0])

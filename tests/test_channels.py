@@ -185,3 +185,8 @@ class TestMemoryDepol:
             memory_depol(rho, 0, -1.0, 0.1)
         with pytest.raises(ValueError, match="rate"):
             memory_depol(rho, 0, 1.0, -0.1)
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="duration must be finite"):
+                memory_depol(rho, 0, bad, 1.0)
+            with pytest.raises(ValueError, match="depolarization rate must be finite"):
+                memory_depol(rho, 0, 1.0, bad)

@@ -446,16 +446,20 @@ class TestCliSweeps:
             ("seed", [1], "seed must be an integer, got [1]"),
             ("seed", 1.7, "seed must be an integer, got 1.7"),
             ("seed", True, "seed must be an integer, got True"),
+            ("seed", -1, "seed must be non-negative, got -1"),
             ("f_w", [[0.9]], "grid 'f_w' must be a range string, a number or a list of numbers, got [[0.9]]"),
         ],
     )
-    def test_malformed_spec_value_names_its_key(self, tmp_path, capsys, key, value, message):
+    def test_malformed_spec_value_names_its_key(self, tmp_path, capsys, monkeypatch, key, value, message):
+        ran = []
+        monkeypatch.setattr(engine, "_run", lambda *args: ran.append(args))
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(json.dumps({key: value}))
         assert main(["sweep", "--spec", str(spec_path)]) == 1
         captured = capsys.readouterr()
         assert captured.err == f"qdcsim: error: {message}\n"
         assert captured.out == ""
+        assert ran == []
         with pytest.raises(ExperimentError, match=f"^{key} |'{key}'"):
             spec_from_mapping({key: value})
 

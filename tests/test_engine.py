@@ -789,3 +789,6 @@ class TestGuards:
             SimConfig(schedule_mode="asap")
         with pytest.raises(ValueError, match="ebit_state"):
             SimConfig(ebit_state="bell")
+        for seed in (-1, True, 1.0, "3"):
+            with pytest.raises(ValueError, match=f"^seed must be None or a non-negative integer, got {seed!r}$"):
+                SimConfig(measurement_mode="sampled", seed=seed)

@@ -198,6 +198,9 @@ class TestDiagnostics:
             ("qreg q[1];\nx // done", "expected 'id', found 'end of input'", 2, 10),
             # A newline inside a string literal starts a new line.
             ('include "a\nb"; qreg q[1];\nfoo q[0];', "unsupported gate 'foo'", 3, 1),
+            # A parameter that overflows is reported at the gate's name.
+            ("qreg q[1]; rx(1e999) q[0];", "gate 'rx' has non-finite parameter inf", 1, 12),
+            ("qreg q[1]; rx(1e308*10) q[0];", "gate 'rx' has non-finite parameter inf", 1, 12),
         ],
     )
     def test_message_and_span(self, src, message, line, column):

@@ -114,6 +114,10 @@ class TestApplyGate:
     def test_duplicate_wires_rejected(self):
         with pytest.raises(ValueError, match="distinct"):
             Gate("cx", (1, 1))
+        with pytest.raises(ValueError, match=r"^duplicate wires \[0, 0\]$"):
+            apply_unitary(DensityMatrix.from_pure(PureState.zero(2)), CNOT, (0, 0))
+        with pytest.raises(ValueError, match=r"^duplicate wires \[0, 0\]$"):
+            apply_unitary_pure(PureState.zero(2), CNOT, (0, 0))
 
     def test_matches_brute_force_embedding(self):
         """Einsum application agrees with an elementwise reference on random data."""
