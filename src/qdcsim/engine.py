@@ -25,18 +25,22 @@ sensitivity study for how much the strictly serial timeline overstates
 decoherence.
 
 Execution.  Everything a run derives from the event list depends only on
-``(dc, durations, schedule_mode)``, so it is worked out once, by walking
-the events, into a cached plan (``_Plan``): a flat list of passes over the
-state, each with its wires, its superoperator slot and any axis
-permutation it needs, plus the idle seconds owed at each point where decay
-is applied, the telemetry rows and the resource count.  A run then only
+``(dc, durations, schedule_mode, measurement_mode)``, so it is worked out
+once, by walking the events, into a cached plan (``_Plan``): a flat list of
+passes over the state, each with its wires, its superoperator slot and any
+axis permutation it needs, plus the idle seconds owed at each point where
+decay is applied, the telemetry rows and the resource count.  A run then only
 binds its noise points, each a row ``(f_w, eps_cnot, r)`` (one
 ``exp(-r t)`` over the idle times, the noisy CNOT, the Werner pair, and
 each settled map as a weighted sum of precomputed terms), and executes the
 passes.  A plan is kept while its program lives; the terms of a 2-wire
 gate depend only on the gate and its wire order, so they are built once
-per process and shared by every plan (:func:`_pair_terms`).  Sampled mode
-runs the same plan: only its measurement maps differ, and a conditional
+per process and shared by every plan (:func:`_pair_terms`).  A constant
+1-wire map (a 1-qubit gate, or in mixture mode a measurement's dephasing)
+makes no pass of its own: the plan folds it into the next map on its wire,
+into a 2-wire map's terms (a per-plan copy of the shared ones) or a settled
+1-wire map, and a drop discards it.  A sampled plan keeps a pass for each
+measurement, which reads the wire before projecting it.  A conditional
 correction is the controlled Pauli on the measured record in both modes.
 Which wire each tensor axis belongs to is known to the plan alone; a run
 only tracks the tensor's size.
@@ -63,9 +67,9 @@ those wires are not adjacent, or when a 1-wire map has exactly one wire
 after it and three or more before: there ``matmul`` would make 64 or more
 4 x 4 products per point, which cost more than the copy.  A joining wire goes
 to the front, so the next pass on a fresh wire usually finds it there.
-A noise-free map (a 1-qubit gate, a fresh |0>) is one superoperator shared
-by the batch; a noisy one (a settled 2-wire or 1-wire map, the Werner
-pair) is a stack with one map per point, which ``matmul`` broadcasts over.
+A noise-free map (a fresh |0>) is one superoperator shared by the batch;
+a noisy one (a settled 2-wire or 1-wire map, the Werner pair) is a stack
+with one map per point, which ``matmul`` broadcasts over.
 The settled 2-wire maps are built from their terms shortly before their
 passes, a few pairs at a time within a byte budget (``_PAIR_MAP_BYTES``),
 and one pair at a time for a large batch, so a run never holds all of them
@@ -96,10 +100,13 @@ commutes with one-qubit gates on its wire; it commutes with dephasing and
 with the partial trace; and it commutes with anything on other wires.  A
 wire's owed decay is therefore applied only where it cannot wait: it is
 folded into the next two-wire map on that wire (``S @ (D_a x D_b)``), into
-a measurement (dephasing or projection), and, for result wires only, into
-one last pass before the reduced output is taken.  It is dropped, never
-applied, when the wire is re-initialized, overwritten by an ebit, or
-traced out at the end, since each of those discards the wire's state.
+a sampled measurement's projection, and, for result wires only, into one
+last pass before the reduced output is taken.  In mixture mode a
+measurement's dephasing waits with the decay for the next map on the wire,
+and the record does not idle meanwhile, so that map settles the same
+seconds.  The decay is dropped, never applied, when the wire is
+re-initialized, overwritten by an ebit, or traced out at the end, since
+each of those discards the wire's state.
 
 The noiseless reference a run is scored against is the source circuit the
 events were compiled from, run on a statevector.
@@ -333,7 +340,7 @@ def _build_layers(dc: DistributedCircuit, durations: DurationTable, schedule_mod
 
 def elapsed_time(dc: DistributedCircuit, cfg: SimConfig) -> float:
     """Total simulated seconds for ``dc`` under the config's schedule mode."""
-    return _plan_for(dc, cfg.durations, cfg.schedule_mode).elapsed
+    return _plan_for(dc, cfg.durations, cfg.schedule_mode, cfg.measurement_mode).elapsed
 
 
 # ---------------------------------------------------------------------------
@@ -428,19 +435,19 @@ def _available_bytes() -> int | None:
 # ---------------------------------------------------------------------------
 
 # A step is a 4-tuple whose first entry is its kind:
-#   (_APPLY, slot, perm, shape): apply sops[slot] to the block of shape
-#       (before, rows, after), after a transposing copy by ``perm`` when it
-#       is not None.
+#   (_APPLY, slot, perm, shape): apply the settled 1-wire map sops[slot]
+#       to the block of shape (before, rows, after), after a transposing
+#       copy by ``perm`` when it is not None.
 #   (_PAIR, i, perm, shape): the same with the i-th settled 2-wire map,
 #       built from its terms at the latest just before the pass.
 #   (_DROP, shape, -, -): trace out the wire whose Pauli index is axis 1 of
 #       the tensor viewed as shape (before, 4, after).
 #   (_JOIN, wires, slot, -): put ``wires`` at the front of the tensor, in
 #       the state sops[slot].
-#   (_MEASURE, slot, tag, shape): in sampled mode, draw the outcome of the
-#       wire at axis 1 of the tensor viewed as shape (before, 4, after), and
-#       put its projection after the measurement map sops[slot] in that slot
-#       for the next step.
+#   (_MEASURE, slot, tag, shape): draw the outcome of the wire at axis 1
+#       of the tensor viewed as shape (before, 4, after), and put its
+#       projection after the measurement map sops[slot] in that slot for
+#       the next step.  Only sampled plans hold these.
 _APPLY, _PAIR, _DROP, _JOIN, _MEASURE = range(5)
 _ZERO_SLOT, _EBIT_SLOT = 0, 1
 
@@ -448,22 +455,30 @@ _ZERO_SLOT, _EBIT_SLOT = 0, 1
 class _Plan:
     """What every run of one program does, whatever the noise point.
 
-    Built once per ``(dc, durations, schedule_mode)`` by walking the events
-    as a run would.  The walk tracks what the run's tensor holds: ``order``
-    lists the live wires, each one axis, its Pauli index, so a 1-wire map
-    never needs its axes re-indexed.  It records:
+    Built once per ``(dc, durations, schedule_mode, measurement_mode)`` by
+    walking the events as a run would.  The walk tracks what the run's
+    tensor holds: ``order`` lists the live wires, each one axis, its Pauli
+    index, so a 1-wire map never needs its axes re-indexed.  It records:
 
     - ``steps``: the passes over the tensor, see the step kinds above;
-    - ``sops``: the superoperator of each _APPLY and _JOIN step, a constant
-      or None where :func:`_bind` puts one built from the noise point;
+    - ``sops``: the superoperator of each _APPLY and _JOIN step: |0> for a
+      fresh wire, and None where :func:`_bind` puts one built from the
+      noise point (the Werner pair, each settled 1-wire map);
     - ``settle_s``: the idle seconds owed at each point where a run applies
       the decay; only ``exp(-r t)`` over it depends on ``r``;
     - the settled 2-wire maps (the _PAIR steps), ``pair_terms`` with the
       coefficients of :func:`_settled_terms`, and the settled 1-wire maps
-      (measurements and the result wires' decay),
+      (sampled measurements and the result wires' decay),
       ``keep * single_terms + (1 - keep) D``;
     - ``telemetry``, ``resources`` and ``elapsed``, the same for every run;
     - ``width``: the most wires the tensor ever holds at once.
+
+    A constant 1-wire map makes no pass of its own.  A 1-qubit gate, and in
+    mixture mode a measurement's dephasing, waits in ``pending`` until the
+    next map on its wire absorbs it: a settled 2-wire map's terms become
+    ``T_j (A x B)``, a settled 1-wire map becomes ``sop @ A``, and a drop
+    discards it, since A preserves the trace.  The decay owed commutes with
+    A, so it is settled where it was.
 
     A join puts its wires at the front of ``order``.  A pass on adjacent
     wires runs in place, on the tensor viewed as (before, rows, after);
@@ -472,18 +487,22 @@ class _Plan:
     before, where ``matmul`` would run one 4 x 4 product per 4 entries.
     """
 
-    def __init__(self, dc: DistributedCircuit, durations: DurationTable, schedule_mode: str):
+    def __init__(
+        self, dc: DistributedCircuit, durations: DurationTable, schedule_mode: str, measurement_mode: str = "mixture"
+    ):
         self.n = dc.n_total
+        self.sampled = measurement_mode == "sampled"
         self.order = list(range(dc.n_processing))
         self.width = dc.n_processing
         self.steps: list[tuple] = []
         self.sops: list = [_ZERO_1Q, None]
         self.settle_s: list[float] = []
         self.idle = [0.0] * dc.n_total  # decay owed per wire, in seconds
+        self.pending: dict[int, np.ndarray] = {}  # constant 1-wire map owed per wire
         self.records: set[int] = set()  # wires holding a measurement record until Reinit
         self.live_comm: set[int] = set()
         self.tag_qubit: dict[str, int] = {}
-        self.pairs: list[tuple] = []  # (settle a, settle b, noisy CNOT, terms)
+        self.pairs: list[tuple] = []  # (settle a, settle b, noisy CNOT, terms, maps folded in or None)
         self.singles: list[tuple] = []  # (slot, settle, map at keep = 1)
         layers = _build_layers(dc, durations, schedule_mode)
         self.telemetry = tuple(
@@ -516,6 +535,9 @@ class _Plan:
         self.pair_settle = np.array([p[:2] for p in self.pairs], dtype=int).reshape(-1, 2)
         self.pair_noisy = np.array([p[2] for p in self.pairs], dtype=float)
         self.pair_terms = np.array([p[3] for p in self.pairs], dtype=float).reshape(-1, 5, 256)
+        for terms, p in zip(self.pair_terms, self.pairs):
+            if p[4] is not None:  # the maps folded in, in the pass's wire order: T_j (A x B)
+                terms[:] = (terms.reshape(5, 16, 16) @ np.kron(*p[4])).reshape(5, 256)
         self.single_slots = tuple(s[0] for s in self.singles)
         self.single_settle = np.array([s[1] for s in self.singles], dtype=int)
         self.single_terms = np.array([s[2].reshape(-1) for s in self.singles], dtype=float).reshape(-1, 16)
@@ -524,10 +546,6 @@ class _Plan:
         # pair is affine in f_w and each noisy CNOT in eps_cnot.
         self.f_w_degree = sum(1 for kind, _, slot, _ in self.steps if kind == _JOIN and slot == _EBIT_SLOT)
         self.eps_cnot_degree = int(self.pair_noisy.sum())
-
-    def _slot(self, sop) -> int:
-        self.sops.append(sop)
-        return len(self.sops) - 1
 
     def _settle(self, wire: int) -> int:
         """Record the decay owed on ``wire`` as a settle point and clear it."""
@@ -546,6 +564,7 @@ class _Plan:
                 self._join((w,), _ZERO_SLOT)
 
     def _drop(self, wire: int) -> None:
+        self.pending.pop(wire, None)
         if wire in self.order:
             p = self.order.index(wire)
             self.order.remove(wire)
@@ -562,37 +581,53 @@ class _Plan:
             perm = tuple(old.index(w) for w in self.order)
         self.steps.append((kind, ref, perm, (4**lo, 4**k, 4 ** (m - lo - k))))
 
+    def _defer(self, wire: int, sop: np.ndarray) -> None:
+        """Put the constant 1-wire map ``sop`` after the map pending on ``wire``, for the next map there."""
+        self._hold((wire,))
+        self.pending[wire] = sop @ self.pending.get(wire, _IDENTITY_1Q)
+
     def _apply_settled(self, gate: Gate, noisy: bool) -> None:
-        """A 2-wire gate after the decay owed on both wires, in one pass; ``noisy`` for a noisy CNOT."""
+        """A 2-wire gate after the decay owed and the maps pending on both wires, in one pass.
+
+        ``noisy`` marks a noisy CNOT.
+        """
         a, b = gate.qubits
         settle_a, settle_b = self._settle(a), self._settle(b)
         self._pass(gate.qubits, _PAIR, len(self.pairs))
-        terms = _pair_terms(gate.kind, gate.params, self.order.index(a) > self.order.index(b))
-        self.pairs.append((settle_a, settle_b, noisy, terms))
+        flip = self.order.index(a) > self.order.index(b)
+        folded = None
+        if a in self.pending or b in self.pending:
+            folded = tuple(self.pending.pop(w, _IDENTITY_1Q) for w in ((b, a) if flip else (a, b)))
+        self.pairs.append((settle_a, settle_b, noisy, _pair_terms(gate.kind, gate.params, flip), folded))
 
     def _apply_decayed(self, wire: int, sop: np.ndarray) -> None:
-        """A 1-wire map after the decay owed on ``wire``, in one pass."""
-        settle, slot = self._settle(wire), self._slot(None)
+        """A 1-wire map after the decay owed and the map pending on ``wire``, in one pass."""
+        settle, slot = self._settle(wire), len(self.sops)
+        self.sops.append(None)
         self._pass((wire,), _APPLY, slot)
-        self.singles.append((slot, settle, sop))
+        self.singles.append((slot, settle, sop @ self.pending.pop(wire, _IDENTITY_1Q)))
 
     def perform(self, ev: Event) -> None:
         if isinstance(ev, LocalGate):
             gate = ev.gate
             if len(gate.qubits) == 1:
                 # Depolarization is unitarily covariant, so the decay owed can wait.
-                self._pass(gate.qubits, _APPLY, self._slot(_unitary_superop(gate_unitary(gate))))
+                self._defer(gate.qubits[0], _unitary_superop(gate_unitary(gate)))
             else:
                 self._apply_settled(gate, gate.kind == "cx")
         elif isinstance(ev, Measure):
-            # Both modes settle the wire here: dephasing commutes with the
-            # decay, and a projection cannot wait for it.
             w = ev.qubit
-            self._hold((w,))
-            p, at = self.order.index(w), len(self.steps)
-            shape = (4**p, 4, 4 ** (len(self.order) - p - 1))
-            self._apply_decayed(w, _DEPHASE)
-            self.steps.insert(at, (_MEASURE, self.singles[-1][0], ev.tag, shape))
+            if self.sampled:
+                # A projection cannot wait for the decay: settle the wire here.
+                self._hold((w,))
+                p, at = self.order.index(w), len(self.steps)
+                shape = (4**p, 4, 4 ** (len(self.order) - p - 1))
+                self._apply_decayed(w, _DEPHASE)
+                self.steps.insert(at, (_MEASURE, self.singles[-1][0], ev.tag, shape))
+            else:
+                # Dephasing commutes with the decay, and the record does not
+                # idle, so the next map on the wire settles the same seconds.
+                self._defer(w, _DEPHASE)
             self.tag_qubit[ev.tag] = w
             self.records.add(w)
         elif isinstance(ev, ConditionalCorrection):
@@ -632,19 +667,27 @@ class _Plan:
                 self.idle[w] += dt
 
 
-# Plans of live programs, keyed by (id(dc), durations, schedule_mode) and
-# checked against a weak reference to the program.  An entry is removed
-# when its program is collected, before its id can be reused.
+# Plans of live programs, keyed by (id(dc), durations, schedule_mode,
+# measurement_mode) and checked against a weak reference to the program.
+# An entry is removed when its program is collected, before its id can be
+# reused.
 _plans: dict[tuple, tuple[weakref.ref, _Plan]] = {}
 
 
-def _plan_for(dc: DistributedCircuit, durations: DurationTable, schedule_mode: str) -> _Plan:
-    """The plan of ``dc``, built on first use and kept while ``dc`` lives."""
-    key = (id(dc), durations, schedule_mode)
+def _plan_for(
+    dc: DistributedCircuit, durations: DurationTable, schedule_mode: str, measurement_mode: str = "mixture"
+) -> _Plan:
+    """The plan of ``dc`` in one schedule and measurement mode, built on first use and kept while ``dc`` lives.
+
+    The two measurement modes get different plans: a mixture plan folds
+    each measurement's dephasing into the next map on its wire, while a
+    sampled plan reads the wire and applies its projection in a pass.
+    """
+    key = (id(dc), durations, schedule_mode, measurement_mode)
     entry = _plans.get(key)
     if entry is not None and entry[0]() is dc:
         return entry[1]
-    plan = _Plan(dc, durations, schedule_mode)
+    plan = _Plan(dc, durations, schedule_mode, measurement_mode)
     _plans[key] = (weakref.ref(dc, lambda _, key=key: _plans.pop(key, None)), plan)
     return plan
 
@@ -870,7 +913,7 @@ def _run(
             reg.drop(a)
         elif kind == _JOIN:
             reg.join(a, sops[b])
-        elif sampler is not None:
+        else:
             sops[a] = sampler.projection(b, reg.buf[: reg.size].reshape(c)[0, :, 0], sops[a])
     return reg.reduced(plan.output_take, plan.output_axes)
 
@@ -893,7 +936,7 @@ def _admit(dc: DistributedCircuit, input_state: PureState, cfg: SimConfig) -> tu
             f"input covers {input_state.n_qubits} qubits, circuit has {dc.n_processing}"
         )
     input_state.validate()
-    plan = _plan_for(dc, cfg.durations, cfg.schedule_mode)
+    plan = _plan_for(dc, cfg.durations, cfg.schedule_mode, cfg.measurement_mode)
     # The register, or, once it is freed, the two complex arrays the result
     # wires' change of basis holds; the second is larger only when the
     # result wires are every wire the register holds at its widest.

@@ -166,8 +166,11 @@ def bell_state(kind: str) -> PureState:
 
 
 def _check_wires(wires: Iterable[int], n: int) -> list[int]:
-    """``wires`` as a list, once checked to be distinct wires of a register of ``n`` qubits."""
+    """``wires`` as a list, once checked to be distinct integer wires of a register of ``n`` qubits."""
     wires = list(wires)
+    for w in wires:
+        if isinstance(w, bool) or not isinstance(w, (int, np.integer)):
+            raise ValueError(f"wire {w} is not an integer")
     if len(set(wires)) != len(wires):
         raise ValueError(f"duplicate wires {wires}")
     for w in wires:

@@ -471,6 +471,48 @@ class TestLayout:
     def test_transposing_copies_bounded(self, source, scheme, most):
         assert self.copies(compile_circuit(parse_qasm(source), scheme)) <= most
 
+    @staticmethod
+    def passes(dc):
+        plan = engine._Plan(dc, DurationTable(), "sequential", "mixture")
+        return sum(1 for kind, *_ in plan.steps if kind in (engine._APPLY, engine._PAIR))
+
+    @pytest.mark.parametrize(
+        "source,scheme,most",
+        [
+            (TestLiveWires.SIX_QUBITS, Scheme.CAT_COMM, 18),
+            (TestLiveWires.SIX_QUBITS, Scheme.TP_SAFE, 36),
+            ("qreg q[2]; cx q[0],q[1];", Scheme.CAT_COMM, 6),
+            ("qreg q[2]; cx q[0],q[1];", Scheme.ONE_TP, 6),
+            ("qreg q[2]; cx q[0],q[1];", Scheme.TWO_TP, 9),
+            ("qreg q[2]; cx q[0],q[1];", Scheme.TP_SAFE, 12),
+        ],
+        ids=lambda v: v.value if isinstance(v, Scheme) else None,
+    )
+    def test_mixture_passes_bounded(self, source, scheme, most):
+        # 1-qubit gates and measurements' dephasing fold into the next map on their wire.
+        assert self.passes(compile_circuit(parse_qasm(source), scheme)) <= most
+
+    @pytest.mark.parametrize("schedule", ["sequential", "layered"])
+    @pytest.mark.parametrize("source", ORACLE_CIRCUITS_ALL + ORACLE_CIRCUITS_STATIC)
+    def test_measurements_by_mode(self, source, schedule):
+        # A mixture plan folds each measurement into the next map on its wire,
+        # settling its decay there; a sampled plan reads and projects in a pass.
+        for scheme in ALL_SCHEMES:
+            try:
+                dc = compile_circuit(parse_qasm(source), scheme)
+            except SchemeInapplicableError:
+                continue
+            mixture, sampled = (engine._Plan(dc, DurationTable(), schedule, mode) for mode in ("mixture", "sampled"))
+            measured = sum(1 for ev in dc.events if isinstance(ev, Measure))
+            kinds = [kind for kind, *_ in mixture.steps]
+            assert engine._MEASURE not in kinds
+            assert kinds.count(engine._APPLY) == len(dc.result_wires)
+            assert [kind for kind, *_ in sampled.steps].count(engine._MEASURE) == measured
+            assert len(mixture.settle_s) == len(sampled.settle_s) - measured
+            rc = count_resources(dc)
+            assert (mixture.f_w_degree, mixture.eps_cnot_degree) == (sampled.f_w_degree, sampled.eps_cnot_degree)
+            assert (mixture.f_w_degree, mixture.eps_cnot_degree) == (rc.n_ebit, rc.n_cnot)
+
     def test_ebit_install_leaves_its_pair_at_the_front(self, monkeypatch):
         seen = []
         install = engine._Plan.install_ebit
@@ -493,16 +535,19 @@ class TestLayout:
 
 
 class TestPlanCache:
-    """``simulate`` builds one plan per program, duration table and schedule, and binds only the noise."""
+    """``simulate`` builds one plan per program, duration table, schedule and measurement mode; it binds only the noise.
+
+    A mixture plan folds measurements into later maps, so the two modes get different plans.
+    """
 
     @pytest.fixture
     def builds(self, monkeypatch):
         built = []
         build = engine._Plan
 
-        def spy(dc, durations, schedule_mode):
-            built.append((dc.scheme, schedule_mode))
-            return build(dc, durations, schedule_mode)
+        def spy(dc, durations, schedule_mode, measurement_mode):
+            built.append((dc.scheme, durations, schedule_mode, measurement_mode))
+            return build(dc, durations, schedule_mode, measurement_mode)
 
         monkeypatch.setattr(engine, "_Plan", spy)
         return built
@@ -513,15 +558,35 @@ class TestPlanCache:
             spec = ExperimentSpec(schemes=(Scheme.CAT_COMM, Scheme.TP_SAFE), f_w=f_w, schedule_mode=schedule)
             assert len(run_sweep(spec)) == 2 * 91
         assert sorted(builds, key=str) == sorted(
-            itertools.product((Scheme.CAT_COMM, Scheme.TP_SAFE), ("sequential", "layered")), key=str
+            itertools.product(
+                (Scheme.CAT_COMM, Scheme.TP_SAFE), (DurationTable(),), ("sequential", "layered"), ("mixture",)
+            ),
+            key=str,
         )
+
+    def test_one_plan_per_durations_schedule_and_mode(self, builds):
+        dc = compile_circuit(remote_cnot(), Scheme.TP_SAFE)
+        keys = list(itertools.product(
+            (Scheme.TP_SAFE,), (DurationTable(), DurationTable(t_meas=1e-3)), ("sequential", "layered"),
+            ("mixture", "sampled"),
+        ))
+        for _ in range(2):
+            for _, durations, schedule, mode in keys:
+                for r in (0.0, 50.0):
+                    cfg = SimConfig(
+                        memory=MemoryParam(r), durations=durations, schedule_mode=schedule, measurement_mode=mode,
+                        seed=1,
+                    )
+                    simulate(dc, plus_zero(), cfg)
+                    elapsed_time(dc, cfg)
+        assert builds == keys
 
     def test_calls_differing_only_in_noise_share_a_plan(self, builds):
         dc = compile_circuit(remote_cnot(), Scheme.TWO_TP)
         noisy = SimConfig(werner=WernerParam(0.9), gate_err=GateErrorParam(0.01), memory=MemoryParam(50.0))
         clean = simulate(dc, plus_zero(), SimConfig())
         assert simulate(dc, plus_zero(), noisy).rho_out.entries.tolist() != clean.rho_out.entries.tolist()
-        assert builds == [(Scheme.TWO_TP, "sequential")]
+        assert builds == [(Scheme.TWO_TP, DurationTable(), "sequential", "mixture")]
 
     def test_collected_program_leaves_the_cache(self):
         dc = compile_circuit(remote_cnot(), Scheme.CAT_COMM)

@@ -311,3 +311,73 @@ def test_in_place_passes_match_eager_reference(schedule):
     for out, row in zip(got, MID_REGISTER_NOISE):
         want, _ = reference_simulate(dc, inp, _noise_config(row, schedule_mode=schedule))
         np.testing.assert_allclose(out, want.entries, atol=TOL, rtol=0.0)
+
+
+# Programs whose constant 1-wire maps fold into each kind of map that can
+# come next on their wire: a 2-wire map, a sampled measurement, a drop (in
+# mixture mode, a measurement no correction reads, then its Reinit), and a
+# result wire's last decay.
+FOLD_SOURCES = (
+    "qreg q[2]; h q[1]; cx q[0],q[1]; t q[1];",
+    "qreg q[2]; s q[0]; rx(0.3) q[1]; cx q[1],q[0]; h q[0]; sdg q[0];",
+)
+FOLD_EVENTS = (
+    _gate("h", 0), _gate("cx", 0, 2), _gate("h", 2), Measure(2, "m0"), Reinit(2), _gate("t", 0),
+    _gate("h", 4), _gate("cx", 4, 1), _gate("h", 4), Measure(4, "m1"), ConditionalCorrection("z", 1, "m1"),
+    Reinit(4), _gate("cz", 2, 1),
+)
+FOLD_TARGETS = {"pair", "sampled measurement", "drop", "result wire"}
+
+
+def _fold_programs():
+    for src in FOLD_SOURCES:
+        circuit = parse_qasm(src)
+        for scheme in (Scheme.CAT_COMM, Scheme.ONE_TP, Scheme.TWO_TP, Scheme.TP_SAFE):
+            yield compile_circuit(circuit, scheme)
+    yield DistributedCircuit(
+        source=Circuit(2, (), name="fold"),
+        scheme=Scheme.CAT_COMM,
+        placement=PLACEMENT,
+        events=FOLD_EVENTS,
+        result_wires=(0, 1),
+    )
+
+
+@pytest.mark.parametrize("schedule", ["sequential", "layered"])
+def test_folded_maps_match_eager_reference(monkeypatch, schedule):
+    # Which map absorbed a pending 1-wire map, seen while the plans are built.
+    seen = set()
+    settled, decayed, drop = engine._Plan._apply_settled, engine._Plan._apply_decayed, engine._Plan._drop
+
+    def spy_settled(plan, gate, noisy):
+        if set(gate.qubits) & plan.pending.keys():
+            seen.add("pair")
+        settled(plan, gate, noisy)
+
+    def spy_decayed(plan, wire, sop):
+        if wire in plan.pending:
+            seen.add("sampled measurement" if sop is engine._DEPHASE else "result wire")
+        decayed(plan, wire, sop)
+
+    def spy_drop(plan, wire):
+        if wire in plan.pending:
+            seen.add("drop")
+        drop(plan, wire)
+
+    monkeypatch.setattr(engine._Plan, "_apply_settled", spy_settled)
+    monkeypatch.setattr(engine._Plan, "_apply_decayed", spy_decayed)
+    monkeypatch.setattr(engine._Plan, "_drop", spy_drop)
+    rng = np.random.default_rng(17)
+    for dc in _fold_programs():
+        n = dc.n_processing
+        amp = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+        inp = PureState(amp / np.linalg.norm(amp))
+        tags = [ev.tag for ev in dc.events if isinstance(ev, Measure)]
+        row = MID_REGISTER_NOISE[1]  # the strongest memory noise, so every settle point shows
+        _agree(dc, inp, _noise_config(row, schedule_mode=schedule))
+        sampled = _noise_config(row, schedule_mode=schedule, measurement_mode="sampled")
+        for bits in itertools.product((0, 1), repeat=len(tags)):
+            _agree(dc, inp, sampled, dict(zip(tags, bits)))
+        for mode in ("mixture", "sampled"):
+            engine._Plan(dc, engine.DurationTable(), schedule, mode)
+    assert seen == FOLD_TARGETS

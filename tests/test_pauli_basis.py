@@ -131,15 +131,17 @@ def test_fixed_maps():
 
 
 def remote_cnot_plan():
+    # The sampled plan: a mixture plan folds its measurements into the next map on their wires.
     dc = compile_circuit(experiments.template_circuit("remote-cnot"), Scheme.CAT_COMM)
-    return dc, engine._plan_for(dc, DurationTable(), "sequential")
+    return dc, engine._plan_for(dc, DurationTable(), "sequential", "sampled")
 
 
 @SETTINGS
 @given(f_w=st.lists(unit, min_size=2, max_size=4), keep=st.lists(unit, min_size=2, max_size=4))
 def test_bound_maps(f_w, keep):
     # The Werner pair at each f_w, and each settled 1-wire map (decay, and
-    # measurement after decay) at each keep factor.
+    # measurement after decay) at each keep factor.  The Hadamard before m1
+    # makes no pass: it folds into that measurement's map.
     dc, plan = remote_cnot_plan()
     n = min(len(f_w), len(keep))
     noise = np.column_stack((f_w[:n], np.zeros(n), np.zeros(n)))
@@ -149,12 +151,14 @@ def test_bound_maps(f_w, keep):
         assert werner.dtype == np.float64
         assert np.abs(to_pauli_complex(werner_state(f).entries.reshape(-1)).imag).max() < 1e-14
         np.testing.assert_allclose(from_pauli(werner, 2), werner_state(f).entries.reshape(-1), rtol=0, atol=1e-12)
-    kinds = {slot: sop for slot, _, sop in plan.singles}
+    measured = {slot: tag for kind, slot, tag, _ in plan.steps if kind == engine._MEASURE}
+    assert sorted(measured.values()) == ["m0", "m1"] and len(plan.single_slots) == 2 + len(dc.result_wires)
+    folded = {"m0": lambda rho: rho, "m1": conjugate(gate_unitary(Gate("h", (0,))))}
+    dephase = lambda rho: np.diag(np.diag(rho))
     for slot in plan.single_slots:
-        measured = kinds[slot] is engine._DEPHASE
         for k, sop in zip(keep, sops[slot]):
             decay = lambda rho, k=k: k * rho + (1 - k) * depolarize(0, 1)(rho)
-            assert_same_map(sop, compose(lambda rho: np.diag(np.diag(rho)), decay) if measured else decay, 1)
+            assert_same_map(sop, compose(dephase, decay, folded[measured[slot]]) if slot in measured else decay, 1)
 
 
 @pytest.mark.parametrize("k,width", [(1, 1), (2, 4), (3, 3), (4, 6), (5, 5)])

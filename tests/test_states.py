@@ -119,6 +119,25 @@ class TestApplyGate:
         with pytest.raises(ValueError, match=r"^duplicate wires \[0, 0\]$"):
             apply_unitary_pure(PureState.zero(2), CNOT, (0, 0))
 
+    @pytest.mark.parametrize(
+        "call,wire",
+        [
+            (lambda rho: dephase(rho, 1.5), "1.5"),
+            (lambda rho: apply_unitary(rho, np.eye(2), (0.5,)), "0.5"),
+            (lambda rho: reduce_to_wires(rho, [0.0]), "0.0"),
+            (lambda rho: project(rho, True, 0), "True"),
+            (lambda rho: replace_subsystem(rho, (np.float64(1.0),), maximally_mixed(1)), "1.0"),
+            (lambda rho: apply_unitary_pure(PureState.zero(2), np.eye(2), ("0",)), "0"),
+        ],
+    )
+    def test_non_integer_wire_rejected(self, call, wire):
+        with pytest.raises(ValueError, match=rf"^wire {wire} is not an integer$"):
+            call(DensityMatrix.from_pure(PureState.zero(2)))
+
+    def test_numpy_integer_wires_accepted(self):
+        rho = random_density(np.random.default_rng(3), 2)
+        np.testing.assert_array_equal(dephase(rho, np.int64(1)).entries, dephase(rho, 1).entries)
+
     def test_matches_brute_force_embedding(self):
         """Einsum application agrees with an elementwise reference on random data."""
         rng = np.random.default_rng(11)
