@@ -20,7 +20,9 @@ gamma, theta.  ``--spec file.json`` loads the same structure from a file.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
+import os
 import sys
 
 from .compiler import CompileError, Scheme, compile_circuit, compile_report, report_to_text
@@ -174,6 +176,26 @@ def _write(path: str, text: str) -> None:
         raise ExperimentError(f"cannot write output file '{path}': {exc}") from exc
 
 
+def _check_writable(path: str) -> None:
+    """Raise the error :func:`_write` would for ``path`` when it plainly cannot be written; touch nothing.
+
+    A path is refused when it is a directory, when its directory is missing,
+    or when the file, or the directory for a new one, is not writable.
+    """
+    if path == "-":
+        return
+    folder = os.path.dirname(path) or "."
+    if os.path.isdir(path):
+        code = errno.EISDIR
+    elif not os.path.isdir(folder):
+        code = errno.ENOENT
+    elif not os.access(path if os.path.exists(path) else folder, os.W_OK):
+        code = errno.EACCES
+    else:
+        return
+    raise ExperimentError(f"cannot write output file '{path}': {os.strerror(code)}")
+
+
 def _cmd_compile(args) -> int:
     circuit = load_circuit(args.circuit)
     dc = compile_circuit(circuit, Scheme.from_name(args.scheme))
@@ -187,7 +209,10 @@ def _cmd_compile(args) -> int:
 
 def _cmd_sweep(args) -> int:
     _, allowed_axes, default_grid, to_csv = _SWEEPS[args.command]
-    _write(args.out, to_csv(_spec_from_args(args, allowed_axes, default_grid)))
+    # An invalid spec is reported first, and an unwritable path before the sweep runs.
+    spec = _spec_from_args(args, allowed_axes, default_grid)
+    _check_writable(args.out)
+    _write(args.out, to_csv(spec))
     return 0
 
 

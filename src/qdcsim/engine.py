@@ -45,6 +45,21 @@ correction is the controlled Pauli on the measured record in both modes.
 Which wire each tensor axis belongs to is known to the plan alone; a run
 only tracks the tensor's size.
 
+In a mixture plan a remote gate can run as one pass of its channel.  Each
+window in which communication qubits are live (from the ebit install that
+makes one live to the ``Reinit`` that leaves none) is a block over the k
+live wires its events touch.  When those same wires are live at its end,
+so that nothing was relocated, and k is smaller than the number of live
+wires outside it (:func:`_fuses`), the plan gives the block steps of its
+own and puts one k-wire pass in its place.  Before it allocates its own
+register, a run computes each block's channel, its Pauli transfer matrix
+(Greenbaum, arXiv:1509.02921), by running the block's steps on a register
+that holds k label wires beside the k input wires in the state
+sum_P e_P x e_P: the output, read by output and label axes, is the
+(B, 4^k, 4^k) map.  So the communication qubits never join the full
+tensor.  Sampled plans, and blocks that fail the rule, run their steps
+directly.
+
 The state is held in the per-wire Pauli basis (:mod:`qdcsim.pauli`): one
 real axis of length 4 per live wire, with entries Tr(P rho) for P = I, X,
 Y, Z.  Every map the engine applies preserves Hermiticity, so states and
@@ -60,7 +75,8 @@ A run holds a batch of noise points of one program and one input: B
 state tensors stacked on a leading axis, in one real buffer and an equal
 scratch buffer, both sized for B tensors at the plan's peak live width.
 The run allocates the pair when it starts and frees it when it ends, so
-nothing outlives a run but its outputs.  Every pass is one matrix product
+nothing outlives a run but its outputs; each block's register is freed
+before the next one is allocated, and before the run's own.  Every pass is one matrix product
 between them, on the tensor viewed as (before, rows, after) around the
 pass's wires.  It is preceded by a transposing copy to the front only when
 those wires are not adjacent, or when a 1-wire map has exactly one wire
@@ -75,7 +91,7 @@ passes, a few pairs at a time within a byte budget (``_PAIR_MAP_BYTES``),
 and one pair at a time for a large batch, so a run never holds all of them
 at once.  So the batch pays one Python dispatch per pass, where separate
 runs pay one per pass per point.  B is capped by a byte budget for the two
-buffers (``_BATCH_BYTES``) and by the free memory, and sampled runs hold
+buffers (``_BATCH_BYTES``) and by the available memory, and sampled runs hold
 one point each, since each point draws its own outcomes.  A grid of noise
 rows that share one config runs through :func:`_outputs`, which yields
 each batch's reduced outputs as one ``(B, d, d)`` array and nothing else;
@@ -91,6 +107,10 @@ in a product with the rest: communication qubits before their first use,
 and every wire after its ``Reinit``.  Such a wire joins the tensor as |0>
 when an event touches it; an ebit install traces its two targets out and
 joins the pair in the Werner state, and ``Reinit`` traces its wire out.
+Inside a fused block the same holds for the block's own register, so the
+communication qubits live only there: on the 6-qubit program of
+perfbench's ``wide-10q`` workload, both the run's tensor and each
+block's register peak at 6 wires.
 
 Memory decay is kept in a ledger of idle seconds per wire instead of being
 applied after every event.  This is exact, not an approximation:
@@ -106,7 +126,10 @@ measurement's dephasing waits with the decay for the next map on the wire,
 and the record does not idle meanwhile, so that map settles the same
 seconds.  The decay is dropped, never applied, when the wire is
 re-initialized, overwritten by an ebit, or traced out at the end, since
-each of those discards the wire's state.
+each of those discards the wire's state.  The ledger is the plan's, not
+the block's: the decay owed and the map pending on each of a block's
+wires carry into the block when it opens and back out when it closes,
+so fusing a block gains, loses and moves no settle point.
 
 The noiseless reference a run is scored against is the source circuit the
 events were compiled from, run on a statevector.
@@ -118,6 +141,7 @@ import functools
 import io
 import math
 import os
+import time
 import weakref
 from dataclasses import dataclass, field
 
@@ -422,8 +446,38 @@ def _working_set_bytes(n_qubits: int) -> int:
     return 2 * _BYTES_PER_ENTRY * 4**n_qubits
 
 
+_MEMINFO_MAX_AGE_S = 0.01
+_meminfo_read: list = [-math.inf, None]  # when it was last read, and its text
+
+
+def _meminfo() -> bytes | None:
+    """The text of ``/proc/meminfo`` at most ``_MEMINFO_MAX_AGE_S`` old, or None where there is none.
+
+    One reading costs tens of microseconds, a tenth or more of a small
+    run, so runs that follow within that age reuse it.  Any reading is a
+    snapshot that another process can change right after it is taken.
+    """
+    now = time.monotonic()
+    if now - _meminfo_read[0] > _MEMINFO_MAX_AGE_S:
+        try:
+            with open("/proc/meminfo", "rb") as f:
+                _meminfo_read[:] = now, f.read()
+        except OSError:
+            _meminfo_read[:] = now, None
+    return _meminfo_read[1]
+
+
 def _available_bytes() -> int | None:
-    """Physical memory free right now, or None where the platform does not say."""
+    """Memory available for a new run right now, or None where the platform does not say.
+
+    Linux's MemAvailable counts the page cache the kernel can reclaim; free
+    pages alone (``SC_AVPHYS_PAGES``) would refuse runs that fit.  Elsewhere
+    the free pages are all there is to read.
+    """
+    text = _meminfo() or b""
+    at = text.find(b"MemAvailable:")
+    if at >= 0:
+        return int(text[at + 13 : text.index(b"kB", at)]) * 1024
     try:
         return os.sysconf("SC_AVPHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     except (ValueError, OSError):
@@ -448,8 +502,73 @@ def _available_bytes() -> int | None:
 #       of the tensor viewed as shape (before, 4, after), and put its
 #       projection after the measurement map sops[slot] in that slot for
 #       the next step.  Only sampled plans hold these.
-_APPLY, _PAIR, _DROP, _JOIN, _MEASURE = range(5)
+#   (_BLOCK, slot, perm, shape): as _APPLY, with the channel of a block
+#       (see :class:`_Block`), which the run puts in sops[slot].
+_APPLY, _PAIR, _DROP, _JOIN, _MEASURE, _BLOCK = range(6)
 _ZERO_SLOT, _EBIT_SLOT = 0, 1
+
+
+def _fuses(k: int, outside: int) -> bool:
+    """Whether a block on ``k`` wires runs as one pass of its channel, with ``outside`` other wires live.
+
+    The block's own passes then run on its k wires and k label wires
+    instead of on the k + ``outside`` wires of the full tensor.
+    """
+    return k < outside
+
+
+@dataclass
+class _Block:
+    """The events of a window in which communication qubits are live, as a channel on the ``k`` wires they touch.
+
+    A run computes the channel with the block's own ``steps``, on a
+    register of at most ``width`` wires that starts with the touched wires
+    and k label wires behind them in the state sum_P e_P x e_P: the
+    identity, so the output is the channel's (4^k, 4^k) Pauli transfer
+    matrix, rows by the output wires, columns by the labels, once the
+    tensor's axes are put in the order ``axes``.
+    """
+
+    slot: int
+    wires: tuple[int, ...]
+    steps: list
+    width: int = 0
+    axes: tuple[int, ...] = ()
+
+    @property
+    def k(self) -> int:
+        return len(self.wires)
+
+
+def _windows(walk: list) -> dict[int, int]:
+    """Each window of ``walk`` in which a communication qubit is live, as its first index to its last.
+
+    A window opens at the ebit install that makes a qubit live and closes
+    at the ``Reinit`` that leaves none live.
+    """
+    spans, live, start = {}, set(), 0
+    for i, item in enumerate(walk):
+        if isinstance(item, EbitRequest):
+            start = i if not live else start
+            live.update((item.qubit_a, item.qubit_b))
+        elif isinstance(item, Reinit) and item.qubit in live:
+            live.discard(item.qubit)
+            if not live:
+                spans[start] = i
+    return spans
+
+
+def _touched(ev, tags: dict[str, int]) -> tuple:
+    """The wires the walk item ``ev`` acts on; ``tags`` gives each measured tag's wire."""
+    if isinstance(ev, LocalGate):
+        return ev.gate.qubits
+    if isinstance(ev, EbitRequest):
+        return (ev.qubit_a, ev.qubit_b)
+    if isinstance(ev, (Measure, Reinit)):
+        return (ev.qubit,)
+    if isinstance(ev, ConditionalCorrection):
+        return (tags.get(ev.tag), ev.qubit)
+    return ()
 
 
 class _Plan:
@@ -471,7 +590,11 @@ class _Plan:
       (sampled measurements and the result wires' decay),
       ``keep * single_terms + (1 - keep) D``;
     - ``telemetry``, ``resources`` and ``elapsed``, the same for every run;
-    - ``width``: the most wires the tensor ever holds at once.
+    - ``width``: the most wires the tensor ever holds at once;
+    - ``blocks``: the fused blocks (:class:`_Block`), in the order a run
+      computes their channels.  Each holds its own steps and the width of
+      its register, label wires included; the settled maps of all of them
+      are in the plan's lists, numbered in the order a run meets them.
 
     A constant 1-wire map makes no pass of its own.  A 1-qubit gate, and in
     mixture mode a measurement's dephasing, waits in ``pending`` until the
@@ -479,6 +602,12 @@ class _Plan:
     ``T_j (A x B)``, a settled 1-wire map becomes ``sop @ A``, and a drop
     discards it, since A preserves the trace.  The decay owed commutes with
     A, so it is settled where it was.
+
+    A pre-scan of the walk finds the windows in which communication
+    qubits are live, so that :meth:`_open` knows whether a block fuses when
+    its window opens.  While it is open the walk appends to the block's
+    steps and tracks the block's tensor in ``order``; the ledger,
+    ``pending`` and the settle points stay the plan's.
 
     A join puts its wires at the front of ``order``.  A pass on adjacent
     wires runs in place, on the tensor viewed as (before, rows, after);
@@ -504,24 +633,35 @@ class _Plan:
         self.tag_qubit: dict[str, int] = {}
         self.pairs: list[tuple] = []  # (settle a, settle b, noisy CNOT, terms, maps folded in or None)
         self.singles: list[tuple] = []  # (slot, settle, map at keep = 1)
+        self.blocks: list[_Block] = []
+        self.outer: tuple | None = None  # the plan's own steps, order and width while a block is open
         layers = _build_layers(dc, durations, schedule_mode)
         self.telemetry = tuple(
             TelemetryRow(idx, ev.kind, layer.start, durations.of(ev))
             for layer in layers
             for idx, ev in layer.items
         )
+        # Each layer's events, then its idle seconds, then its ebits: fresh
+        # pairs materialize at the end of the distribution window and have
+        # not idled yet, so they are installed after the idle step.
+        walk: list = []
         for layer in layers:
-            pending_ebits: list[EbitRequest] = []
-            for _, ev in layer.items:
-                if isinstance(ev, EbitRequest):
-                    pending_ebits.append(ev)
-                else:
-                    self.perform(ev)
-            self.idle_all(layer.duration)
-            # Fresh pairs materialize at the end of the distribution window and
-            # have not idled yet, so they are installed after the idle step.
-            for ev in pending_ebits:
-                self.install_ebit(ev)
+            walk += [ev for _, ev in layer.items if not isinstance(ev, EbitRequest)]
+            walk.append(layer.duration)
+            walk += [ev for _, ev in layer.items if isinstance(ev, EbitRequest)]
+        spans = {} if self.sampled else _windows(walk)
+        close = None
+        for i, item in enumerate(walk):
+            if i in spans and self._open(walk[i : spans[i] + 1]):
+                close = spans[i]
+            if isinstance(item, float):
+                self.idle_all(item)
+            elif isinstance(item, EbitRequest):
+                self.install_ebit(item)
+            else:
+                self.perform(item)
+            if i == close:
+                self._close()
         for w in dc.result_wires:
             self._apply_decayed(w, _IDENTITY_1Q)
         # The output keeps each result wire's axis and the I entry of every
@@ -532,6 +672,13 @@ class _Plan:
         self.n_result = len(dc.result_wires)
         self.elapsed = (layers[-1].start + layers[-1].duration) if layers else 0.0
         self.resources = count_resources(dc)
+        # A run meets the blocks' pairs first, then the rest: number them so.
+        tracks = [block.steps for block in self.blocks] + [self.steps]
+        met = [ref for steps in tracks for kind, ref, *_ in steps if kind == _PAIR]
+        rank = {ref: i for i, ref in enumerate(met)}
+        self.pairs = [self.pairs[ref] for ref in met]
+        for steps in tracks:
+            steps[:] = [(kind, rank[a] if kind == _PAIR else a, b, c) for kind, a, b, c in steps]
         self.pair_settle = np.array([p[:2] for p in self.pairs], dtype=int).reshape(-1, 2)
         self.pair_noisy = np.array([p[2] for p in self.pairs], dtype=float)
         self.pair_terms = np.array([p[3] for p in self.pairs], dtype=float).reshape(-1, 5, 256)
@@ -544,8 +691,47 @@ class _Plan:
         self.settle_s = np.array(self.settle_s, dtype=float)
         # A run's output is a polynomial in f_w and in eps_cnot: each Werner
         # pair is affine in f_w and each noisy CNOT in eps_cnot.
-        self.f_w_degree = sum(1 for kind, _, slot, _ in self.steps if kind == _JOIN and slot == _EBIT_SLOT)
+        self.f_w_degree = sum(
+            1 for steps in tracks for kind, _, slot, _ in steps if kind == _JOIN and slot == _EBIT_SLOT
+        )
         self.eps_cnot_degree = int(self.pair_noisy.sum())
+
+    def _open(self, window: list) -> bool:
+        """Start a block for the walk items ``window`` if :func:`_fuses` says so, and say whether it did.
+
+        The block's wires are the live wires its events touch; it fuses
+        only if exactly those are live when it closes, so that its channel
+        maps them to themselves.  Its pass goes into the plan's steps now,
+        since every step until it closes is the block's; the decay owed and
+        the maps pending on its wires carry into it.
+        """
+        live, touched, tags = set(self.order), set(), dict(self.tag_qubit)
+        for ev in window:
+            if isinstance(ev, Measure):
+                tags[ev.tag] = ev.qubit
+            wires = set(_touched(ev, tags))
+            touched |= wires
+            live = live - wires if isinstance(ev, Reinit) else live | wires
+        wires = [w for w in self.order if w in touched]
+        if not wires or live & touched != set(wires) or not _fuses(len(wires), len(self.order) - len(wires)):
+            return False
+        slot = len(self.sops)
+        self.sops.append(None)
+        self._pass(tuple(wires), _BLOCK, slot)
+        wires.sort(key=self.order.index)
+        self.outer = (self.steps, self.order, self.width)
+        # The labels are never touched, so any ids outside the register do.
+        self.steps, self.order = [], wires + [-1 - i for i in range(len(wires))]
+        self.width = len(self.order)
+        self.blocks.append(_Block(slot, tuple(wires), self.steps))
+        return True
+
+    def _close(self) -> None:
+        """End the open block: record how to read its channel off, and go back to the plan's own tensor."""
+        block = self.blocks[-1]
+        labels = tuple(-1 - i for i in range(block.k))
+        block.width, block.axes = self.width, tuple(map(self.order.index, block.wires + labels))
+        self.steps, self.order, self.width = self.outer
 
     def _settle(self, wire: int) -> int:
         """Record the decay owed on ``wire`` as a settle point and clear it."""
@@ -732,7 +918,7 @@ def _bind(
 # 64 points at the paper's 4 live wires (4 KiB each), one point from 7 live
 # wires up.  It only caps the batch: past a few dozen points the dispatch
 # per pass is already shared, so a larger batch buys little speed for its
-# memory, and a point that does not fit alone is refused by the free-memory
+# memory, and a point that does not fit alone is refused by the available-memory
 # check.
 _BATCH_BYTES = 2**18
 
@@ -784,6 +970,13 @@ class _Register:
                 pure_to_pauli(terms, k - 1, scratch, out[:, p])
         return cls(buf, scratch, batch, 4**k)
 
+    @classmethod
+    def from_pauli(cls, vector: np.ndarray, width: int, batch: int) -> "_Register":
+        """``batch`` copies of the Pauli vector ``vector`` on the first wires, in buffers for ``width``."""
+        buf, scratch = np.empty(batch * 4**width), np.empty(batch * 4**width)
+        buf[: batch * vector.size].reshape(batch, -1)[:] = vector.reshape(-1)
+        return cls(buf, scratch, batch, vector.size)
+
     def join(self, wires: tuple[int, ...], block: np.ndarray) -> None:
         """Put absent ``wires`` at the front of each tensor, in the state ``block``, their Pauli vector.
 
@@ -831,6 +1024,12 @@ class _Register:
         else:
             shape = self.lead + shape
             np.matmul(sop if sop.ndim == 2 else sop[:, None], src.reshape(shape), out=dst.reshape(shape))
+
+    def matrix(self, axes: tuple[int, ...]) -> np.ndarray:
+        """Each tensor with its axes in the order ``axes``, as a square matrix: a new array of shape lead + (d, d)."""
+        v = self.buf[: self.batch * self.size].reshape((self.batch,) + (4,) * len(axes))
+        rows = math.isqrt(self.size)
+        return np.ascontiguousarray(v.transpose(0, *(1 + a for a in axes))).reshape(self.lead + (rows, rows))
 
     def reduced(self, take: tuple, axes: tuple[int, ...]) -> np.ndarray:
         """The density matrices of the wires ``take`` keeps, in the order ``axes`` gives, as a (B, d, d) array.
@@ -899,22 +1098,30 @@ def _run(
     # How many pairs' maps are built together.
     chunk = max(1, _PAIR_MAP_BYTES // (batch * 256 * _BYTES_PER_ENTRY))
     maps = np.empty((min(chunk, len(coef)), batch, 256))
-    reg = _Register.from_pure(input_state.amplitudes, plan.width, batch)
-    for kind, a, b, c in plan.steps:
-        if kind == _APPLY:
-            reg.apply(sops[a], b, c)
-        elif kind == _PAIR:
-            i = a % chunk
-            if i == 0:
-                m = min(chunk, len(coef) - a)
-                np.matmul(coef[a : a + m], plan.pair_terms[a : a + m], out=maps[:m])
-            reg.apply(maps[i].reshape(lead + (16, 16)), b, c)
-        elif kind == _DROP:
-            reg.drop(a)
-        elif kind == _JOIN:
-            reg.join(a, sops[b])
-        else:
-            sops[a] = sampler.projection(b, reg.buf[: reg.size].reshape(c)[0, :, 0], sops[a])
+
+    def execute(reg: _Register, steps: list) -> _Register:
+        for kind, a, b, c in steps:
+            if kind == _APPLY or kind == _BLOCK:
+                reg.apply(sops[a], b, c)
+            elif kind == _PAIR:
+                i = a % chunk
+                if i == 0:
+                    m = min(chunk, len(coef) - a)
+                    np.matmul(coef[a : a + m], plan.pair_terms[a : a + m], out=maps[:m])
+                reg.apply(maps[i].reshape(lead + (16, 16)), b, c)
+            elif kind == _DROP:
+                reg.drop(a)
+            elif kind == _JOIN:
+                reg.join(a, sops[b])
+            else:
+                sops[a] = sampler.projection(b, reg.buf[: reg.size].reshape(c)[0, :, 0], sops[a])
+        return reg
+
+    # Each block's register is freed before the next one, and before the run's own.
+    for block in plan.blocks:
+        identity = np.eye(4**block.k)
+        sops[block.slot] = execute(_Register.from_pauli(identity, block.width, batch), block.steps).matrix(block.axes)
+    reg = execute(_Register.from_pure(input_state.amplitudes, plan.width, batch), plan.steps)
     return reg.reduced(plan.output_take, plan.output_axes)
 
 
@@ -923,9 +1130,9 @@ def _admit(dc: DistributedCircuit, input_state: PureState, cfg: SimConfig) -> tu
 
     Raises :class:`EngineError` when the register exceeds the config's cap,
     when the input does not fit the circuit, or when a single point's memory
-    need exceeds the free memory, checked in that order.  Sampled runs hold
+    need exceeds the available memory, checked in that order.  Sampled runs hold
     one point, since each point draws its own outcomes; mixture runs as many
-    as ``_BATCH_BYTES`` and the free memory allow.
+    as ``_BATCH_BYTES`` and the available memory allow.
     """
     if dc.n_total > cfg.max_qubits:
         raise EngineError(
@@ -937,15 +1144,18 @@ def _admit(dc: DistributedCircuit, input_state: PureState, cfg: SimConfig) -> tu
         )
     input_state.validate()
     plan = _plan_for(dc, cfg.durations, cfg.schedule_mode, cfg.measurement_mode)
-    # The register, or, once it is freed, the two complex arrays the result
-    # wires' change of basis holds; the second is larger only when the
-    # result wires are every wire the register holds at its widest.
-    need = max(_working_set_bytes(plan.width), 2 * np.dtype(complex).itemsize * 4**plan.n_result)
+    # The widest register, a block's or the run's own, or, once the run's is
+    # freed, the two complex arrays the result wires' change of basis holds;
+    # the last is larger only when the result wires are every wire the
+    # register holds at its widest.  The blocks' channels are held throughout.
+    width = max([plan.width] + [block.width for block in plan.blocks])
+    need = max(_working_set_bytes(width), 2 * np.dtype(complex).itemsize * 4**plan.n_result)
+    need += _BYTES_PER_ENTRY * sum(16**block.k for block in plan.blocks)
     have = _available_bytes()
     if have is not None and need > have:
         raise EngineError(
-            f"register of {dc.n_total} qubits holds up to {plan.width} at once and needs "
-            f"{need / 1e9:.3g} GB, but only {have / 1e9:.3g} GB of memory is free"
+            f"register of {dc.n_total} qubits holds up to {width} at once and needs "
+            f"{need / 1e9:.3g} GB, but only {have / 1e9:.3g} GB of memory is available"
         )
     if cfg.measurement_mode == "sampled":
         return plan, 1

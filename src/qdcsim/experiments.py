@@ -292,7 +292,7 @@ def run_sweep(spec: ExperimentSpec) -> list[SweepRow]:
     input, for all schemes.  The engine gets one config for every setting the
     points share and the noise grid as ``(f_w, eps_cnot, r)`` rows, and
     runs the rows of one scheme and input together: in mixture mode as one
-    batched tensor, as many to a batch as its byte cap and the free memory
+    batched tensor, as many to a batch as its byte cap and the available memory
     allow.  In mixture mode a dense ``f_w`` or ``eps_cnot`` axis is run only
     at degree + 1 Chebyshev nodes per ``r`` and its rows are interpolated
     from them (see ``engine._outputs``); they agree with direct runs to

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from qdcsim import engine, experiments
+from qdcsim import cli, engine, experiments
 from qdcsim.cli import main
 from qdcsim.compiler import Scheme, compile_circuit, count_resources
 from qdcsim.experiments import (
@@ -608,6 +608,40 @@ class TestCliFileErrors:
         path = tmp_path / "missing" / "x.csv"
         assert main(["sweep", "--scheme", "cat", "--out", str(path)]) == 1
         self.one_line_error(capsys, "cannot write output file", str(path))
+
+    @pytest.mark.parametrize("command", ["sweep", "compare", "input-scan"])
+    @pytest.mark.parametrize("where", ["missing directory", "directory", "read-only file"])
+    def test_unwritable_out_refused_before_any_engine_run(self, tmp_path, capsys, monkeypatch, command, where):
+        runs = []
+        monkeypatch.setattr(experiments, "_outputs", lambda *args: runs.append(args))
+        path = {"missing directory": tmp_path / "missing" / "x.csv", "directory": tmp_path}.get(where, tmp_path / "x.csv")
+        if where == "read-only file":
+            path.write_text("kept\n")
+            monkeypatch.setattr(cli.os, "access", lambda p, mode: p != str(path))
+        assert main([command, "--scheme", "cat", "--out", str(path)]) == 1
+        self.one_line_error(capsys, "cannot write output file", str(path))
+        assert runs == []
+        assert where != "read-only file" or path.read_text() == "kept\n"
+
+    def test_nonexistent_out_refused_before_the_sweep(self, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "run_sweep", lambda spec: calls.append(spec))
+        assert main(["sweep", "--out", "/nonexistent/x.csv"]) == 1
+        self.one_line_error(capsys, "cannot write output file '/nonexistent/x.csv': No such file or directory")
+        assert calls == []
+
+    def test_writable_out_not_created_before_the_sweep(self, tmp_path, monkeypatch):
+        path = tmp_path / "x.csv"
+        seen = []
+        run = cli.run_sweep
+
+        def spy(spec):
+            seen.append(path.exists())
+            return run(spec)
+
+        monkeypatch.setattr(cli, "run_sweep", spy)
+        assert main(["sweep", "--scheme", "cat", "--out", str(path)]) == 0
+        assert seen == [False] and path.read_text().startswith("# qdcsim sweep")
 
     def test_compile_out_in_missing_directory(self, tmp_path, capsys):
         path = tmp_path / "missing" / "x.json"

@@ -1,6 +1,7 @@
 """Event-timed simulation: correctness oracle, closed forms, modes, timing."""
 
 import gc
+import io
 import itertools
 import math
 
@@ -448,6 +449,112 @@ class TestLiveWires:
             assert max(widths) <= widest < dc.n_total, f"{scheme.value}: {max(widths)} wires held"
 
 
+class TestFusedBlocks:
+    """In mixture mode a remote gate that leaves its data wires as it found them runs as one pass of its channel."""
+
+    NOISE = np.array([
+        (0.94, 0.004, 0.055), (0.9, 0.03, 20.0), (0.97, 0.01, 3.0), (1.0, 0.0, 0.0), (0.8, 0.1, 50.0),
+    ])
+    # 21 f_w values at one (eps_cnot, r): the rows are read off the Chebyshev nodes.
+    F_W_SWEEP = np.column_stack((np.linspace(0.8, 1.0, 21), np.full(21, 0.004), np.full(21, 0.055)))
+    FIVE_QUBITS = ORACLE_CIRCUITS_STATIC[2]
+    # Local gates before and after the remote one: the plan's own pairs come first and last.
+    LOCAL_AROUND = "qreg q[5]; h q[0]; cx q[0],q[1]; cx q[0],q[4]; cx q[3],q[4];"
+
+    @staticmethod
+    def outputs(monkeypatch, fuse, dc, inp, cfg, noise):
+        monkeypatch.setattr(engine, "_fuses", lambda k, outside: fuse)
+        monkeypatch.setattr(engine, "_plans", {})
+        assert bool(engine._plan_for(dc, cfg.durations, cfg.schedule_mode).blocks) == fuse
+        return np.concatenate(list(engine._outputs(dc, inp, cfg, noise)))
+
+    @pytest.mark.parametrize("schedule", ["sequential", "layered"])
+    @pytest.mark.parametrize("scheme", [Scheme.CAT_COMM, Scheme.TP_SAFE], ids=lambda s: s.value)
+    @pytest.mark.parametrize(
+        "source", [TestLiveWires.SIX_QUBITS, FIVE_QUBITS, LOCAL_AROUND], ids=["6q", "5q", "5q-local"]
+    )
+    def test_fused_and_direct_runs_agree(self, monkeypatch, source, scheme, schedule):
+        circuit = parse_qasm(source)
+        dc = compile_circuit(circuit, scheme)
+        inp = random_input(np.random.default_rng(9), circuit.n_qubits)
+        cfg = SimConfig(schedule_mode=schedule)
+        monkeypatch.setattr(engine, "_BATCH_BYTES", 2**22)
+        assert engine._admit(dc, inp, cfg)[1] >= len(self.NOISE)  # the five rows run as one batch
+        for noise in (self.NOISE, self.F_W_SWEEP):
+            fused, direct = (self.outputs(monkeypatch, fuse, dc, inp, cfg, noise) for fuse in (True, False))
+            np.testing.assert_allclose(fused, direct, atol=1e-12, rtol=0.0)
+
+    @pytest.mark.parametrize("r", [0.055, 50.0])
+    def test_fused_mixture_equals_weighted_branches_with_all_noise(self, r):
+        # The mixture plan fuses the remote gate (2 data wires against 3 others); the sampled plan cannot.
+        dc = compile_circuit(parse_qasm("qreg q[5]; cx q[0],q[4];"), Scheme.CAT_COMM)
+        plans = {mode: engine._plan_for(dc, DurationTable(), "sequential", mode) for mode in ("mixture", "sampled")}
+        assert (len(plans["mixture"].blocks), len(plans["sampled"].blocks)) == (1, 0)
+        inp = random_input(np.random.default_rng(4), 5)
+        noise = dict(werner=WernerParam(0.92), gate_err=GateErrorParam(0.02), memory=MemoryParam(r))
+        mixture = simulate(dc, inp, SimConfig(**noise)).rho_out.entries
+        tags = [ev.tag for ev in dc.events if isinstance(ev, Measure)]
+        total = np.zeros_like(mixture)
+        for bits in itertools.product((0, 1), repeat=len(tags)):
+            cfg = SimConfig(measurement_mode="sampled", **noise)
+            res = simulate(dc, inp, cfg, forced_outcomes=dict(zip(tags, bits)))
+            total += res.branch_probability * res.rho_out.entries
+        np.testing.assert_allclose(total, mixture, atol=1e-12, rtol=0.0)
+
+    @pytest.mark.parametrize("schedule", ["sequential", "layered"])
+    def test_remote_cnot_and_sampled_plans_hold_no_block(self, schedule):
+        for scheme in ALL_SCHEMES:
+            dc = compile_circuit(remote_cnot(), scheme)
+            for mode in ("mixture", "sampled"):
+                assert engine._Plan(dc, DurationTable(), schedule, mode).blocks == []
+        for source in ORACLE_CIRCUITS_ALL + ORACLE_CIRCUITS_STATIC:
+            for scheme in REMOTE:
+                try:
+                    dc = compile_circuit(parse_qasm(source), scheme)
+                except SchemeInapplicableError:
+                    continue
+                assert engine._Plan(dc, DurationTable(), schedule, "sampled").blocks == []
+
+    def test_cost_rule(self):
+        # A block fuses when its wires are fewer than the live wires outside it.
+        assert [engine._fuses(2, outside) for outside in (0, 1, 2, 3, 4)] == [False] * 3 + [True] * 2
+        assert engine._fuses(1, 2) and not engine._fuses(3, 3)
+
+    def test_widest_block_sets_the_need(self, monkeypatch):
+        # 5 wires outside any block, 6 in the remote gate's (2 of them labels):
+        # its two buffers (2 * 8 * 4**6 bytes) and its channel (8 * 16**2) are the need.
+        dc = compile_circuit(parse_qasm("qreg q[5]; cx q[0],q[4];"), Scheme.CAT_COMM)
+        need = 2 * 8 * 4**6 + 8 * 16**2
+        allocated = []
+        from_pauli = engine._Register.from_pauli
+        monkeypatch.setattr(engine._Register, "from_pauli", lambda *a: allocated.append(a) or from_pauli(*a))
+        monkeypatch.setattr(engine, "_available_bytes", lambda: need - 1)
+        with pytest.raises(EngineError, match="holds up to 6 at once"):
+            simulate(dc, PureState.zero(5), SimConfig())
+        assert allocated == []
+        monkeypatch.setattr(engine, "_available_bytes", lambda: need)
+        assert simulate(dc, PureState.zero(5), SimConfig()).rho_out.n_qubits == 5
+        assert [(len(vector), width, batch) for vector, width, batch in allocated] == [(16, 6, 1)]
+
+    @pytest.mark.parametrize("scheme,passes,copies", [(Scheme.CAT_COMM, 21, 7), (Scheme.TP_SAFE, 39, 14)])
+    def test_passes_in_blocks_bounded(self, scheme, passes, copies):
+        # The plan's own passes, each block's one among them, and the blocks' steps.
+        dc = compile_circuit(parse_qasm(TestLiveWires.SIX_QUBITS), scheme)
+        plan = engine._Plan(dc, DurationTable(), "sequential")
+        steps = plan.steps + [step for block in plan.blocks for step in block.steps]
+        runs = [perm for kind, _, perm, _ in steps if kind in (engine._APPLY, engine._PAIR, engine._BLOCK)]
+        assert len(runs) <= passes and sum(perm is not None for perm in runs) <= copies
+
+    @pytest.mark.parametrize("scheme", [Scheme.CAT_COMM, Scheme.TP_SAFE], ids=lambda s: s.value)
+    def test_six_qubit_program_peaks_at_six_wires(self, scheme):
+        # Each remote gate is a block on its 2 data wires, with 2 label wires and at most 2 communication qubits.
+        dc = compile_circuit(parse_qasm(TestLiveWires.SIX_QUBITS), scheme)
+        plan = engine._Plan(dc, DurationTable(), "sequential")
+        assert [(block.k, block.width) for block in plan.blocks] == [(2, 6)] * 3
+        assert plan.width == 6
+        assert [kind for kind, *_ in plan.steps].count(engine._BLOCK) == 3
+
+
 class TestLayout:
     """Where a plan keeps each wire: a join puts it at the front, and a pass runs in place where it can."""
 
@@ -752,6 +859,49 @@ class TestGuards:
         assert engine._working_set_bytes(14) == 2 * 8 * 4**14
         assert engine._working_set_bytes(6) == 2 * 8 * 4**6
 
+    def test_available_memory_read_from_meminfo(self, monkeypatch):
+        # MemAvailable counts reclaimable page cache, which MemFree leaves out.
+        meminfo = b"MemTotal:        8000000 kB\nMemFree:          100000 kB\nMemAvailable:    7000000 kB\n"
+        monkeypatch.setattr(engine, "_meminfo", lambda: meminfo)
+        monkeypatch.setattr(engine.os, "sysconf", lambda name: pytest.fail("free pages read"))
+        assert engine._available_bytes() == 7000000 * 1024
+
+    @pytest.mark.parametrize("meminfo", [None, b"MemTotal: 8000000 kB\nMemFree: 100000 kB\n"], ids=["none", "no-field"])
+    def test_available_memory_falls_back_to_free_pages(self, monkeypatch, meminfo):
+        monkeypatch.setattr(engine, "_meminfo", lambda: meminfo)
+        monkeypatch.setattr(engine.os, "sysconf", {"SC_AVPHYS_PAGES": 300, "SC_PAGE_SIZE": 4096}.__getitem__)
+        assert engine._available_bytes() == 300 * 4096
+
+        def unknown(name):
+            raise ValueError(name)
+
+        monkeypatch.setattr(engine.os, "sysconf", unknown)
+        assert engine._available_bytes() is None
+
+    def test_meminfo_read_at_most_once_per_max_age(self, monkeypatch):
+        clock, reads = [100.0], []
+
+        def reader(path, mode):
+            reads.append((path, mode))
+            return io.BytesIO(b"MemTotal: 9 kB\nMemAvailable: %d kB\n" % len(reads))
+
+        monkeypatch.setattr(engine, "_meminfo_read", [-math.inf, None])
+        monkeypatch.setattr(engine.time, "monotonic", lambda: clock[0])
+        monkeypatch.setattr(engine, "open", reader, raising=False)
+        assert engine._available_bytes() == 1024
+        clock[0] += engine._MEMINFO_MAX_AGE_S / 2
+        assert engine._available_bytes() == 1024
+        clock[0] += engine._MEMINFO_MAX_AGE_S
+        assert engine._available_bytes() == 2048
+        assert reads == [("/proc/meminfo", "rb")] * 2
+
+        def missing(path, mode):
+            raise FileNotFoundError(path)
+
+        monkeypatch.setattr(engine, "open", missing, raising=False)
+        clock[0] += 2 * engine._MEMINFO_MAX_AGE_S
+        assert engine._meminfo() is None
+
     def test_register_too_big_for_free_memory_rejected(self, monkeypatch):
         dc = compile_circuit(remote_cnot(), Scheme.CAT_COMM)  # 6 qubits, at most 4 live at once
         need = engine._working_set_bytes(4)
@@ -763,11 +913,13 @@ class TestGuards:
 
     def test_capped_register_refused_before_allocation(self, monkeypatch):
         # 10 processing + 4 comm qubits pass the default cap of 14, and at most
-        # 12 are live at once; one byte short of that working set, the run is
-        # refused and nothing may be allocated.
+        # 10 are live at once; the output's change of basis over all 10 (two
+        # complex arrays of 4**10 entries) and the remote gate's channel (16**2
+        # entries) set the need.  One byte short of it, the run is refused and
+        # nothing may be allocated.
         dc = compile_circuit(parse_qasm("qreg q[10]; cx q[0],q[9];"), Scheme.CAT_COMM)
         assert dc.n_total == SimConfig().max_qubits
-        monkeypatch.setattr(engine, "_available_bytes", lambda: engine._working_set_bytes(12) - 1)
+        monkeypatch.setattr(engine, "_available_bytes", lambda: 2 * 16 * 4**10 + 8 * 16**2 - 1)
 
         def no_allocation(*args):
             raise AssertionError("register allocated")
@@ -777,10 +929,12 @@ class TestGuards:
             simulate(dc, PureState.zero(10), SimConfig())
 
     def test_peak_width_admitted_with_half_the_complex_working_set(self, monkeypatch):
-        # 12 live wires of real Pauli vectors, register and scratch: 2 * 8 * 4**12
-        # bytes (0.27 GB), half of what a complex register would take.
+        # 10 live wires of real Pauli vectors, register and scratch: 2 * 8 * 4**10
+        # bytes, half of what a complex register would take, and half of the
+        # output's change of basis (2 * 16 * 4**10 bytes, 34 MB), which sets
+        # the need with the remote gate's channel (8 * 16**2 bytes).
         dc = compile_circuit(parse_qasm("qreg q[10]; cx q[0],q[9];"), Scheme.CAT_COMM)
-        assert dc.n_total == 14 and engine._plan_for(dc, DurationTable(), "sequential").width == 12
+        assert dc.n_total == 14 and engine._plan_for(dc, DurationTable(), "sequential").width == 10
 
         class Admitted(Exception):
             pass
@@ -789,10 +943,10 @@ class TestGuards:
             raise Admitted
 
         monkeypatch.setattr(engine._Register, "from_pure", admitted)
-        monkeypatch.setattr(engine, "_available_bytes", lambda: 2 * 8 * 4**12)
+        monkeypatch.setattr(engine, "_available_bytes", lambda: 2 * 16 * 4**10 + 8 * 16**2)
         with pytest.raises(Admitted):
             simulate(dc, PureState.zero(10), SimConfig())
-        monkeypatch.setattr(engine, "_available_bytes", lambda: 2 * 8 * 4**12 - 1)
+        monkeypatch.setattr(engine, "_available_bytes", lambda: 2 * 16 * 4**10 + 8 * 16**2 - 1)
         with pytest.raises(EngineError, match="memory"):
             simulate(dc, PureState.zero(10), SimConfig())
 
@@ -808,7 +962,7 @@ class TestGuards:
         assert simulate(dc, PureState.zero(6), SimConfig()).rho_out.n_qubits == 6
 
     def test_wide_register_admitted_by_peak_width(self, monkeypatch):
-        # All 14 wires would need 4.3 GB; the 12 live at once need 0.27 GB.
+        # All 14 wires would need 4.3 GB; the 10 live at once need 34 MB.
         dc = compile_circuit(parse_qasm("qreg q[10]; cx q[0],q[9];"), Scheme.CAT_COMM)
         monkeypatch.setattr(engine, "_available_bytes", lambda: 10**9)
 

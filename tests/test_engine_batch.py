@@ -296,11 +296,11 @@ class TestBatchAdmission:
         assert [len(r) for r in results] == batches == [1, 1, 1]
 
     def test_wide_register_batched_within_the_cap(self, monkeypatch):
-        # 12 live wires take 0.54 GB per point, past the default byte cap, so
+        # 10 live wires take 17 MB per point, past the default byte cap, so
         # even with memory to spare a batch holds one point.
         dc = compile_circuit(parse_qasm("qreg q[10]; cx q[0],q[9];"), Scheme.CAT_COMM)
         monkeypatch.setattr(engine, "_available_bytes", lambda: 10**12)
-        assert engine._working_set_bytes(12) > engine._BATCH_BYTES
+        assert engine._working_set_bytes(10) > engine._BATCH_BYTES
 
         class Admitted(Exception):
             pass
@@ -311,7 +311,7 @@ class TestBatchAdmission:
         monkeypatch.setattr(engine._Register, "from_pure", admitted)
         with pytest.raises(Admitted) as info:
             next(engine._outputs(dc, PureState.zero(10), SimConfig(), NOISE))
-        assert info.value.args == (12, 1)
+        assert info.value.args == (10, 1)
 
 
 class TestRunKeepsNothing:
@@ -333,9 +333,11 @@ class TestRunKeepsNothing:
         np.testing.assert_array_equal(alone.rho_out.entries, alone_before)
 
     def test_run_allocates_and_frees_its_register(self):
-        # 7 live wires at the peak: each of the run's two buffers takes 4**7 * 8 bytes (128 KiB).
+        # 6 live wires at the peak, in the remote gate's block (its 2 label wires
+        # among them): each of its register's two buffers takes 4**6 * 8 bytes (32 KiB).
         dc = compile_circuit(parse_qasm("qreg q[5]; cx q[0],q[4];"), Scheme.CAT_COMM)
-        assert engine._plan_for(dc, DurationTable(), "sequential").width == 7
+        plan = engine._plan_for(dc, DurationTable(), "sequential")
+        assert (plan.width, [block.width for block in plan.blocks]) == (5, [6])
         simulate(dc, PureState.zero(5))  # builds the plan and its pair terms
         tracemalloc.start()
         try:
@@ -345,7 +347,7 @@ class TestRunKeepsNothing:
             left, _ = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak >= 2 * 4**7 * 8
+        assert peak >= 2 * 4**6 * 8
         assert left < 4096
 
     def test_concurrent_runs_never_share_buffers(self):

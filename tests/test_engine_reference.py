@@ -381,3 +381,88 @@ def test_folded_maps_match_eager_reference(monkeypatch, schedule):
         for mode in ("mixture", "sampled"):
             engine._Plan(dc, engine.DurationTable(), schedule, mode)
     assert seen == FOLD_TARGETS
+
+
+# Remote gates as one channel pass: with every block fused, whatever the
+# cost rule says, runs still match the eager reference.  Registers of up to
+# 7 qubits, at every noise point, in both schedules, in mixture mode (a
+# sampled plan holds no block).
+def _fused_cases():
+    for i, src in enumerate(NOISE_FREE_CIRCUITS):
+        circuit = parse_qasm(src)
+        for scheme in Scheme:
+            try:
+                dc = compile_circuit(circuit, scheme)
+            except SchemeInapplicableError:
+                continue
+            if dc.n_total <= MAX_NOISY_QUBITS:
+                yield pytest.param(i, scheme, id=f"c{i}-{scheme.value}")
+
+
+@pytest.fixture
+def always_fuse(monkeypatch):
+    """Fuse every block that maps its wires to themselves, in plans built afresh for the test."""
+    monkeypatch.setattr(engine, "_fuses", lambda k, outside: True)
+    monkeypatch.setattr(engine, "_plans", {})
+
+
+@pytest.mark.parametrize("schedule", ["sequential", "layered"])
+@pytest.mark.parametrize("index,scheme", list(_fused_cases()))
+def test_fused_blocks_match_eager_reference(always_fuse, index, scheme, schedule):
+    circuit = parse_qasm(NOISE_FREE_CIRCUITS[index])
+    dc = compile_circuit(circuit, scheme)
+    blocks = engine._plan_for(dc, engine.DurationTable(), schedule).blocks
+    # cat-comm and TP-safe leave no communication qubit live after a remote gate.
+    assert bool(blocks) == (scheme in (Scheme.CAT_COMM, Scheme.TP_SAFE) and bool(dc.remote_gates))
+    rng = np.random.default_rng(2000 + index)
+    amp = rng.normal(size=1 << circuit.n_qubits) + 1j * rng.normal(size=1 << circuit.n_qubits)
+    inp = PureState(amp / np.linalg.norm(amp))
+    for noise in NOISE.values():
+        _agree(dc, inp, SimConfig(schedule_mode=schedule, **noise))
+
+
+# Hand-built windows, each (events, result wires, whether it fuses under
+# the sequential schedule).  A window fuses only if the live wires it
+# touches are the same when it closes as when it opens.
+WINDOW_PROGRAMS = {
+    "reads-an-earlier-record": (
+        (_gate("h", 1), Measure(1, "m0"), EbitRequest(2, 4), _gate("cx", 0, 2), ConditionalCorrection("x", 4, "m0"),
+         Measure(2, "m1"), ConditionalCorrection("z", 0, "m1"), _gate("cx", 4, 0), Reinit(2), Reinit(4), _gate("h", 0)),
+        (0, 1),
+        True,
+    ),
+    "wakes-a-reinitialized-wire": (
+        (_gate("h", 0), _gate("cx", 0, 1), Reinit(1), EbitRequest(2, 4), _gate("cx", 0, 2), _gate("h", 1),
+         Measure(2, "m0"), ConditionalCorrection("x", 4, "m0"), _gate("cx", 4, 1), Reinit(2), Reinit(4)),
+        (0, 1),
+        False,
+    ),
+    "reinitializes-a-data-wire": (
+        (_gate("h", 0), _gate("h", 1), EbitRequest(2, 4), _gate("cx", 0, 2), Measure(2, "m0"),
+         ConditionalCorrection("x", 4, "m0"), Reinit(2), _gate("cx", 4, 1), Reinit(0), Reinit(4), _gate("h", 0)),
+        (0, 1),
+        False,
+    ),
+}
+
+
+@pytest.mark.parametrize("r", [0.0, 50.0])
+@pytest.mark.parametrize("schedule", ["sequential", "layered"])
+@pytest.mark.parametrize("program", list(WINDOW_PROGRAMS))
+def test_fused_windows_match_eager_reference(always_fuse, program, schedule, r):
+    events, result_wires, fuses = WINDOW_PROGRAMS[program]
+    dc = DistributedCircuit(
+        source=Circuit(2, (), name=program),
+        scheme=Scheme.CAT_COMM,
+        placement=PLACEMENT,
+        events=events,
+        result_wires=result_wires,
+    )
+    # The layered schedule installs the ebit in the first slot, so its window starts earlier.
+    if schedule == "sequential":
+        assert bool(engine._plan_for(dc, engine.DurationTable(), schedule).blocks) == fuses
+    rng = np.random.default_rng(8)
+    amp = rng.normal(size=4) + 1j * rng.normal(size=4)
+    inp = PureState(amp / np.linalg.norm(amp))
+    noise = dict(werner=WernerParam(0.94), gate_err=GateErrorParam(0.004), memory=MemoryParam(r))
+    _agree(dc, inp, SimConfig(schedule_mode=schedule, **noise))
