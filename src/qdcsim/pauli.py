@@ -24,6 +24,27 @@ PAULI_T = np.array([[1, 0, 0, 1], [0, 1, 1, 0], [0, 1j, -1j, 0], [1, 0, 0, -1]])
 _TO = {2: PAULI_T, 4: np.kron(PAULI_T, PAULI_T).reshape(16, 2, 2, 2, 2).transpose(0, 1, 3, 2, 4).reshape(16, 16)}
 _FROM = {d: t.conj().T / d for d, t in _TO.items()}
 
+# OpenBLAS runs a product on all its threads from a size on: a complex
+# matrix product above 2**15 multiply-adds, a complex matrix-vector product
+# from 2**12 entries.  One point's product just above that (a change of
+# basis on six wires, a fidelity on six qubits) gains little from them on
+# an idle machine, and whenever another process holds a CPU it waits for
+# them to get a time slice, which makes a run several times slower.  So
+# such a product goes to BLAS in up to four pieces below that size, which
+# numpy's matmul runs in turn on the calling thread.  A piece is a block of
+# output entries, each summing the same terms in the same order, so the
+# result does not change.
+_GEMM_PIECE = 2**15
+_GEMV_PIECE = 2**11
+
+
+def _pieces(size: int, piece: int) -> int:
+    """How many pieces a product of ``size`` goes to BLAS in: ``size // piece`` up to four, else one.
+
+    ``size`` and ``piece`` are powers of two, so the pieces are equal.
+    """
+    return size // piece if piece < size <= 4 * piece else 1
+
 
 def _wire_groups(k: int) -> tuple[int, ...]:
     """The ket dimension of each group of wires a change of basis takes at once: pairs, then any wire left."""
@@ -38,10 +59,13 @@ def _per_wire(c: np.ndarray, k: int, mats: dict, spare: np.ndarray) -> np.ndarra
     equal-sized ``spare``; the one holding the result is returned.  Going
     back from the Pauli basis, a Hermitian operator's mirrored entries come
     out as exact conjugates: every product with an entry of ``mats`` is
-    exact, and mirrored entries sum mirrored terms.
+    exact, and mirrored entries sum mirrored terms.  Each step is one
+    product per point, in :func:`_pieces` by its rows.
     """
     for d in _wire_groups(k):
-        np.matmul(c.reshape(len(c), d * d, -1).transpose(0, 2, 1), mats[d].T, out=spare.reshape(len(c), -1, d * d))
+        p = _pieces(c.shape[1] * d * d, _GEMM_PIECE)
+        rows = c.reshape(len(c), d * d, p, -1).transpose(0, 2, 3, 1)
+        np.matmul(rows, mats[d].T, out=spare.reshape(len(c), p, -1, d * d))
         c, spare = spare, c
     return c
 

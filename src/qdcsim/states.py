@@ -21,6 +21,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .gates import Gate, gate_unitary
+from .pauli import _GEMV_PIECE, _pieces
 
 
 class Role(enum.Enum):
@@ -324,9 +325,15 @@ def fidelity_general(ideal: DensityMatrix, noisy: DensityMatrix) -> float:
 
 
 def _fidelities(ideal: PureState, outputs: np.ndarray) -> np.ndarray:
-    """``<psi| rho |psi>`` of each density matrix in a ``(B, d, d)`` stack."""
+    """``<psi| rho |psi>`` of each density matrix in a ``(B, d, d)`` stack.
+
+    ``<psi| rho`` goes in :func:`~qdcsim.pauli._pieces` by its columns.
+    """
     a = ideal.amplitudes
-    return np.real(((a.conj() @ outputs)[:, None, :] @ a[:, None])[:, 0, 0])
+    d = len(a)
+    p = _pieces(d * d, _GEMV_PIECE)
+    bra = (a.conj() @ outputs.reshape(-1, d, p, d // p).transpose(0, 2, 1, 3)).reshape(-1, 1, d)
+    return np.real((bra @ a[:, None])[:, 0, 0])
 
 
 def fidelity_pure(ideal: PureState, noisy: DensityMatrix) -> float:

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from test_acceptance import NOISE_FREE_CIRCUITS
 
-from qdcsim import engine, experiments
+from qdcsim import engine, experiments, pauli, states
 from qdcsim.channels import GateErrorParam, MemoryParam, WernerParam, werner_state
 from qdcsim.compiler import Scheme, compile_circuit
 from qdcsim.engine import DurationTable, SimConfig, simulate
@@ -174,6 +174,33 @@ def test_pure_input_round_trip(k, width):
     assert pauli.dtype == np.float64
     np.testing.assert_allclose(pauli, (pauli_rows(k) @ rho.reshape(-1)).real, rtol=0, atol=1e-15)
     np.testing.assert_allclose(back, rho, rtol=0, atol=1e-15)
+
+
+def test_small_products_go_in_pieces():
+    assert [pauli._pieces(2**e, pauli._GEMM_PIECE) for e in range(14, 20)] == [1, 1, 2, 4, 1, 1]
+    # One point's change of basis on six wires, and a fidelity on six qubits.
+    assert pauli._pieces(4**6 * 16, pauli._GEMM_PIECE) == 2
+    assert pauli._pieces(64 * 64, pauli._GEMV_PIECE) == 2
+
+
+@pytest.mark.parametrize("k,batch", [(5, 1), (6, 1), (6, 3), (7, 1)])
+def test_pieces_leave_conversions_unchanged(k, batch, monkeypatch):
+    rng = np.random.default_rng(k)
+    amp = rng.normal(size=1 << k) + 1j * rng.normal(size=1 << k)
+    amp /= np.linalg.norm(amp)
+    vectors = rng.normal(size=(batch, 4**k))
+
+    def convert():
+        work, out = np.empty(4 * 4**k), np.empty((1, 4**k))
+        pauli.pure_to_pauli([(1, amp, amp)], k, work, out)
+        rho = pauli.from_pauli(vectors.astype(complex), k)
+        return out, rho, states._fidelities(PureState(amp), rho)
+
+    pieced = convert()
+    monkeypatch.setattr(pauli, "_pieces", lambda size, piece: 1)
+    monkeypatch.setattr(states, "_pieces", lambda size, piece: 1)
+    for got, whole in zip(pieced, convert()):
+        assert np.array_equal(got, whole)
 
 
 def test_output_follows_result_order_and_traces_the_rest():
