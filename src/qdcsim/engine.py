@@ -43,7 +43,9 @@ into a 2-wire map's terms (a per-plan copy of the shared ones) or a settled
 measurement, which reads the wire before projecting it.  A conditional
 correction is the controlled Pauli on the measured record in both modes.
 Which wire each tensor axis belongs to is known to the plan alone; a run
-only tracks the tensor's size.
+only tracks the tensor's size.  The plan decides every step, down to how
+the input changes basis, and each point's settled maps come from its own
+products, so a point gives the same bits in a batch of any size.
 
 In a mixture plan a remote gate can run as one pass of its channel.  Each
 window in which communication qubits are live (from the ebit install that
@@ -51,14 +53,14 @@ makes one live to the ``Reinit`` that leaves none) is a block over the k
 live wires its events touch.  When those same wires are live at its end,
 so that nothing was relocated, and k is smaller than the number of live
 wires outside it (:func:`_fuses`), the plan gives the block steps of its
-own and puts one k-wire pass in its place.  Before it allocates its own
-register, a run computes each block's channel, its Pauli transfer matrix
-(Greenbaum, arXiv:1509.02921), by running the block's steps on a register
-that holds k label wires beside the k input wires in the state
-sum_P e_P x e_P: the output, read by output and label axes, is the
-(B, 4^k, 4^k) map.  So the communication qubits never join the full
-tensor.  Sampled plans, and blocks that fail the rule, run their steps
-directly.
+own and puts one k-wire pass of its channel, an ordinary _APPLY step, in
+its place.  Before it allocates its own register, a run computes each
+block's channel, its Pauli transfer matrix (Greenbaum, arXiv:1509.02921),
+by running the block's steps on a register that holds k label wires
+beside the k input wires in the state sum_P e_P x e_P: the output, read
+by output and label axes, is the (B, 4^k, 4^k) map.  So the
+communication qubits never join the full tensor.  Sampled plans, and
+blocks that fail the rule, run their steps directly.
 
 The state is held in the per-wire Pauli basis (:mod:`qdcsim.pauli`): one
 real axis of length 4 per live wire, with entries Tr(P rho) for P = I, X,
@@ -489,9 +491,10 @@ def _available_bytes() -> int | None:
 # ---------------------------------------------------------------------------
 
 # A step is a 4-tuple whose first entry is its kind:
-#   (_APPLY, slot, perm, shape): apply the settled 1-wire map sops[slot]
-#       to the block of shape (before, rows, after), after a transposing
-#       copy by ``perm`` when it is not None.
+#   (_APPLY, slot, perm, shape): apply the map sops[slot] to the block of
+#       shape (before, rows, after), after a transposing copy by ``perm``
+#       when it is not None.  The map is a settled 1-wire map, or a fused
+#       block's channel (see :class:`_Block`), which the run computes first.
 #   (_PAIR, i, perm, shape): the same with the i-th settled 2-wire map,
 #       built from its terms at the latest just before the pass.
 #   (_DROP, shape, -, -): trace out the wire whose Pauli index is axis 1 of
@@ -502,9 +505,7 @@ def _available_bytes() -> int | None:
 #       of the tensor viewed as shape (before, 4, after), and put its
 #       projection after the measurement map sops[slot] in that slot for
 #       the next step.  Only sampled plans hold these.
-#   (_BLOCK, slot, perm, shape): as _APPLY, with the channel of a block
-#       (see :class:`_Block`), which the run puts in sops[slot].
-_APPLY, _PAIR, _DROP, _JOIN, _MEASURE, _BLOCK = range(6)
+_APPLY, _PAIR, _DROP, _JOIN, _MEASURE = range(5)
 _ZERO_SLOT, _EBIT_SLOT = 0, 1
 
 
@@ -558,19 +559,6 @@ def _windows(walk: list) -> dict[int, int]:
     return spans
 
 
-def _touched(ev, tags: dict[str, int]) -> tuple:
-    """The wires the walk item ``ev`` acts on; ``tags`` gives each measured tag's wire."""
-    if isinstance(ev, LocalGate):
-        return ev.gate.qubits
-    if isinstance(ev, EbitRequest):
-        return (ev.qubit_a, ev.qubit_b)
-    if isinstance(ev, (Measure, Reinit)):
-        return (ev.qubit,)
-    if isinstance(ev, ConditionalCorrection):
-        return (tags.get(ev.tag), ev.qubit)
-    return ()
-
-
 class _Plan:
     """What every run of one program does, whatever the noise point.
 
@@ -582,7 +570,8 @@ class _Plan:
     - ``steps``: the passes over the tensor, see the step kinds above;
     - ``sops``: the superoperator of each _APPLY and _JOIN step: |0> for a
       fresh wire, and None where :func:`_bind` puts one built from the
-      noise point (the Werner pair, each settled 1-wire map);
+      noise point (the Werner pair, each settled 1-wire map) or where the
+      run puts a fused block's channel;
     - ``settle_s``: the idle seconds owed at each point where a run applies
       the decay; only ``exp(-r t)`` over it depends on ``r``;
     - the settled 2-wire maps (the _PAIR steps), ``pair_terms`` with the
@@ -593,15 +582,19 @@ class _Plan:
     - ``width``: the most wires the tensor ever holds at once;
     - ``blocks``: the fused blocks (:class:`_Block`), in the order a run
       computes their channels.  Each holds its own steps and the width of
-      its register, label wires included; the settled maps of all of them
-      are in the plan's lists, numbered in the order a run meets them.
+      its register, label wires included, and the plan's steps apply its
+      channel as an _APPLY of its slot; the settled maps of all of them
+      are in the plan's lists, numbered in the order a run meets them;
+    - ``f_w_degree`` and ``eps_cnot_degree``: the program's ebits and
+      noisy CNOTs (see ``resources``), the degrees of a run's output in
+      ``f_w`` and in ``eps_cnot``.
 
     A constant 1-wire map makes no pass of its own.  A 1-qubit gate, and in
     mixture mode a measurement's dephasing, waits in ``pending`` until the
     next map on its wire absorbs it: a settled 2-wire map's terms become
-    ``T_j (A x B)``, a settled 1-wire map becomes ``sop @ A``, and a drop
-    discards it, since A preserves the trace.  The decay owed commutes with
-    A, so it is settled where it was.
+    ``T_j (A x B)`` where its pass is made, a settled 1-wire map becomes
+    ``sop @ A``, and a drop discards it, since A preserves the trace.  The
+    decay owed commutes with A, so it is settled where it was.
 
     A pre-scan of the walk finds the windows in which communication
     qubits are live, so that :meth:`_open` knows whether a block fuses when
@@ -631,7 +624,7 @@ class _Plan:
         self.records: set[int] = set()  # wires holding a measurement record until Reinit
         self.live_comm: set[int] = set()
         self.tag_qubit: dict[str, int] = {}
-        self.pairs: list[tuple] = []  # (settle a, settle b, noisy CNOT, terms, maps folded in or None)
+        self.pairs: list[tuple] = []  # (settle a, settle b, noisy CNOT, terms)
         self.singles: list[tuple] = []  # (slot, settle, map at keep = 1)
         self.blocks: list[_Block] = []
         self.outer: tuple | None = None  # the plan's own steps, order and width while a block is open
@@ -682,34 +675,32 @@ class _Plan:
         self.pair_settle = np.array([p[:2] for p in self.pairs], dtype=int).reshape(-1, 2)
         self.pair_noisy = np.array([p[2] for p in self.pairs], dtype=float)
         self.pair_terms = np.array([p[3] for p in self.pairs], dtype=float).reshape(-1, 5, 256)
-        for terms, p in zip(self.pair_terms, self.pairs):
-            if p[4] is not None:  # the maps folded in, in the pass's wire order: T_j (A x B)
-                terms[:] = (terms.reshape(5, 16, 16) @ np.kron(*p[4])).reshape(5, 256)
         self.single_slots = tuple(s[0] for s in self.singles)
         self.single_settle = np.array([s[1] for s in self.singles], dtype=int)
         self.single_terms = np.array([s[2].reshape(-1) for s in self.singles], dtype=float).reshape(-1, 16)
         self.settle_s = np.array(self.settle_s, dtype=float)
         # A run's output is a polynomial in f_w and in eps_cnot: each Werner
         # pair is affine in f_w and each noisy CNOT in eps_cnot.
-        self.f_w_degree = sum(
-            1 for steps in tracks for kind, _, slot, _ in steps if kind == _JOIN and slot == _EBIT_SLOT
-        )
-        self.eps_cnot_degree = int(self.pair_noisy.sum())
+        self.f_w_degree, self.eps_cnot_degree = self.resources.n_ebit, self.resources.n_cnot
 
     def _open(self, window: list) -> bool:
         """Start a block for the walk items ``window`` if :func:`_fuses` says so, and say whether it did.
 
-        The block's wires are the live wires its events touch; it fuses
-        only if exactly those are live when it closes, so that its channel
-        maps them to themselves.  Its pass goes into the plan's steps now,
+        The block's wires are the live wires its events touch, which are
+        the qubits among each event's scheduling resources
+        (:func:`_event_resources`); it fuses only if exactly those are live
+        when it closes, so that its channel maps them to themselves.  Its
+        pass, an _APPLY of the block's slot, goes into the plan's steps now,
         since every step until it closes is the block's; the decay owed and
         the maps pending on its wires carry into it.
         """
         live, touched, tags = set(self.order), set(), dict(self.tag_qubit)
         for ev in window:
+            if isinstance(ev, float):  # an idle step
+                continue
             if isinstance(ev, Measure):
                 tags[ev.tag] = ev.qubit
-            wires = set(_touched(ev, tags))
+            wires = {r for r in _event_resources(ev, tags) if not isinstance(r, str)}
             touched |= wires
             live = live - wires if isinstance(ev, Reinit) else live | wires
         wires = [w for w in self.order if w in touched]
@@ -717,7 +708,7 @@ class _Plan:
             return False
         slot = len(self.sops)
         self.sops.append(None)
-        self._pass(tuple(wires), _BLOCK, slot)
+        self._pass(tuple(wires), _APPLY, slot)
         wires.sort(key=self.order.index)
         self.outer = (self.steps, self.order, self.width)
         # The labels are never touched, so any ids outside the register do.
@@ -781,10 +772,11 @@ class _Plan:
         settle_a, settle_b = self._settle(a), self._settle(b)
         self._pass(gate.qubits, _PAIR, len(self.pairs))
         flip = self.order.index(a) > self.order.index(b)
-        folded = None
-        if a in self.pending or b in self.pending:
-            folded = tuple(self.pending.pop(w, _IDENTITY_1Q) for w in ((b, a) if flip else (a, b)))
-        self.pairs.append((settle_a, settle_b, noisy, _pair_terms(gate.kind, gate.params, flip), folded))
+        terms = _pair_terms(gate.kind, gate.params, flip)
+        if a in self.pending or b in self.pending:  # in the pass's wire order: T_j (A x B)
+            folded = [self.pending.pop(w, _IDENTITY_1Q) for w in ((b, a) if flip else (a, b))]
+            terms = (terms.reshape(5, 16, 16) @ np.kron(*folded)).reshape(5, 256)
+        self.pairs.append((settle_a, settle_b, noisy, terms))
 
     def _apply_decayed(self, wire: int, sop: np.ndarray) -> None:
         """A 1-wire map after the decay owed and the map pending on ``wire``, in one pass."""
@@ -952,16 +944,17 @@ class _Register:
     def from_pure(cls, amplitudes: np.ndarray, width: int, batch: int) -> "_Register":
         """``batch`` copies of the pure state ``amplitudes`` on the first wires, in buffers for ``width``.
 
-        The change to the Pauli basis works in the scratch buffer.  When
-        that cannot hold two complex arrays of the input's size (the input
-        spans the full width and the batch holds fewer than four points),
-        the first wire's four Pauli blocks are converted one at a time, so
-        the run never holds more than its buffers.
+        The change to the Pauli basis works in the scratch buffer.  An input
+        on fewer wires than ``width`` converts in one call, since even one
+        point's scratch holds two complex arrays of its size.  An input that
+        spans ``width`` converts its first wire's four Pauli blocks one at a
+        time, whatever the batch, so the run never holds more than its
+        buffers and a point's output does not depend on the batch it ran in.
         """
         k = amplitudes.shape[0].bit_length() - 1
         buf, scratch = np.empty(batch * 4**width), np.empty(batch * 4**width)
         out = buf[: batch * 4**k].reshape(batch, 4, -1)  # by the first wire's Pauli index
-        if 4 ** (k + 1) <= scratch.size:
+        if k < width:
             pure_to_pauli([(1, amplitudes, amplitudes)], k, scratch, out.reshape(batch, -1))
         else:
             halves = amplitudes.reshape(2, -1)  # by the first wire's ket
@@ -1101,13 +1094,16 @@ def _run(
 
     def execute(reg: _Register, steps: list) -> _Register:
         for kind, a, b, c in steps:
-            if kind == _APPLY or kind == _BLOCK:
+            if kind == _APPLY:
                 reg.apply(sops[a], b, c)
             elif kind == _PAIR:
                 i = a % chunk
                 if i == 0:
                     m = min(chunk, len(coef) - a)
-                    np.matmul(coef[a : a + m], plan.pair_terms[a : a + m], out=maps[:m])
+                    # One vector-matrix product per point and pair: a matrix
+                    # product over the batch would sum a point's five terms
+                    # in another order than the point's run alone does.
+                    np.matmul(coef[a : a + m, :, None], plan.pair_terms[a : a + m, None], out=maps[:m, :, None])
                 reg.apply(maps[i].reshape(lead + (16, 16)), b, c)
             elif kind == _DROP:
                 reg.drop(a)

@@ -99,8 +99,16 @@ PROFILES = {
 }
 
 
+# The most values one range grid may hold.
+_MAX_RANGE_VALUES = 10**6
+
+
 def parse_grid(text: str) -> tuple[float, ...]:
-    """Parse ``"start:stop:step"`` (inclusive) or ``"a,b,c"`` into floats."""
+    """Parse ``"start:stop:step"`` (inclusive) or ``"a,b,c"`` into floats.
+
+    A range of more than ``_MAX_RANGE_VALUES`` values is refused before
+    any value is made.
+    """
     text = text.strip()
     if not text:
         raise ExperimentError("empty grid")
@@ -118,7 +126,10 @@ def parse_grid(text: str) -> tuple[float, ...]:
             raise ExperimentError(f"grid step must be positive, got {step}")
         if stop < start:
             raise ExperimentError(f"grid stop {stop} below start {start}")
-        n = int(math.floor((stop - start) / step + 0.5)) + 1
+        steps = (stop - start) / step + 0.5  # inf when the quotient overflows
+        if steps >= _MAX_RANGE_VALUES:
+            raise ExperimentError(f"range grid '{text}' holds more than {_MAX_RANGE_VALUES} values")
+        n = int(steps) + 1
         values = tuple(start + i * step for i in range(n))
         return tuple(v for v in values if v <= stop + step * 1e-9)
     try:

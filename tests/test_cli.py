@@ -53,6 +53,15 @@ class TestParseGrid:
             with pytest.raises(ExperimentError):
                 parse_grid(bad)
 
+    @pytest.mark.parametrize("text", ["0:1e308:1e-308", "-1e308:1e308:1", "0:1:1e-6"])
+    def test_range_of_too_many_values_refused(self, text):
+        # The first two counts overflow a float; 0:1:1e-6 holds 10**6 + 1 values, one above the cap.
+        with pytest.raises(ExperimentError, match=f"range grid '{text}' holds more than 1000000 values"):
+            parse_grid(text)
+
+    def test_range_at_the_cap_accepted(self):
+        assert len(parse_grid("0:999999:1")) == 10**6
+
 
 class TestTemplates:
     def test_remote_cnot(self):
@@ -567,6 +576,7 @@ class TestCliErrorRanges:
             ("r=inf", "depolarization rate must be finite, got inf"),
             ("f_w=0:inf:1", "range grid needs finite start, stop and step, got '0:inf:1'"),
             ("r=nan:1:0.5", "range grid needs finite start, stop and step, got 'nan:1:0.5'"),
+            ("f_w=0:1e308:1e-308", "range grid '0:1e308:1e-308' holds more than 1000000 values"),
         ],
     )
     @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out-file"])

@@ -542,7 +542,7 @@ class TestFusedBlocks:
         dc = compile_circuit(parse_qasm(TestLiveWires.SIX_QUBITS), scheme)
         plan = engine._Plan(dc, DurationTable(), "sequential")
         steps = plan.steps + [step for block in plan.blocks for step in block.steps]
-        runs = [perm for kind, _, perm, _ in steps if kind in (engine._APPLY, engine._PAIR, engine._BLOCK)]
+        runs = [perm for kind, _, perm, _ in steps if kind in (engine._APPLY, engine._PAIR)]
         assert len(runs) <= passes and sum(perm is not None for perm in runs) <= copies
 
     @pytest.mark.parametrize("scheme", [Scheme.CAT_COMM, Scheme.TP_SAFE], ids=lambda s: s.value)
@@ -552,7 +552,8 @@ class TestFusedBlocks:
         plan = engine._Plan(dc, DurationTable(), "sequential")
         assert [(block.k, block.width) for block in plan.blocks] == [(2, 6)] * 3
         assert plan.width == 6
-        assert [kind for kind, *_ in plan.steps].count(engine._BLOCK) == 3
+        slots = {block.slot for block in plan.blocks}
+        assert sum(kind == engine._APPLY and ref in slots for kind, ref, *_ in plan.steps) == 3
 
 
 class TestLayout:
@@ -613,7 +614,8 @@ class TestLayout:
             measured = sum(1 for ev in dc.events if isinstance(ev, Measure))
             kinds = [kind for kind, *_ in mixture.steps]
             assert engine._MEASURE not in kinds
-            assert kinds.count(engine._APPLY) == len(dc.result_wires)
+            one_wire = [kind == engine._APPLY and shape[1] == 4 for kind, _, _, shape in mixture.steps]
+            assert one_wire.count(True) == len(dc.result_wires)
             assert [kind for kind, *_ in sampled.steps].count(engine._MEASURE) == measured
             assert len(mixture.settle_s) == len(sampled.settle_s) - measured
             rc = count_resources(dc)

@@ -26,6 +26,7 @@ from qdcsim.states import PureState, fidelity_pure
 REMOTE = (Scheme.CAT_COMM, Scheme.ONE_TP, Scheme.TWO_TP, Scheme.TP_SAFE)
 CIRCUITS = ("remote-cnot", "chain-1", "chain-2", "chain-3", "chain-4")
 WIDTH = 4  # the peak live width of every remote scheme on these circuits
+NARROW = (Scheme.CAT_COMM, Scheme.TP_SAFE)  # the schemes that fit the 5- and 6-qubit programs' communication qubits
 
 # Each source off and on, so the grid holds every on/off combination.
 F_W = (1.0, 0.9, 0.97)
@@ -88,6 +89,28 @@ class TestBatchedEqualsPerPoint:
             # What a sweep reads once per scheme instead of from each point's result.
             assert engine.elapsed_time(dc, base) == alone.elapsed
             assert count_resources(dc) == alone.resources
+
+    @pytest.mark.parametrize(
+        "source,schemes",
+        [
+            ("qreg q[2]; cx q[0],q[1];", REMOTE),
+            ("qreg q[5]; h q[0]; cx q[0],q[4]; cx q[1],q[3]; cx q[2],q[3]; cx q[0],q[1];", NARROW),
+            ("qreg q[6]; h q[0]; h q[3]; cx q[0],q[3]; cx q[2],q[5]; cx q[4],q[1]; t q[5];", NARROW),
+        ],
+        ids=["remote-cnot", "5q", "6q"],
+    )
+    @pytest.mark.parametrize("schedule", ["sequential", "layered"])
+    def test_point_gives_the_same_bits_in_any_batch(self, source, schemes, schedule):
+        # Every noise source on in each of 8 points: f_w < 1, eps_cnot > 0, r > 0.
+        rng = np.random.default_rng(8)
+        noise = np.column_stack((rng.uniform(0.8, 0.99, 8), rng.uniform(0.001, 0.05, 8), rng.uniform(0.01, 5.0, 8)))
+        circuit = parse_qasm(source)
+        inp = random_input(rng, circuit.n_qubits)
+        for scheme in schemes:
+            plan = engine._Plan(compile_circuit(circuit, scheme), DurationTable(), schedule)
+            batched = engine._run(plan, inp, noise, None, None)
+            for row, entries in zip(noise, batched):
+                assert np.array_equal(entries, engine._run(plan, inp, row[None], None, None)[0])
 
     def test_pure_bell_pairs_are_shared_by_the_batch(self):
         dc = compile_circuit(experiments.template_circuit("chain-2"), Scheme.TWO_TP)

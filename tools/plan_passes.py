@@ -3,13 +3,13 @@
 One row per program, distributed scheme and measurement mode, under the
 sequential schedule.  The programs are ``remote-cnot`` and the 6-qubit
 circuit of acceptance criterion 13, which perfbench's ``wide-10q``
-workload runs on a 10-qubit register.  A pass is an _APPLY, _PAIR or
-_BLOCK step, a copy is a pass that first permutes the tensor's axes, and
+workload runs on a 10-qubit register.  A pass is an _APPLY or _PAIR
+step, a copy is a pass that first permutes the tensor's axes, and
 "copies after a join" counts the copies whose previous step is a join.
 These four counts take in the steps of the plan's blocks, each a remote
-gate run as one channel pass; "width" is the peak of the plan's own
-tensor, and "widest block" the peak of the widest block's register, with
-its label wires in brackets.
+gate that the plan's own steps run as one _APPLY of its channel; "width"
+is the peak of the plan's own tensor, and "widest block" the peak of the
+widest block's register, with its label wires in brackets.
 Usage: ``python tools/plan_passes.py`` (from any directory).
 """
 
@@ -31,7 +31,7 @@ COLUMNS = (
     "program", "scheme", "mode", "passes", "copies", "after join", "joins", "drops", "width", "blocks",
     "widest block",
 )
-PASSES = (engine._APPLY, engine._PAIR, engine._BLOCK)
+PASSES = (engine._APPLY, engine._PAIR)
 
 
 def shape(plan: engine._Plan) -> tuple:
