@@ -43,9 +43,10 @@ into a 2-wire map's terms (a per-plan copy of the shared ones) or a settled
 measurement, which reads the wire before projecting it.  A conditional
 correction is the controlled Pauli on the measured record in both modes.
 Which wire each tensor axis belongs to is known to the plan alone; a run
-only tracks the tensor's size.  The plan decides every step, down to how
-the input changes basis, and each point's settled maps come from its own
-products, so a point gives the same bits in a batch of any size.
+only tracks the tensor's size.  The plan decides every step; the input
+changes basis in one call for one point, whatever the batch and buffers,
+and each point's settled maps come from its own products, so a point
+gives the same bits in a batch of any size.
 
 In a mixture plan a remote gate can run as one pass of its channel.  Each
 window in which communication qubits are live (from the ebit install that
@@ -75,8 +76,11 @@ keeps I alone and dephasing keeps I and Z.
 
 A run holds a batch of noise points of one program and one input: B
 state tensors stacked on a leading axis, in one real buffer and an equal
-scratch buffer, both sized for B tensors at the plan's peak live width.
-The run allocates the pair when it starts and frees it when it ends, so
+scratch buffer, the two halves of one allocation sized for B tensors at
+the plan's peak live width.  The input changes basis inside that
+allocation; only a single point whose input spans the peak width needs a
+second complex array for it, freed before the first pass.  The run
+allocates its buffers when it starts and frees them when it ends, so
 nothing outlives a run but its outputs; each block's register is freed
 before the next one is allocated, and before the run's own.  Every pass is one matrix product
 between them, on the tensor viewed as (before, rows, after) around the
@@ -163,7 +167,7 @@ from .compiler import (
     count_resources,
 )
 from .gates import Gate, gate_unitary
-from .pauli import PAULI_T, from_pauli, pure_to_pauli, to_pauli
+from .pauli import from_pauli, pure_to_pauli, to_pauli
 from .qasm import Circuit, lower_to_basis
 from .states import _BELL_KINDS, DensityMatrix, PureState, apply_gate_pure, bell_state
 
@@ -927,15 +931,17 @@ class _Register:
     its Pauli index: which wire an axis belongs to is the plan's business,
     not the register's.  The ``batch`` tensors are the first
     ``batch * size`` entries of ``buf``, point after point; ``buf`` and
-    ``scratch`` are allocated for the run, large enough for the plan's peak
-    width, and every pass reads one and writes the other.  Every view of
-    them starts with the axes ``lead``: the batch axis, or none for a
-    single point.  A superoperator is either one map for every point or a
-    stack of one per point, which ``matmul`` broadcasts over.
+    ``scratch`` are the two halves of one allocation for the run, each
+    large enough for the plan's peak width, and every pass reads one and
+    writes the other.  Every view of them starts with the axes ``lead``:
+    the batch axis, or none for a single point.  A superoperator is either
+    one map for every point or a stack of one per point, which ``matmul``
+    broadcasts over.
     """
 
-    def __init__(self, buf: np.ndarray, scratch: np.ndarray, batch: int, size: int):
-        self.buf, self.scratch = buf, scratch
+    def __init__(self, width: int, batch: int, size: int):
+        """Unwritten buffers for ``batch`` tensors of up to ``width`` wires, which hold ``size`` entries each."""
+        self.buf, self.scratch = np.empty((2, batch * 4**width))
         self.batch = batch
         self.lead = (batch,) if batch > 1 else ()
         self.size = size
@@ -944,31 +950,28 @@ class _Register:
     def from_pure(cls, amplitudes: np.ndarray, width: int, batch: int) -> "_Register":
         """``batch`` copies of the pure state ``amplitudes`` on the first wires, in buffers for ``width``.
 
-        The change to the Pauli basis works in the scratch buffer.  An input
-        on fewer wires than ``width`` converts in one call, since even one
-        point's scratch holds two complex arrays of its size.  An input that
-        spans ``width`` converts its first wire's four Pauli blocks one at a
-        time, whatever the batch, so the run never holds more than its
-        buffers and a point's output does not depend on the batch it ran in.
+        The change to the Pauli basis is one call, for one point, in the
+        tail of the register's allocation, clear of the entries the batch's
+        copies fill.  Only a single point's input as wide as ``width`` needs
+        more: its second complex array is allocated here and freed on return.
+        So a point's input bits do not depend on the batch or the buffers.
         """
         k = amplitudes.shape[0].bit_length() - 1
-        buf, scratch = np.empty(batch * 4**width), np.empty(batch * 4**width)
-        out = buf[: batch * 4**k].reshape(batch, 4, -1)  # by the first wire's Pauli index
-        if k < width:
-            pure_to_pauli([(1, amplitudes, amplitudes)], k, scratch, out.reshape(batch, -1))
+        n, reg = 4**k, cls(width, batch, 4**k)
+        whole = reg.buf.base.reshape(-1)  # buf, then scratch
+        if 4 * n <= whole.size:
+            work = whole[whole.size - 4 * n :].view(complex).reshape(2, n)
         else:
-            halves = amplitudes.reshape(2, -1)  # by the first wire's ket
-            for p, row in enumerate(PAULI_T):  # row[2 ket + bra] = Tr(P |ket><bra|)
-                terms = [(t, halves[i // 2], halves[i % 2]) for i, t in enumerate(row) if t]
-                pure_to_pauli(terms, k - 1, scratch, out[:, p])
-        return cls(buf, scratch, batch, 4**k)
+            work = (whole.view(complex), np.empty(n, dtype=complex))
+        np.copyto(reg.buf[: batch * n].reshape(batch, n), pure_to_pauli(amplitudes, work))
+        return reg
 
     @classmethod
     def from_pauli(cls, vector: np.ndarray, width: int, batch: int) -> "_Register":
         """``batch`` copies of the Pauli vector ``vector`` on the first wires, in buffers for ``width``."""
-        buf, scratch = np.empty(batch * 4**width), np.empty(batch * 4**width)
-        buf[: batch * vector.size].reshape(batch, -1)[:] = vector.reshape(-1)
-        return cls(buf, scratch, batch, vector.size)
+        reg = cls(width, batch, vector.size)
+        reg.buf[: batch * vector.size].reshape(batch, -1)[:] = vector.reshape(-1)
+        return reg
 
     def join(self, wires: tuple[int, ...], block: np.ndarray) -> None:
         """Put absent ``wires`` at the front of each tensor, in the state ``block``, their Pauli vector.
@@ -1124,28 +1127,30 @@ def _run(
 def _admit(dc: DistributedCircuit, input_state: PureState, cfg: SimConfig) -> tuple[_Plan, int]:
     """The plan for a run of ``dc`` on ``input_state`` under ``cfg``, and how many points one run may hold.
 
-    Raises :class:`EngineError` when the register exceeds the config's cap,
-    when the input does not fit the circuit, or when a single point's memory
-    need exceeds the available memory, checked in that order.  Sampled runs hold
-    one point, since each point draws its own outcomes; mixture runs as many
-    as ``_BATCH_BYTES`` and the available memory allow.
+    Raises :class:`EngineError` when the input does not fit the circuit,
+    when the most wires the run holds at once exceed the config's cap, or
+    when a single point's memory need exceeds the available memory, checked
+    in that order, before anything is allocated.  Sampled runs hold one
+    point, since each point draws its own outcomes; mixture runs as many as
+    ``_BATCH_BYTES`` and the available memory allow.
     """
-    if dc.n_total > cfg.max_qubits:
-        raise EngineError(
-            f"register of {dc.n_total} qubits exceeds the configured cap of {cfg.max_qubits}"
-        )
     if input_state.n_qubits != dc.n_processing:
         raise EngineError(
             f"input covers {input_state.n_qubits} qubits, circuit has {dc.n_processing}"
         )
     input_state.validate()
     plan = _plan_for(dc, cfg.durations, cfg.schedule_mode, cfg.measurement_mode)
-    # The widest register, a block's or the run's own, or, once the run's is
-    # freed, the two complex arrays the result wires' change of basis holds;
-    # the last is larger only when the result wires are every wire the
-    # register holds at its widest.  The blocks' channels are held throughout.
     width = max([plan.width] + [block.width for block in plan.blocks])
-    need = max(_working_set_bytes(width), 2 * np.dtype(complex).itemsize * 4**plan.n_result)
+    if width > cfg.max_qubits:
+        raise EngineError(
+            f"register of {dc.n_total} qubits holds up to {width} at once, over the configured cap of {cfg.max_qubits}"
+        )
+    # The widest register, a block's or the run's own, or the two complex
+    # arrays of a change of basis: the input's, as the run starts, or the
+    # result wires', once the run's register is freed.  Either is larger only
+    # when it spans every wire the register holds at its widest.  The blocks'
+    # channels are held throughout.
+    need = max(_working_set_bytes(width), 2 * np.dtype(complex).itemsize * 4 ** max(plan.n_result, dc.n_processing))
     need += _BYTES_PER_ENTRY * sum(16**block.k for block in plan.blocks)
     have = _available_bytes()
     if have is not None and need > have:

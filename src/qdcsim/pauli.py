@@ -89,21 +89,21 @@ def to_pauli(x: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(to_pauli_complex(x).real)
 
 
-def pure_to_pauli(terms: list, k: int, work: np.ndarray, out: np.ndarray) -> None:
-    """Write the Pauli vector of the k-wire operator ``sum c |a><b|`` over ``terms`` (c, a, b) to ``out``.
+def pure_to_pauli(amplitudes: np.ndarray, work) -> np.ndarray:
+    """The Pauli vector of the pure state ``amplitudes`` on k wires: the real part of ``work[1]``.
 
-    The operator must be Hermitian; ``work`` holds at least 4 * 4**k reals.
+    ``work`` holds two complex arrays of 4**k entries, both overwritten.
+    The outer product starts in whichever of them makes the last step
+    write ``work[1]``.
     """
-    n, groups = 4**k, _wire_groups(k)
-    c, spare = work[: 4 * n].view(complex).reshape(2, 1, n)
+    k = amplitudes.shape[0].bit_length() - 1
+    groups = _wire_groups(k)
+    c, spare = work if len(groups) % 2 else work[::-1]
     ket = [e for d in groups for e in (d, 1)]
     bra = [e for d in groups for e in (1, d)]
     both = [e for d in groups for e in (d, d)]
-    for i, (coef, a, b) in enumerate(terms):
-        np.multiply(a.reshape(ket), (coef * b.conj()).reshape(bra), out=(spare if i else c).reshape(both))
-        if i:
-            c += spare
-    np.copyto(out, _per_wire(c, k, _TO, spare).real)
+    np.multiply(amplitudes.reshape(ket), amplitudes.conj().reshape(bra), out=c.reshape(both))
+    return _per_wire(c.reshape(1, -1), k, _TO, spare.reshape(1, -1)).real[0]
 
 
 def from_pauli(c: np.ndarray, k: int) -> np.ndarray:

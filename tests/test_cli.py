@@ -207,9 +207,9 @@ class TestRunSweep:
 
     def test_failing_point_identified(self, tmp_path):
         big = tmp_path / "big.qasm"
-        big.write_text("qreg q[11];\ncx q[0],q[10];\n")
+        big.write_text("qreg q[15];\nh q[0];\n")  # 15 wires live at once, past the default cap
         spec = ExperimentSpec(circuit=str(big), schemes=(Scheme.CAT_COMM,))
-        with pytest.raises(ExperimentError, match="grid point .*scheme=cat"):
+        with pytest.raises(ExperimentError, match="grid point .*scheme=cat.* over the configured cap of 14"):
             run_sweep(spec)
 
     def test_fidelity_outside_unit_interval_raises(self, monkeypatch):

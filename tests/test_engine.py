@@ -4,6 +4,7 @@ import gc
 import io
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -825,21 +826,48 @@ class TestTelemetry:
 
 
 class TestGuards:
-    def test_register_cap_enforced(self):
-        # 11 processing + 4 comm qubits exceed the default cap of 14; the
-        # check fires before any state is allocated.
-        src = "qreg q[11]; cx q[0],q[10];"
-        dc = compile_circuit(parse_qasm(src), Scheme.CAT_COMM)
+    def test_register_cap_enforced(self, monkeypatch):
+        # 15 data wires live at once exceed the default cap of 14; the check
+        # fires before any state is allocated, however much memory is free.
+        dc = compile_circuit(parse_qasm("qreg q[15]; h q[0];"), Scheme.CAT_COMM)
         assert SimConfig().max_qubits == 14
-        with pytest.raises(EngineError, match="cap"):
-            simulate(dc, PureState.zero(11), SimConfig())
+        monkeypatch.setattr(engine, "_available_bytes", lambda: 10**15)
+        monkeypatch.setattr(engine._Register, "__init__", lambda *a: pytest.fail("register allocated"))
+        with pytest.raises(EngineError, match="register of 19 qubits holds up to 15 at once, over the configured cap of 14"):
+            simulate(dc, PureState.zero(15), SimConfig())
 
     def test_register_cap_adjustable(self):
-        dc = compile_circuit(remote_cnot(), Scheme.CAT_COMM)  # 6 qubits total
-        with pytest.raises(EngineError, match="cap"):
-            simulate(dc, PureState.zero(2), SimConfig(max_qubits=5))
-        res = simulate(dc, PureState.zero(2), SimConfig(max_qubits=6))
+        dc = compile_circuit(remote_cnot(), Scheme.CAT_COMM)  # 6 qubits total, at most 4 live at once
+        with pytest.raises(EngineError, match="holds up to 4 at once, over the configured cap of 3"):
+            simulate(dc, PureState.zero(2), SimConfig(max_qubits=3))
+        res = simulate(dc, PureState.zero(2), SimConfig(max_qubits=4))
         assert res.rho_out.n_qubits == 2
+
+    def test_cap_counts_the_wires_a_run_holds(self, monkeypatch):
+        # 12 data + 4 communication qubits, past the default cap of 14, but the
+        # run holds at most its 12 data wires at once, and each of its seven
+        # remote gates runs as a block of 6 (2 data, 2 label, 2 communication).
+        n = 12
+        src = (
+            f"qreg q[{n}]; "
+            + "".join(f"h q[{i}]; " for i in range(n // 2))
+            + "".join(f"cx q[{i}],q[{i + n // 2}]; " for i in range(n // 2))
+            + f"t q[{n - 1}]; cx q[{n // 2 + 1}],q[1];"
+        )
+        dc = compile_circuit(parse_qasm(src), Scheme.CAT_COMM)
+        plan = engine._plan_for(dc, DurationTable(), "sequential")
+        assert (dc.n_total, plan.width, [block.width for block in plan.blocks]) == (16, 12, [6] * 7)
+
+        class Admitted(Exception):
+            pass
+
+        def admitted(*args):
+            raise Admitted
+
+        monkeypatch.setattr(engine, "_available_bytes", lambda: 10**12)
+        monkeypatch.setattr(engine._Register, "__init__", admitted)
+        with pytest.raises(Admitted):
+            simulate(dc, PureState.zero(n), SimConfig())
 
     def test_live_comm_overwrite_rejected(self):
         placement = tuple(
@@ -962,6 +990,57 @@ class TestGuards:
             simulate(dc, PureState.zero(6), SimConfig())
         monkeypatch.setattr(engine, "_available_bytes", lambda: 2 * 16 * 4**6)
         assert simulate(dc, PureState.zero(6), SimConfig()).rho_out.n_qubits == 6
+
+    @pytest.mark.parametrize(
+        "src,scheme",
+        [("qreg q[10]; cx q[0],q[9];", Scheme.CAT_COMM), ("qreg q[10]; h q[0]; cx q[0],q[9];", Scheme.MONOLITHIC)],
+        ids=["cat", "monolithic"],
+    )
+    def test_traced_peak_within_the_admitted_need(self, monkeypatch, src, scheme):
+        # One point whose input and result both span the 10 wires its register
+        # holds: each change of basis holds two complex arrays of 4**10 entries,
+        # which with the blocks' channels is the need.  Past it the run may hold
+        # numpy's ufunc buffers, about 384 KiB for a broadcast multiply of three
+        # complex operands.
+        dc = compile_circuit(parse_qasm(src), scheme)
+        plan = engine._plan_for(dc, DurationTable(), "sequential")
+        assert plan.width == plan.n_result == dc.n_processing == 10
+        need = 2 * 16 * 4**10 + 8 * sum(16**block.k for block in plan.blocks)
+        monkeypatch.setattr(engine, "_available_bytes", lambda: need - 1)
+        with pytest.raises(EngineError, match="memory"):
+            engine._admit(dc, PureState.zero(10), SimConfig())
+        monkeypatch.setattr(engine, "_available_bytes", lambda: need)
+        assert engine._admit(dc, PureState.zero(10), SimConfig())[1] == 1
+        simulate(dc, PureState.zero(10))  # builds the plan's pair terms
+        tracemalloc.start()
+        try:
+            simulate(dc, PureState.zero(10))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= need + 512 * 1024
+
+    def test_input_wider_than_the_result_counted(self, monkeypatch):
+        # No events and one result wire of two: the input's change of basis,
+        # two complex arrays of 4**2 entries, sets the need, not the result's.
+        placement = (QubitRef(0, Role.PROCESSING, Site.QPU_A), QubitRef(1, Role.PROCESSING, Site.QPU_B))
+        dc = DistributedCircuit(
+            source=Circuit(2, (), name="narrow-result"),
+            scheme=Scheme.MONOLITHIC,
+            placement=placement,
+            events=(),
+            result_wires=(0,),
+        )
+        allocated = []
+        init = engine._Register.__init__
+        monkeypatch.setattr(engine._Register, "__init__", lambda *a: allocated.append(a[1:]) or init(*a))
+        monkeypatch.setattr(engine, "_available_bytes", lambda: 2 * 16 * 4**2 - 1)
+        with pytest.raises(EngineError, match="memory"):
+            simulate(dc, PureState.zero(2), SimConfig())
+        assert allocated == []
+        monkeypatch.setattr(engine, "_available_bytes", lambda: 2 * 16 * 4**2)
+        assert simulate(dc, PureState.zero(2), SimConfig()).rho_out.n_qubits == 1
+        assert allocated == [(2, 1, 16)]
 
     def test_wide_register_admitted_by_peak_width(self, monkeypatch):
         # All 14 wires would need 4.3 GB; the 10 live at once need 34 MB.

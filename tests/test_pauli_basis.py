@@ -163,7 +163,7 @@ def test_bound_maps(f_w, keep):
 
 @pytest.mark.parametrize("k,width", [(1, 1), (2, 4), (3, 3), (4, 6), (5, 5)])
 def test_pure_input_round_trip(k, width):
-    # width == k: the input fills a one-point register, so the first wire's blocks convert one at a time.
+    # width == k: the input fills a one-point register, so its change of basis takes a second complex array.
     rng = np.random.default_rng(k)
     amp = rng.normal(size=1 << k) + 1j * rng.normal(size=1 << k)
     amp /= np.linalg.norm(amp)
@@ -174,6 +174,18 @@ def test_pure_input_round_trip(k, width):
     assert pauli.dtype == np.float64
     np.testing.assert_allclose(pauli, (pauli_rows(k) @ rho.reshape(-1)).real, rtol=0, atol=1e-15)
     np.testing.assert_allclose(back, rho, rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_input_bits_do_not_depend_on_the_buffers(k):
+    # One point in buffers of its own width, and three in buffers a wire wider.
+    rng = np.random.default_rng(10 + k)
+    amp = rng.normal(size=1 << k) + 1j * rng.normal(size=1 << k)
+    amp /= np.linalg.norm(amp)
+    alone = engine._Register.from_pure(amp, k, 1).buf[: 4**k]
+    batch = engine._Register.from_pure(amp, k + 1, 3).buf[: 3 * 4**k].reshape(3, 4**k)
+    for row in batch:
+        assert np.array_equal(row, alone)
 
 
 def test_small_products_go_in_pieces():
@@ -191,8 +203,7 @@ def test_pieces_leave_conversions_unchanged(k, batch, monkeypatch):
     vectors = rng.normal(size=(batch, 4**k))
 
     def convert():
-        work, out = np.empty(4 * 4**k), np.empty((1, 4**k))
-        pauli.pure_to_pauli([(1, amp, amp)], k, work, out)
+        out = pauli.pure_to_pauli(amp, np.empty((2, 4**k), dtype=complex))
         rho = pauli.from_pauli(vectors.astype(complex), k)
         return out, rho, states._fidelities(PureState(amp), rho)
 
