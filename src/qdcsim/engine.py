@@ -32,11 +32,12 @@ axis permutation it needs, plus the idle seconds owed at each point where
 decay is applied, the telemetry rows and the resource count.  A run then only
 binds its noise points, each a row ``(f_w, eps_cnot, r)`` (one
 ``exp(-r t)`` over the idle times, the noisy CNOT, the Werner pair, and
-each settled map as a weighted sum of precomputed terms), and executes the
-passes.  A plan is kept while its program lives; the terms of a 2-wire
-gate depend only on the gate and its wire order, so they are built once
-per process and shared by every plan (:func:`_pair_terms`).  A constant
-1-wire map (a 1-qubit gate, or in mixture mode a measurement's dephasing)
+each settled map as a weighted sum of precomputed terms, four for a 2-wire
+map), and executes the passes.  A plan is kept while its program lives;
+the terms of a 2-wire gate depend only on the gate and its wire order, so
+they are built once per process and shared by every plan
+(:func:`_pair_terms`).  A constant 1-wire map (a 1-qubit gate, or in
+mixture mode a measurement's dephasing)
 makes no pass of its own: the plan folds it into the next map on its wire,
 into a 2-wire map's terms (a per-plan copy of the shared ones) or a settled
 1-wire map, and a drop discards it.  A sampled plan keeps a pass for each
@@ -92,11 +93,14 @@ to the front, so the next pass on a fresh wire usually finds it there.
 A noise-free map (a fresh |0>) is one superoperator shared by the batch;
 a noisy one (a settled 2-wire or 1-wire map, the Werner pair) is a stack
 with one map per point, which ``matmul`` broadcasts over.
-The settled 2-wire maps are built from their terms shortly before their
-passes, a few pairs at a time within a byte budget (``_PAIR_MAP_BYTES``),
-and one pair at a time for a large batch, so a run never holds all of them
-at once.  So the batch pays one Python dispatch per pass, where separate
-runs pay one per pass per point.  B is capped by a byte budget for the two
+The settled 2-wire maps, numbered in walk order, which is event order,
+are built from their terms shortly before their passes, a chunk of a few
+pairs at a time within a byte budget (``_PAIR_MAP_BYTES``), and one pair at
+a time for a large batch, so a run never holds all of them at once.  A run
+computes the blocks' channels first, so it may meet a pair before an
+earlier one; it builds the chunk that holds a pass's pair whenever the
+chunk it holds does not.  So the batch pays one Python dispatch per pass,
+where separate runs pay one per pass per point.  B is capped by a byte budget for the two
 buffers (``_BATCH_BYTES``) and by the available memory, and sampled runs hold
 one point each, since each point draws its own outcomes.  A grid of noise
 rows that share one config runs through :func:`_outputs`, which yields
@@ -113,6 +117,8 @@ in a product with the rest: communication qubits before their first use,
 and every wire after its ``Reinit``.  Such a wire joins the tensor as |0>
 when an event touches it; an ebit install traces its two targets out and
 joins the pair in the Werner state, and ``Reinit`` traces its wire out.
+At the end every live wire that is not a result wire is traced out, so
+the output is read off a tensor that holds exactly the result wires.
 Inside a fused block the same holds for the block's own register, so the
 communication qubits live only there: on the 6-qubit program of
 perfbench's ``wide-10q`` workload, both the run's tensor and each
@@ -247,6 +253,11 @@ class DurationTable:
         raise TypeError(f"unknown event {event!r}")
 
 
+def _is_integer(value) -> bool:
+    """Whether ``value`` is an integer, a numpy one included, and not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 _MODES_MEASUREMENT = ("mixture", "sampled")
 _MODES_SCHEDULE = ("sequential", "layered")
 
@@ -272,11 +283,9 @@ class SimConfig:
             raise ValueError(f"schedule_mode must be one of {_MODES_SCHEDULE}")
         if self.ebit_state is not None and self.ebit_state not in _BELL_KINDS:
             raise ValueError(f"ebit_state must be one of {_BELL_KINDS}")
-        if self.max_qubits < 1:
-            raise ValueError("max_qubits must be positive")
-        if self.seed is not None and (
-            isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)) or self.seed < 0
-        ):
+        if not _is_integer(self.max_qubits) or self.max_qubits < 1:
+            raise ValueError(f"max_qubits must be a positive integer, got {self.max_qubits!r}")
+        if self.seed is not None and (not _is_integer(self.seed) or self.seed < 0):
             raise ValueError(f"seed must be None or a non-negative integer, got {self.seed!r}")
 
 
@@ -397,7 +406,6 @@ _DEPOLARIZE_1Q = _prepare_superop(np.eye(2) / 2.0)
 _IDENTITY_1Q = np.eye(4)
 _ZERO_1Q = to_pauli(np.diag([1.0, 0.0]).reshape(-1))
 _DEPHASE = to_pauli(np.diag([1.0, 0.0, 0.0, 1.0]))
-_CNOT_FAILURE = _prepare_superop(np.eye(4) / 4.0)
 # _PROJECT[outcome] keeps the |outcome><outcome| block of one wire, unnormalized.
 _PROJECT = (to_pauli(np.diag([1.0, 0.0, 0.0, 0.0])), to_pauli(np.diag([0.0, 0.0, 0.0, 1.0])))
 # A Werner pair is f_w times the first plus (1 - f_w) / 3 times the second.
@@ -406,22 +414,24 @@ _BELL_PAULI = {kind: to_pauli(DensityMatrix.from_pure(bell_state(kind)).entries.
 
 
 def _settled_terms(sop: np.ndarray, flip: bool) -> np.ndarray:
-    """The five terms of the Pauli-basis 2-wire map ``sop`` after the decay owed.
+    """The four terms of the Pauli-basis 2-wire map ``sop`` after the decay owed.
 
     The decay owed on wires a and b is ``D(ka) x D(kb)`` with
     ``D(k) = k I + (1 - k) P`` and P the full decay, so the settled map is
-    ``sum_j c_j (1 - eps) T_j + eps T_4`` with
-    ``c = (ka kb, ka (1-kb), (1-ka) kb, (1-ka)(1-kb))``, ``T_j = sop @ X_j``
-    for ``X = (I x I, I x P, P x I, P x P)``, and ``T_4`` the CNOT failure:
-    it discards both wires, so the decay before it does not matter.  With
-    each wire's index adjacent a product map is a Kronecker product;
-    ``flip`` puts the second wire first.
+    ``sum_j c_j (1 - eps) T_j + eps T_3`` with
+    ``c = (ka kb, ka (1-kb), (1-ka) kb, (1-ka)(1-kb))`` and ``T_j = sop @ X_j``
+    for ``X = (I x I, I x P, P x I, P x P)``.  ``sop`` is trace-preserving
+    and unital (a gate, with 1-qubit gates and dephasing folded in), so
+    ``T_3`` discards both wires and prepares I/4: it is also the CNOT
+    failure, whose weight ``eps`` joins the fourth coefficient.  With each
+    wire's index adjacent a product map is a Kronecker product; ``flip``
+    puts the second wire first.
     """
     if flip:
         sop = sop.reshape(4, 4, 4, 4).transpose(1, 0, 3, 2).reshape(16, 16)
     ends = (_IDENTITY_1Q, _DEPOLARIZE_1Q)
     decay = [np.kron(ends[j], ends[i]) if flip else np.kron(ends[i], ends[j]) for i in (0, 1) for j in (0, 1)]
-    return np.stack([sop @ x for x in decay] + [_CNOT_FAILURE]).reshape(5, 256)
+    return np.stack([sop @ x for x in decay]).reshape(4, 256)
 
 
 @functools.lru_cache(maxsize=256)
@@ -500,7 +510,8 @@ def _available_bytes() -> int | None:
 #       when it is not None.  The map is a settled 1-wire map, or a fused
 #       block's channel (see :class:`_Block`), which the run computes first.
 #   (_PAIR, i, perm, shape): the same with the i-th settled 2-wire map,
-#       built from its terms at the latest just before the pass.
+#       the pairs numbered in walk order, built from its four terms at the
+#       latest just before the pass.
 #   (_DROP, shape, -, -): trace out the wire whose Pauli index is axis 1 of
 #       the tensor viewed as shape (before, 4, after).
 #   (_JOIN, wires, slot, -): put ``wires`` at the front of the tensor, in
@@ -578,8 +589,9 @@ class _Plan:
       run puts a fused block's channel;
     - ``settle_s``: the idle seconds owed at each point where a run applies
       the decay; only ``exp(-r t)`` over it depends on ``r``;
-    - the settled 2-wire maps (the _PAIR steps), ``pair_terms`` with the
-      coefficients of :func:`_settled_terms`, and the settled 1-wire maps
+    - the settled 2-wire maps (the _PAIR steps), numbered in walk order,
+      ``pair_terms`` with four terms each and the coefficients of
+      :func:`_settled_terms`, and the settled 1-wire maps
       (sampled measurements and the result wires' decay),
       ``keep * single_terms + (1 - keep) D``;
     - ``telemetry``, ``resources`` and ``elapsed``, the same for every run;
@@ -588,7 +600,10 @@ class _Plan:
       computes their channels.  Each holds its own steps and the width of
       its register, label wires included, and the plan's steps apply its
       channel as an _APPLY of its slot; the settled maps of all of them
-      are in the plan's lists, numbered in the order a run meets them;
+      are in the plan's lists, numbered in walk order like the rest;
+    - ``output_axes``: where each result wire, in result order, sits in
+      the tensor at the end, which then holds the result wires alone: the
+      plan ends by dropping every other live wire;
     - ``f_w_degree`` and ``eps_cnot_degree``: the program's ebits and
       noisy CNOTs (see ``resources``), the degrees of a run's output in
       ``f_w`` and in ``eps_cnot``.
@@ -661,24 +676,16 @@ class _Plan:
                 self._close()
         for w in dc.result_wires:
             self._apply_decayed(w, _IDENTITY_1Q)
-        # The output keeps each result wire's axis and the I entry of every
-        # other wire, then puts the result wires in their order.
-        kept = [w for w in self.order if w in dc.result_wires]
-        self.output_take = tuple(slice(None) if w in dc.result_wires else 0 for w in self.order)
-        self.output_axes = tuple(kept.index(w) for w in dc.result_wires)
+        # Every other live wire is traced out; the output puts the result wires in their order.
+        for w in [w for w in self.order if w not in dc.result_wires]:
+            self._drop(w)
+        self.output_axes = tuple(map(self.order.index, dc.result_wires))
         self.n_result = len(dc.result_wires)
         self.elapsed = (layers[-1].start + layers[-1].duration) if layers else 0.0
         self.resources = count_resources(dc)
-        # A run meets the blocks' pairs first, then the rest: number them so.
-        tracks = [block.steps for block in self.blocks] + [self.steps]
-        met = [ref for steps in tracks for kind, ref, *_ in steps if kind == _PAIR]
-        rank = {ref: i for i, ref in enumerate(met)}
-        self.pairs = [self.pairs[ref] for ref in met]
-        for steps in tracks:
-            steps[:] = [(kind, rank[a] if kind == _PAIR else a, b, c) for kind, a, b, c in steps]
         self.pair_settle = np.array([p[:2] for p in self.pairs], dtype=int).reshape(-1, 2)
         self.pair_noisy = np.array([p[2] for p in self.pairs], dtype=float)
-        self.pair_terms = np.array([p[3] for p in self.pairs], dtype=float).reshape(-1, 5, 256)
+        self.pair_terms = np.array([p[3] for p in self.pairs], dtype=float).reshape(-1, 4, 256)
         self.single_slots = tuple(s[0] for s in self.singles)
         self.single_settle = np.array([s[1] for s in self.singles], dtype=int)
         self.single_terms = np.array([s[2].reshape(-1) for s in self.singles], dtype=float).reshape(-1, 16)
@@ -779,7 +786,7 @@ class _Plan:
         terms = _pair_terms(gate.kind, gate.params, flip)
         if a in self.pending or b in self.pending:  # in the pass's wire order: T_j (A x B)
             folded = [self.pending.pop(w, _IDENTITY_1Q) for w in ((b, a) if flip else (a, b))]
-            terms = (terms.reshape(5, 16, 16) @ np.kron(*folded)).reshape(5, 256)
+            terms = (terms.reshape(4, 16, 16) @ np.kron(*folded)).reshape(4, 256)
         self.pairs.append((settle_a, settle_b, noisy, terms))
 
     def _apply_decayed(self, wire: int, sop: np.ndarray) -> None:
@@ -884,7 +891,7 @@ def _bind(
     depends on the noise point gets maps of shape ``lead + (rows, rows)``:
     a stack with one per point, or a single point's one map; the others
     keep the plan's shared map.  The settled pairs come back as
-    coefficients, ``coef[i]`` of shape (B, 5) for the i-th pair, because a
+    coefficients, ``coef[i]`` of shape (B, 4) for the i-th pair, because a
     run builds their maps only shortly before their passes.
     """
     sops = list(plan.sops)
@@ -897,7 +904,8 @@ def _bind(
     u = keeps[plan.pair_settle][..., None] * (1.0, -1.0) + (0.0, 1.0)  # (k, 1 - k) of both wires
     eps = plan.pair_noisy[:, None] * noise[:, 1]
     decay = (u[:, 0, :, :, None] * u[:, 1, :, None, :]).reshape(len(plan.pair_noisy), len(noise), 4)
-    coef = np.concatenate((decay * (1.0 - eps)[..., None], eps[..., None]), axis=2)
+    coef = decay * (1.0 - eps)[..., None]
+    coef[..., 3] += eps
     keep = keeps[plan.single_settle][..., None]
     singles = keep * plan.single_terms[:, None, :]
     singles += (1.0 - keep) * _DEPOLARIZE_1Q.reshape(16)
@@ -1027,15 +1035,14 @@ class _Register:
         rows = math.isqrt(self.size)
         return np.ascontiguousarray(v.transpose(0, *(1 + a for a in axes))).reshape(self.lead + (rows, rows))
 
-    def reduced(self, take: tuple, axes: tuple[int, ...]) -> np.ndarray:
-        """The density matrices of the wires ``take`` keeps, in the order ``axes`` gives, as a (B, d, d) array.
+    def reduced(self, axes: tuple[int, ...]) -> np.ndarray:
+        """The density matrices of the live wires, in the order ``axes`` gives, as a (B, d, d) array.
 
-        ``take`` holds a full slice for each live wire kept and 0, its I
-        entry, for each one traced out.  The register drops its buffers, and
-        is spent, before the change of basis, which then holds two complex
-        arrays of the output's size.  The result is exactly Hermitian.
+        The register drops its buffers, and is spent, before the change of
+        basis, which then holds two complex arrays of the output's size.  The
+        result is exactly Hermitian.
         """
-        v = self.buf[: self.batch * self.size].reshape((self.batch,) + (4,) * len(take))[(slice(None),) + take]
+        v = self.buf[: self.batch * self.size].reshape((self.batch,) + (4,) * len(axes))
         c = np.empty((self.batch,) + (4,) * len(axes), dtype=complex)
         np.copyto(c, v.transpose(0, *(1 + a for a in axes)))
         del v
@@ -1094,20 +1101,23 @@ def _run(
     # How many pairs' maps are built together.
     chunk = max(1, _PAIR_MAP_BYTES // (batch * 256 * _BYTES_PER_ENTRY))
     maps = np.empty((min(chunk, len(coef)), batch, 256))
+    held = -1  # which chunk of pairs ``maps`` holds the maps of
 
     def execute(reg: _Register, steps: list) -> _Register:
+        nonlocal held
         for kind, a, b, c in steps:
             if kind == _APPLY:
                 reg.apply(sops[a], b, c)
             elif kind == _PAIR:
-                i = a % chunk
-                if i == 0:
-                    m = min(chunk, len(coef) - a)
+                if a // chunk != held:
+                    held = a // chunk
+                    lo = held * chunk
+                    m = min(chunk, len(coef) - lo)
                     # One vector-matrix product per point and pair: a matrix
-                    # product over the batch would sum a point's five terms
+                    # product over the batch would sum a point's four terms
                     # in another order than the point's run alone does.
-                    np.matmul(coef[a : a + m, :, None], plan.pair_terms[a : a + m, None], out=maps[:m, :, None])
-                reg.apply(maps[i].reshape(lead + (16, 16)), b, c)
+                    np.matmul(coef[lo : lo + m, :, None], plan.pair_terms[lo : lo + m, None], out=maps[:m, :, None])
+                reg.apply(maps[a % chunk].reshape(lead + (16, 16)), b, c)
             elif kind == _DROP:
                 reg.drop(a)
             elif kind == _JOIN:
@@ -1121,7 +1131,7 @@ def _run(
         identity = np.eye(4**block.k)
         sops[block.slot] = execute(_Register.from_pauli(identity, block.width, batch), block.steps).matrix(block.axes)
     reg = execute(_Register.from_pure(input_state.amplitudes, plan.width, batch), plan.steps)
-    return reg.reduced(plan.output_take, plan.output_axes)
+    return reg.reduced(plan.output_axes)
 
 
 def _admit(dc: DistributedCircuit, input_state: PureState, cfg: SimConfig) -> tuple[_Plan, int]:
@@ -1311,7 +1321,7 @@ def _outputs(dc: DistributedCircuit, input_state: PureState, cfg: SimConfig, noi
 def _check_forced(plan: _Plan, forced: dict[str, int]) -> None:
     """Raise :class:`EngineError` unless every forced tag is one the plan measures, pinned to 0 or 1."""
     unknown = [repr(tag) for tag in forced if tag not in plan.tag_qubit]
-    bad = [f"{tag!r}: {value!r}" for tag, value in forced.items() if value not in (0, 1)]
+    bad = [f"{tag!r}: {value!r}" for tag, value in forced.items() if not _is_integer(value) or value not in (0, 1)]
     problems = []
     if unknown:
         problems.append("tags the program never measures: " + ", ".join(unknown))

@@ -232,15 +232,15 @@ class SweepRow(NamedTuple):
 SWEEP_COLUMNS = SweepRow._fields
 
 
-def _input_for(dc: DistributedCircuit, p: InputStateParams) -> PureState:
-    if dc.n_processing == 2:
+def _input_for(circuit: Circuit, p: InputStateParams) -> PureState:
+    if circuit.n_qubits == 2:
         return build_input_state(p)
     if p != InputStateParams():
         raise ExperimentError(
             "input-state grids apply to 2-qubit circuits; "
-            f"'{dc.name}' has {dc.n_processing} qubits"
+            f"'{circuit.name}' has {circuit.n_qubits} qubits"
         )
-    return PureState.zero(dc.n_processing)
+    return PureState.zero(circuit.n_qubits)
 
 
 _F_OUT_ROUNDING = 1e-12  # how far a fidelity may stray outside [0, 1] by rounding alone
@@ -298,11 +298,11 @@ def run_sweep(spec: ExperimentSpec) -> list[SweepRow]:
     Each scheme's program comes from a per-process memo keyed by the
     circuit's value and the scheme, so a repeated spec reuses the program
     and its engine plans; its elapsed time and resource counts are worked
-    out once per call.  Every scheme compiles the same source circuit, so
-    each input state and its noiseless reference are worked out once per
-    input, for all schemes.  The engine gets one config for every setting the
-    points share and the noise grid as ``(f_w, eps_cnot, r)`` rows, and
-    runs the rows of one scheme and input together: in mixture mode as one
+    out once per call.  Each input state and its noiseless reference are
+    worked out once, from the parsed circuit, for all schemes.  The engine
+    gets one config for every setting the points share and the noise grid
+    as ``(f_w, eps_cnot, r)`` rows, and runs the rows of one scheme and
+    input together: in mixture mode as one
     batched tensor, as many to a batch as its byte cap and the available memory
     allow.  In mixture mode a dense ``f_w`` or ``eps_cnot`` axis is run only
     at degree + 1 Chebyshev nodes per ``r`` and its rows are interpolated
@@ -324,12 +324,11 @@ def run_sweep(spec: ExperimentSpec) -> list[SweepRow]:
         schedule_mode=spec.schedule_mode,
         seed=spec.seed,
     )
-    rows, references = [], None
+    inputs = [(p, _input_for(circuit, p)) for p in spec.inputs]
+    references = [(p, inp, ideal_output(circuit, inp)) for p, inp in inputs]
+    rows = []
     for scheme in spec.schemes:
         dc = _compiled(circuit, scheme)
-        if references is None:  # every scheme's program has the same source circuit
-            inputs = [(p, _input_for(dc, p)) for p in spec.inputs]
-            references = [(p, inp, ideal_output(dc, inp)) for p, inp in inputs]
         elapsed, rc = elapsed_time(dc, cfg), count_resources(dc)
         per_input = [
             _sweep_rows(dc, points, ref, _outputs(dc, ref[1], cfg, noise), elapsed, rc) for ref in references
@@ -346,38 +345,23 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _texts(cells: tuple) -> list[str]:
-    """``_fmt`` of each cell, as one ``%`` operation over all of them.
-
-    ``%.12g`` gives a float the text of ``f"{v:.12g}"``, -0.0, +-inf and
-    nan included, ``%s`` gives any other cell its ``str``, and None's spec,
-    ``n/a``, takes no argument.  A cell whose text holds a newline would
-    split in two; then each cell is formatted alone.
-    """
-    specs = {k: "%.12g" if issubclass(k, float) else "n/a" if k is type(None) else "%s" for k in set(map(type, cells))}
-    args = cells if type(None) not in specs else tuple(v for v in cells if v is not None)
-    text = ("\n".join(map(specs.__getitem__, map(type, cells))) % args).split("\n")
-    return text if len(text) == len(cells) else list(map(_fmt, cells))
-
-
-def _column_text(column: tuple) -> list[str]:
-    """``_fmt`` of each cell, worked out once per distinct object.
-
-    Keyed by identity, not value, so ``-0.0`` and ``0.0``, or ``1`` and
-    ``1.0``, each keep their own text; ``column`` keeps every cell alive, so
-    no id is reused while the keys are read.
-    """
-    distinct = dict(zip(map(id, column), column))
-    if len(distinct) == len(column):
-        return _texts(column)
-    text = dict(zip(distinct, _texts(tuple(distinct.values()))))
-    return list(map(text.__getitem__, map(id, column)))
-
-
 def _csv(schema: str, columns: tuple[str, ...], rows) -> str:
-    """Schema comment, header, then one line per row of cells, formatted column by column."""
-    texts = [_column_text(column) for column in zip(*rows)]
-    return "\n".join([f"# {schema}", ",".join(columns), *map(",".join, zip(*texts))]) + "\n"
+    """Schema comment, header, then one line per row of cells, each line one ``%`` operation.
+
+    Each cell gets the text of :func:`_fmt`: ``%.12g`` gives a float the text
+    of ``f"{v:.12g}"``, -0.0, +-inf and nan included, ``%s`` gives any other
+    cell its ``str``, and None's text, ``n/a``, takes no argument.  The
+    format is built once per distinct sequence of cell types.
+    """
+    lines, formats = [f"# {schema}", ",".join(columns)], {}
+    for row in rows:
+        types = tuple(map(type, row))
+        if types not in formats:
+            formats[types] = ",".join(
+                "%.12g" if issubclass(t, float) else "n/a" if t is type(None) else "%s" for t in types
+            )
+        lines.append(formats[types] % (row if type(None) not in types else tuple(v for v in row if v is not None)))
+    return "\n".join(lines) + "\n"
 
 
 def sweep_csv(rows: list[SweepRow]) -> str:

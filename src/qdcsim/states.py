@@ -87,7 +87,7 @@ class PureState:
         return float(np.linalg.norm(self.amplitudes))
 
     def validate(self, atol: float = 1e-12) -> None:
-        if abs(self.norm() - 1.0) > atol:
+        if not abs(self.norm() - 1.0) <= atol:
             raise ValueError(f"state vector norm {self.norm()} differs from 1 beyond {atol}")
 
     def tensor(self, other: "PureState") -> "PureState":

@@ -4,6 +4,7 @@ import gc
 import io
 import itertools
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -356,6 +357,9 @@ class TestMeasurementModes:
             ({"m0": 0, "bogus": 2}, ["'bogus'", "'bogus': 2"]),
             ({"m0": 2, "m1": -1}, ["'m0': 2", "'m1': -1"]),
             ({"m0": 1, "m1": 0, "x": 0, "y": 1}, ["'x'", "'y'"]),
+            ({"m0": 1.0}, ["'m0': 1.0"]),
+            ({"m0": True, "m1": 0}, ["'m0': True"]),
+            ({"m1": np.float64(0.0)}, ["'m1': "]),
         ],
     )
     def test_invalid_forced_outcomes_rejected_before_any_step(self, monkeypatch, forced, named):
@@ -371,7 +375,9 @@ class TestMeasurementModes:
         for name in named:
             assert name in str(err.value)
         assert ("never measures" in str(err.value)) == any(tag not in ("m0", "m1") for tag in forced)
-        assert ("other than 0 or 1" in str(err.value)) == any(v not in (0, 1) for v in forced.values())
+        # Only the integers 0 and 1 are outcomes: not 1.0, nor True, though each equals 1.
+        valid = lambda v: type(v) is int and v in (0, 1)
+        assert ("other than 0 or 1" in str(err.value)) == (not all(map(valid, forced.values())))
 
     def test_zero_probability_branch_rejected(self):
         # A qubit resting in |0> cannot read 1; forcing that branch must fail
@@ -1092,3 +1098,8 @@ class TestGuards:
         for seed in (-1, True, 1.0, "3"):
             with pytest.raises(ValueError, match=f"^seed must be None or a non-negative integer, got {seed!r}$"):
                 SimConfig(measurement_mode="sampled", seed=seed)
+        for cap in (0, -3, 2.5, 4.0, True, float("inf"), float("nan"), "4", None):
+            message = f"^max_qubits must be a positive integer, got {re.escape(repr(cap))}$"
+            with pytest.raises(ValueError, match=message):
+                SimConfig(max_qubits=cap)
+        assert SimConfig(max_qubits=np.int64(4)).max_qubits == 4

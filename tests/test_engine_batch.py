@@ -131,6 +131,39 @@ class TestBatchedEqualsPerPoint:
         for got, entries in zip(engine._outputs(dc, inp, SimConfig(), NOISE), expected):
             np.testing.assert_allclose(got, entries, rtol=0.0, atol=1e-15)
 
+    def test_pairs_numbered_in_walk_order(self, monkeypatch):
+        # A local 2-qubit gate comes before the fused block of a remote one, so
+        # a run meets the block's pairs before pair 0.  Pair i is still the
+        # i-th 2-qubit gate or correction the walk settles, and any chunk of
+        # pairs built at once gives the same bits.
+        circuit = parse_qasm("qreg q[6]; cx q[0],q[1]; h q[0]; cx q[0],q[3]; cx q[4],q[5];")
+        dc = compile_circuit(circuit, Scheme.CAT_COMM)
+        settled, walk = engine._Plan._apply_settled, []
+
+        def spy(plan, gate, noisy):
+            walk.append((noisy, len(plan.settle_s), plan.steps))
+            settled(plan, gate, noisy)
+
+        monkeypatch.setattr(engine._Plan, "_apply_settled", spy)
+        plan = engine._Plan(dc, DurationTable(), "sequential")
+        monkeypatch.undo()
+        assert len(plan.blocks) == 1 and len(plan.pair_terms) == len(walk) == 6
+        for i, (noisy, settle, steps) in enumerate(walk):
+            assert [ref for kind, ref, *_ in steps if kind == engine._PAIR].count(i) == 1
+            assert plan.pair_settle[i].tolist() == [settle, settle + 1] and plan.pair_noisy[i] == noisy
+        met = [ref for steps in (plan.blocks[0].steps, plan.steps) for kind, ref, *_ in steps if kind == engine._PAIR]
+        assert met == [1, 2, 3, 4, 0, 5]
+        inp = random_input(np.random.default_rng(6), 6)
+        row = NOISE[-1:]
+        monkeypatch.setattr(engine, "_fuses", lambda k, outside: False)
+        unfused = engine._run(engine._Plan(dc, DurationTable(), "sequential"), inp, row, None, None)
+        monkeypatch.undo()
+        fused = engine._run(plan, inp, row, None, None)
+        np.testing.assert_allclose(fused, unfused, rtol=0.0, atol=1e-12)
+        for chunk in (1, 2, 4):
+            monkeypatch.setattr(engine, "_PAIR_MAP_BYTES", chunk * 256 * 8)
+            assert np.array_equal(engine._run(plan, inp, row, None, None), fused)
+
     def test_results_share_no_memory(self, monkeypatch):
         monkeypatch.setattr(engine, "_BATCH_BYTES", 1)  # one point per batch
         dc = compile_circuit(experiments.template_circuit("remote-cnot"), Scheme.CAT_COMM)
@@ -268,7 +301,7 @@ class TestSampledSweep:
         expected = []
         for scheme in REMOTE:
             dc = compile_circuit(experiments.template_circuit("remote-cnot"), scheme)
-            inp = experiments._input_for(dc, spec.inputs[0])
+            inp = experiments._input_for(dc.source, spec.inputs[0])
             ideal = engine.ideal_output(dc, inp)
             for f_w, r in itertools.product(spec.f_w, spec.r):
                 cfg = SimConfig(

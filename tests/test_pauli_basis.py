@@ -20,11 +20,11 @@ from test_acceptance import NOISE_FREE_CIRCUITS
 
 from qdcsim import engine, experiments, pauli, states
 from qdcsim.channels import GateErrorParam, MemoryParam, WernerParam, werner_state
-from qdcsim.compiler import Scheme, compile_circuit
+from qdcsim.compiler import DistributedCircuit, QubitRef, Role, Scheme, Site, compile_circuit
 from qdcsim.engine import DurationTable, SimConfig, simulate
 from qdcsim.gates import SUPPORTED_GATES, SWAP, Gate, gate_unitary
 from qdcsim.pauli import to_pauli_complex
-from qdcsim.qasm import parse_qasm
+from qdcsim.qasm import Circuit, parse_qasm
 from qdcsim.states import PureState
 
 SETTINGS = settings(max_examples=50, deadline=None, derandomize=True, database=None)
@@ -110,11 +110,14 @@ def test_settled_pair_terms(kind, flip, angle):
     if flip:
         u = SWAP @ u @ SWAP
     a, b = (1, 0) if flip else (0, 1)
-    terms = engine._pair_terms(kind, params, flip).reshape(5, 16, 16)
+    terms = engine._pair_terms(kind, params, flip)
+    assert terms.shape == (4, 256)
+    terms = terms.reshape(4, 16, 16)
     for term, (decay_a, decay_b) in zip(terms, itertools.product((False, True), repeat=2)):
         decays = [depolarize(w, 2) for w, on in ((a, decay_a), (b, decay_b)) if on]
         assert_same_map(term, compose(conjugate(u), *decays), 2)
-    assert_same_map(terms[4], prepare(np.eye(4) / 4), 2)
+    # The gate is unital, so after full decay on both wires it is the CNOT failure.
+    assert_same_map(terms[3], prepare(np.eye(4) / 4), 2)
 
 
 def test_fixed_maps():
@@ -124,7 +127,6 @@ def test_fixed_maps():
     assert_same_map(engine._DEPHASE, lambda rho: np.diag(np.diag(rho)), 1)
     for outcome, proj in enumerate((zero, one)):
         assert_same_map(engine._PROJECT[outcome], conjugate(proj), 1)
-    assert_same_map(engine._CNOT_FAILURE, prepare(np.eye(4) / 4), 2)
     np.testing.assert_array_equal(engine._ZERO_1Q, [1.0, 0.0, 0.0, 1.0])
     np.testing.assert_array_equal(engine._DEPOLARIZE_1Q, np.diag([1.0, 0.0, 0.0, 0.0]))
     np.testing.assert_array_equal(engine._DEPHASE, np.diag([1.0, 0.0, 0.0, 1.0]))
@@ -170,7 +172,7 @@ def test_pure_input_round_trip(k, width):
     rho = np.outer(amp, amp.conj())
     reg = engine._Register.from_pure(amp, width, 1)
     pauli = reg.buf[: 4**k].copy()
-    (back,) = reg.reduced((slice(None),) * k, tuple(range(k)))
+    (back,) = reg.reduced(tuple(range(k)))
     assert pauli.dtype == np.float64
     np.testing.assert_allclose(pauli, (pauli_rows(k) @ rho.reshape(-1)).real, rtol=0, atol=1e-15)
     np.testing.assert_allclose(back, rho, rtol=0, atol=1e-15)
@@ -215,11 +217,20 @@ def test_pieces_leave_conversions_unchanged(k, batch, monkeypatch):
 
 
 def test_output_follows_result_order_and_traces_the_rest():
-    # Three live wires holding qubits 0, 1, 2: trace out qubit 1, and give qubit 2 before qubit 0.
+    # Three live wires holding qubits 0, 1, 2 and no events: trace out qubit 1, and give qubit 2 before qubit 0.
+    dc = DistributedCircuit(
+        source=Circuit(3, (), name="narrow-result"),
+        scheme=Scheme.MONOLITHIC,
+        placement=tuple(QubitRef(i, Role.PROCESSING, Site.QPU_A) for i in range(3)),
+        events=(),
+        result_wires=(2, 0),
+    )
+    plan = engine._plan_for(dc, DurationTable(), "sequential")
+    assert plan.steps[-1][0] == engine._DROP and sorted(plan.order) == [0, 2]
     rng = np.random.default_rng(7)
     amp = rng.normal(size=8) + 1j * rng.normal(size=8)
     amp /= np.linalg.norm(amp)
-    (out,) = engine._Register.from_pure(amp, 3, 1).reduced((slice(None), 0, slice(None)), (1, 0))
+    out = simulate(dc, PureState(amp)).rho_out.entries
     t = np.einsum("a,b->ab", amp, amp.conj()).reshape((2,) * 6)
     want = np.einsum("pqrPqR->rpRP", t).reshape(4, 4)
     np.testing.assert_allclose(out, want, rtol=0, atol=1e-15)

@@ -320,6 +320,9 @@ class TestValidation:
     def test_pure_state_norm_checked(self):
         with pytest.raises(ValueError, match="norm"):
             PureState([1.0, 1.0]).validate()
+        # A NaN amplitude makes a NaN norm, which no tolerance accepts.
+        with pytest.raises(ValueError, match="norm nan"):
+            PureState([np.nan, 0.0]).validate()
 
     def test_density_matrix_validate_accepts_good(self):
         rng = np.random.default_rng(53)
