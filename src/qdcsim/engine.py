@@ -556,24 +556,6 @@ class _Block:
         return len(self.wires)
 
 
-def _windows(walk: list) -> dict[int, int]:
-    """Each window of ``walk`` in which a communication qubit is live, as its first index to its last.
-
-    A window opens at the ebit install that makes a qubit live and closes
-    at the ``Reinit`` that leaves none live.
-    """
-    spans, live, start = {}, set(), 0
-    for i, item in enumerate(walk):
-        if isinstance(item, EbitRequest):
-            start = i if not live else start
-            live.update((item.qubit_a, item.qubit_b))
-        elif isinstance(item, Reinit) and item.qubit in live:
-            live.discard(item.qubit)
-            if not live:
-                spans[start] = i
-    return spans
-
-
 class _Plan:
     """What every run of one program does, whatever the noise point.
 
@@ -615,11 +597,12 @@ class _Plan:
     ``sop @ A``, and a drop discards it, since A preserves the trace.  The
     decay owed commutes with A, so it is settled where it was.
 
-    A pre-scan of the walk finds the windows in which communication
-    qubits are live, so that :meth:`_open` knows whether a block fuses when
-    its window opens.  While it is open the walk appends to the block's
-    steps and tracks the block's tensor in ``order``; the ledger,
-    ``pending`` and the settle points stay the plan's.
+    At an ebit install that makes a communication qubit live while none
+    is, :meth:`_open` scans the walk forward to the ``Reinit`` that leaves
+    none live, and so knows whether the window's block fuses before the
+    walk performs its first event.  While it is open the walk appends to
+    the block's steps and tracks the block's tensor in ``order``; the
+    ledger, ``pending`` and the settle points stay the plan's.
 
     A join puts its wires at the front of ``order``.  A pass on adjacent
     wires runs in place, on the tensor viewed as (before, rows, after);
@@ -631,7 +614,6 @@ class _Plan:
     def __init__(
         self, dc: DistributedCircuit, durations: DurationTable, schedule_mode: str, measurement_mode: str = "mixture"
     ):
-        self.n = dc.n_total
         self.sampled = measurement_mode == "sampled"
         self.order = list(range(dc.n_processing))
         self.width = dc.n_processing
@@ -661,11 +643,10 @@ class _Plan:
             walk += [ev for _, ev in layer.items if not isinstance(ev, EbitRequest)]
             walk.append(layer.duration)
             walk += [ev for _, ev in layer.items if isinstance(ev, EbitRequest)]
-        spans = {} if self.sampled else _windows(walk)
         close = None
         for i, item in enumerate(walk):
-            if i in spans and self._open(walk[i : spans[i] + 1]):
-                close = spans[i]
+            if isinstance(item, EbitRequest) and not self.live_comm and not self.sampled:
+                close = self._open(walk, i)
             if isinstance(item, float):
                 self.idle_all(item)
             elif isinstance(item, EbitRequest):
@@ -689,24 +670,28 @@ class _Plan:
         self.single_slots = tuple(s[0] for s in self.singles)
         self.single_settle = np.array([s[1] for s in self.singles], dtype=int)
         self.single_terms = np.array([s[2].reshape(-1) for s in self.singles], dtype=float).reshape(-1, 16)
+        del self.pairs, self.singles  # a folded pair's terms are held once, in pair_terms
         self.settle_s = np.array(self.settle_s, dtype=float)
         # A run's output is a polynomial in f_w and in eps_cnot: each Werner
         # pair is affine in f_w and each noisy CNOT in eps_cnot.
         self.f_w_degree, self.eps_cnot_degree = self.resources.n_ebit, self.resources.n_cnot
 
-    def _open(self, window: list) -> bool:
-        """Start a block for the walk items ``window`` if :func:`_fuses` says so, and say whether it did.
+    def _open(self, walk: list, start: int) -> int | None:
+        """Start a block for the window that the ebit install at ``walk[start]`` opens, if :func:`_fuses` says so.
 
-        The block's wires are the live wires its events touch, which are
-        the qubits among each event's scheduling resources
-        (:func:`_event_resources`); it fuses only if exactly those are live
-        when it closes, so that its channel maps them to themselves.  Its
-        pass, an _APPLY of the block's slot, goes into the plan's steps now,
-        since every step until it closes is the block's; the decay owed and
-        the maps pending on its wires carry into it.
+        The window runs to the ``Reinit`` that leaves no communication qubit
+        live; the return is its index if the block opened, else None.  The
+        block's wires are the live wires its events touch, which are the
+        qubits among each event's scheduling resources
+        (:func:`_event_resources`); it fuses only if the window closes and
+        exactly those are live then, so that its channel maps them to
+        themselves.  Its pass, an _APPLY of the block's slot, goes into the
+        plan's steps now, since every step until it closes is the block's;
+        the decay owed and the maps pending on its wires carry into it.
         """
-        live, touched, tags = set(self.order), set(), dict(self.tag_qubit)
-        for ev in window:
+        live, touched, tags, comm = set(self.order), set(), dict(self.tag_qubit), set()
+        for close in range(start, len(walk)):
+            ev = walk[close]
             if isinstance(ev, float):  # an idle step
                 continue
             if isinstance(ev, Measure):
@@ -714,9 +699,14 @@ class _Plan:
             wires = {r for r in _event_resources(ev, tags) if not isinstance(r, str)}
             touched |= wires
             live = live - wires if isinstance(ev, Reinit) else live | wires
+            if isinstance(ev, EbitRequest):
+                comm |= wires
+            elif isinstance(ev, Reinit) and not (comm := comm - wires):
+                break
         wires = [w for w in self.order if w in touched]
-        if not wires or live & touched != set(wires) or not _fuses(len(wires), len(self.order) - len(wires)):
-            return False
+        # Live communication qubits are left only when the window never closes.
+        if comm or not wires or live & touched != set(wires) or not _fuses(len(wires), len(self.order) - len(wires)):
+            return None
         slot = len(self.sops)
         self.sops.append(None)
         self._pass(tuple(wires), _APPLY, slot)
@@ -726,7 +716,7 @@ class _Plan:
         self.steps, self.order = [], wires + [-1 - i for i in range(len(wires))]
         self.width = len(self.order)
         self.blocks.append(_Block(slot, tuple(wires), self.steps))
-        return True
+        return close
 
     def _close(self) -> None:
         """End the open block: record how to read its channel off, and go back to the plan's own tensor."""
@@ -849,9 +839,7 @@ class _Plan:
         self.live_comm.update((ev.qubit_a, ev.qubit_b))
 
     def idle_all(self, dt: float) -> None:
-        if dt <= 0.0:
-            return
-        for w in range(self.n):
+        for w in range(len(self.idle)):
             if w not in self.records:
                 self.idle[w] += dt
 

@@ -10,7 +10,8 @@ per process (up to ``_MEMO_SIZE`` each), so a repeated sweep compiles and
 plans nothing.  Mixture-mode runs are fully deterministic, so repeated
 runs of the same spec produce byte-identical files; the CSV schema is
 versioned in a leading comment so downstream plot scripts can pin it.
-The CSV is formatted column by column, each distinct cell object once.
+Each CSV line is one ``%`` operation on its row's cells, with one format
+per distinct sequence of cell types.
 """
 
 from __future__ import annotations
@@ -209,6 +210,10 @@ class ExperimentSpec:
         for param, values in ((WernerParam, self.f_w), (GateErrorParam, self.eps_cnot), (MemoryParam, self.r)):
             for value in values:
                 param(value)
+        # A row prints alpha and phi, so a phase held in alpha would be lost.
+        for p in self.inputs:
+            if p.alpha != abs(p.alpha):
+                raise ExperimentError(f"input {p!r}: alpha must be a non-negative real; put the control's phase in phi")
 
 
 class SweepRow(NamedTuple):

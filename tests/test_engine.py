@@ -13,9 +13,12 @@ import pytest
 from qdcsim import engine
 from qdcsim.channels import GateErrorParam, MemoryParam, WernerParam, memory_depol
 from qdcsim.compiler import (
+    ConditionalCorrection,
     DistributedCircuit,
     EbitRequest,
+    LocalGate,
     Measure,
+    Reinit,
     Scheme,
     SchemeInapplicableError,
     compile_circuit,
@@ -31,7 +34,7 @@ from qdcsim.engine import (
     simulate,
     telemetry_csv,
 )
-from qdcsim.experiments import ExperimentSpec, parse_grid, run_sweep
+from qdcsim.experiments import ExperimentSpec, parse_grid, run_sweep, template_circuit
 from qdcsim.gates import CNOT, Gate
 from qdcsim.qasm import Circuit, parse_qasm
 from qdcsim.states import (
@@ -43,6 +46,7 @@ from qdcsim.states import (
     apply_unitary,
     fidelity_pure,
 )
+from test_engine_reference import reference_simulate
 
 S = 1.0 / math.sqrt(2.0)
 
@@ -543,6 +547,58 @@ class TestFusedBlocks:
         assert simulate(dc, PureState.zero(5), SimConfig()).rho_out.n_qubits == 5
         assert [(len(vector), width, batch) for vector, width, batch in allocated] == [(16, 6, 1)]
 
+    @staticmethod
+    def hand_built(events):
+        """A program of ``events`` on two data wires and four communication qubits, read off wires 0 and 1."""
+        return DistributedCircuit(
+            source=Circuit(2, (), name="hand-built"),
+            scheme=Scheme.CAT_COMM,
+            placement=_two_proc_placement(),
+            events=events,
+            result_wires=(0, 1),
+        )
+
+    @pytest.mark.parametrize("schedule", ["sequential", "layered"])
+    def test_window_never_closed_opens_no_block(self, monkeypatch, schedule):
+        # Wires 2 and 4 are live before the ebit and never re-initialized, so
+        # the window's live touched wires are those it opened on, but it has
+        # no closing Reinit: no block, whatever the cost rule says.
+        monkeypatch.setattr(engine, "_fuses", lambda k, outside: True)
+        monkeypatch.setattr(engine, "_plans", {})
+        dc = self.hand_built((
+            LocalGate(Gate("h", (2,))), LocalGate(Gate("cx", (2, 0))), LocalGate(Gate("h", (4,))),
+            LocalGate(Gate("cx", (4, 1))), EbitRequest(2, 4), LocalGate(Gate("cx", (0, 2))), Measure(2, "m0"),
+            ConditionalCorrection("x", 4, "m0"), LocalGate(Gate("cx", (4, 1))),
+        ))
+        assert engine._plan_for(dc, DurationTable(), schedule).blocks == []
+        inp = random_input(np.random.default_rng(12), 2)
+        for r in (0.0, 50.0):
+            noise = dict(werner=WernerParam(0.94), gate_err=GateErrorParam(0.004), memory=MemoryParam(r))
+            cfg = SimConfig(schedule_mode=schedule, **noise)
+            want, _ = reference_simulate(dc, inp, cfg)
+            np.testing.assert_allclose(simulate(dc, inp, cfg).rho_out.entries, want.entries, atol=1e-12, rtol=0.0)
+
+    def test_only_the_window_that_fuses_gets_a_block(self, monkeypatch):
+        # The first window wakes wire 1, re-initialized before it opened, so
+        # it ends on other live wires than it began with; the second, a
+        # cat-comm remote CNOT, ends on the wires it began with.
+        monkeypatch.setattr(engine, "_fuses", lambda k, outside: True)
+        monkeypatch.setattr(engine, "_plans", {})
+        dc = self.hand_built((
+            LocalGate(Gate("h", (0,))), LocalGate(Gate("cx", (0, 1))), Reinit(1),
+            EbitRequest(2, 4), LocalGate(Gate("cx", (0, 2))), LocalGate(Gate("h", (1,))), Measure(2, "m0"),
+            ConditionalCorrection("x", 4, "m0"), LocalGate(Gate("cx", (4, 1))), Reinit(2), Reinit(4),
+            EbitRequest(2, 4), LocalGate(Gate("cx", (0, 2))), Measure(2, "m1"), ConditionalCorrection("x", 4, "m1"),
+            LocalGate(Gate("cx", (4, 1))), LocalGate(Gate("h", (4,))), Measure(4, "m2"),
+            ConditionalCorrection("z", 0, "m2"), Reinit(2), Reinit(4),
+        ))
+        plan = engine._plan_for(dc, DurationTable(), "sequential")
+        assert [set(block.wires) for block in plan.blocks] == [{0, 1}]
+        inp = random_input(np.random.default_rng(13), 2)
+        cfg = SimConfig(werner=WernerParam(0.94), gate_err=GateErrorParam(0.004), memory=MemoryParam(50.0))
+        want, _ = reference_simulate(dc, inp, cfg)
+        np.testing.assert_allclose(simulate(dc, inp, cfg).rho_out.entries, want.entries, atol=1e-12, rtol=0.0)
+
     @pytest.mark.parametrize("scheme,passes,copies", [(Scheme.CAT_COMM, 21, 7), (Scheme.TP_SAFE, 39, 14)])
     def test_passes_in_blocks_bounded(self, scheme, passes, copies):
         # The plan's own passes, each block's one among them, and the blocks' steps.
@@ -712,6 +768,28 @@ class TestPlanCache:
         del dc
         gc.collect()
         assert not any(k[0] == key for k in engine._plans)
+
+    @staticmethod
+    def kept_bytes(dc, mode):
+        """The traced bytes a plan of ``dc`` keeps once built, with the shared pair terms built by an earlier build."""
+        engine._Plan(dc, DurationTable(), "sequential", mode)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            plan = engine._Plan(dc, DurationTable(), "sequential", mode)
+            gc.collect()
+            kept, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        del plan
+        return kept
+
+    @pytest.mark.parametrize("template", ["remote-cnot", "chain-4"])
+    def test_mixture_plan_keeps_no_more_than_sampled(self, template):
+        # A mixture plan folds 1-qubit maps into its pairs' terms, so those
+        # terms are its own; it holds them once, in pair_terms.
+        dc = compile_circuit(template_circuit(template), Scheme.TP_SAFE)
+        assert self.kept_bytes(dc, "mixture") <= self.kept_bytes(dc, "sampled")
 
     def test_reused_ids_get_their_own_plans(self):
         # Programs made and dropped in turn often reuse one id; each run must

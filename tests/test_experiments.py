@@ -2,6 +2,7 @@
 
 import gc
 import math
+import re
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from qdcsim.analysis import InputStateParams
 from qdcsim.compiler import Scheme
 from qdcsim.experiments import (
     SWEEP_COLUMNS,
+    ExperimentError,
     ExperimentSpec,
     SweepRow,
     parse_grid,
@@ -91,6 +93,14 @@ class TestSweepRow:
         assert hash(row) == hash(tuple(row))
         with pytest.raises(AttributeError):
             row.f_out = 0.0
+
+    @pytest.mark.parametrize("alpha", [1j * math.sqrt(0.5), -math.sqrt(0.5)], ids=["imaginary", "negative"])
+    def test_alpha_with_a_phase_refused(self, alpha):
+        # A row prints alpha and phi, so a phase held in alpha would be lost from it.
+        p = InputStateParams(alpha=alpha)
+        message = f"input {p!r}: alpha must be a non-negative real; put the control's phase in phi"
+        with pytest.raises(ExperimentError, match=re.escape(message)):
+            ExperimentSpec(inputs=(InputStateParams(), p))
 
 
 def per_cell_csv(schema, columns, rows) -> str:

@@ -1,4 +1,4 @@
-"""Print the shape of the engine's plans: passes, transposing copies, joins, drops, peak width and blocks.
+"""Print the shape of the engine's plans: passes, transposing copies, joins, drops, peak width, blocks and kept memory.
 
 One row per program, distributed scheme and measurement mode, under the
 sequential schedule.  The programs are ``remote-cnot`` and the 6-qubit
@@ -9,12 +9,18 @@ step, a copy is a pass that first permutes the tensor's axes, and
 These four counts take in the steps of the plan's blocks, each a remote
 gate that the plan's own steps run as one _APPLY of its channel; "width"
 is the peak of the plan's own tensor, and "widest block" the peak of the
-widest block's register, with its label wires in brackets.
+widest block's register, with its label wires in brackets.  "KiB/2q op"
+is the memory a kept plan holds per two-qubit operation (each CNOT
+and each conditional correction, one settled pair each): the bytes that
+``tracemalloc`` still traces once a plan is built, with the shared pair
+terms already built by an earlier build of the same plan.
 Usage: ``python tools/plan_passes.py`` (from any directory).
 """
 
+import gc
 import pathlib
 import sys
+import tracemalloc
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
@@ -29,7 +35,7 @@ PROGRAMS = {
 SCHEMES = (Scheme.CAT_COMM, Scheme.ONE_TP, Scheme.TWO_TP, Scheme.TP_SAFE)
 COLUMNS = (
     "program", "scheme", "mode", "passes", "copies", "after join", "joins", "drops", "width", "blocks",
-    "widest block",
+    "widest block", "KiB/2q op",
 )
 PASSES = (engine._APPLY, engine._PAIR)
 
@@ -48,6 +54,20 @@ def shape(plan: engine._Plan) -> tuple:
     return (*counts, plan.width, len(plan.blocks), f"{widest.width} ({widest.k})" if widest else "-")
 
 
+def kept(dc, mode: str) -> tuple[engine._Plan, float]:
+    """A plan of ``dc`` built under ``tracemalloc``, and the KiB it keeps per two-qubit operation."""
+    engine._Plan(dc, engine.DurationTable(), "sequential", mode)  # builds the shared pair terms
+    gc.collect()
+    tracemalloc.start()
+    try:
+        plan = engine._Plan(dc, engine.DurationTable(), "sequential", mode)
+        gc.collect()
+        kept_bytes, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return plan, kept_bytes / 1024 / len(plan.pair_noisy)
+
+
 def main() -> None:
     print("".join(f"{c:>13}" for c in COLUMNS))
     for name, circuit in PROGRAMS.items():
@@ -58,8 +78,8 @@ def main() -> None:
                 print(f"{name:>13}{scheme.value:>13}  inapplicable")
                 continue
             for mode in ("mixture", "sampled"):
-                plan = engine._Plan(dc, engine.DurationTable(), "sequential", mode)
-                print("".join(f"{v:>13}" for v in (name, scheme.value, mode, *shape(plan))))
+                plan, kib = kept(dc, mode)
+                print("".join(f"{v:>13}" for v in (name, scheme.value, mode, *shape(plan), f"{kib:.1f}")))
 
 
 if __name__ == "__main__":
