@@ -447,6 +447,8 @@ def compile_circuit(
     :class:`SchemeInapplicableError` when 1TP/2TP parking exhausts the
     communication qubits.
     """
+    if not isinstance(scheme, Scheme):
+        raise TypeError(f"scheme must be a Scheme, got {scheme!r}")
     lowered = lower_to_basis(circuit)
     n = lowered.n_qubits
 

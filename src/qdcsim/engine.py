@@ -94,15 +94,12 @@ A noise-free map (a fresh |0>) is one superoperator shared by the batch;
 a noisy one (a settled 2-wire or 1-wire map, the Werner pair) is a stack
 with one map per point, which ``matmul`` broadcasts over.
 The settled 2-wire maps, numbered in walk order, which is event order,
-are built from their terms shortly before their passes, a chunk of a few
-pairs at a time within a byte budget (``_PAIR_MAP_BYTES``), and one pair at
-a time for a large batch, so a run never holds all of them at once.  A run
-computes the blocks' channels first, so it may meet a pair before an
-earlier one; it builds the chunk that holds a pass's pair whenever the
-chunk it holds does not.  So the batch pays one Python dispatch per pass,
-where separate runs pay one per pass per point.  B is capped by a byte budget for the two
-buffers (``_BATCH_BYTES``) and by the available memory, and sampled runs hold
-one point each, since each point draws its own outcomes.  A grid of noise
+are each built from their terms at their pass, one map per point into one
+buffer, so a run holds one pair's maps at a time.  So the batch pays one
+Python dispatch per pass, where separate runs pay one per pass per point.
+B is capped by a byte budget for the two buffers (``_BATCH_BYTES``) and by
+the available memory, and sampled runs hold one point each, since each
+point draws its own outcomes.  A grid of noise
 rows that share one config runs through :func:`_outputs`, which yields
 each batch's reduced outputs as one ``(B, d, d)`` array and nothing else;
 :func:`simulate` is the one-row case and the only place a
@@ -511,7 +508,7 @@ def _available_bytes() -> int | None:
 #       block's channel (see :class:`_Block`), which the run computes first.
 #   (_PAIR, i, perm, shape): the same with the i-th settled 2-wire map,
 #       the pairs numbered in walk order, built from its four terms at the
-#       latest just before the pass.
+#       pass.
 #   (_DROP, shape, -, -): trace out the wire whose Pauli index is axis 1 of
 #       the tensor viewed as shape (before, 4, after).
 #   (_JOIN, wires, slot, -): put ``wires`` at the front of the tensor, in
@@ -879,8 +876,8 @@ def _bind(
     depends on the noise point gets maps of shape ``lead + (rows, rows)``:
     a stack with one per point, or a single point's one map; the others
     keep the plan's shared map.  The settled pairs come back as
-    coefficients, ``coef[i]`` of shape (B, 4) for the i-th pair, because a
-    run builds their maps only shortly before their passes.
+    coefficients, ``coef[i]`` of shape (B, 1, 4) for the i-th pair, because a
+    run builds each pair's map at its pass.
     """
     sops = list(plan.sops)
     if ebit_state is None:
@@ -899,7 +896,7 @@ def _bind(
     singles += (1.0 - keep) * _DEPOLARIZE_1Q.reshape(16)
     for slot, sop in zip(plan.single_slots, singles.reshape((-1,) + lead + (4, 4))):
         sops[slot] = sop
-    return sops, coef
+    return sops, coef[:, :, None]
 
 
 # ---------------------------------------------------------------------------
@@ -913,11 +910,6 @@ def _bind(
 # memory, and a point that does not fit alone is refused by the available-memory
 # check.
 _BATCH_BYTES = 2**18
-
-# The most bytes of settled 2-wire maps a run builds at once: a run of one
-# point builds the maps of up to 16 pairs in one call, a batch of 16 points
-# or more builds each pair's maps just before its pass.
-_PAIR_MAP_BYTES = 2**15
 
 
 class _Register:
@@ -1086,26 +1078,19 @@ def _run(
     lead = (batch,) if batch > 1 else ()
     keeps = np.exp(-noise[:, 2, None] * plan.settle_s)
     sops, coef = _bind(plan, ebit_state, noise, keeps, lead)
-    # How many pairs' maps are built together.
-    chunk = max(1, _PAIR_MAP_BYTES // (batch * 256 * _BYTES_PER_ENTRY))
-    maps = np.empty((min(chunk, len(coef)), batch, 256))
-    held = -1  # which chunk of pairs ``maps`` holds the maps of
+    pair_map = np.empty((batch, 1, 256))  # the map of the pair whose pass comes next
+    pair_sop = pair_map.reshape(lead + (16, 16))
 
     def execute(reg: _Register, steps: list) -> _Register:
-        nonlocal held
         for kind, a, b, c in steps:
             if kind == _APPLY:
                 reg.apply(sops[a], b, c)
             elif kind == _PAIR:
-                if a // chunk != held:
-                    held = a // chunk
-                    lo = held * chunk
-                    m = min(chunk, len(coef) - lo)
-                    # One vector-matrix product per point and pair: a matrix
-                    # product over the batch would sum a point's four terms
-                    # in another order than the point's run alone does.
-                    np.matmul(coef[lo : lo + m, :, None], plan.pair_terms[lo : lo + m, None], out=maps[:m, :, None])
-                reg.apply(maps[a % chunk].reshape(lead + (16, 16)), b, c)
+                # One vector-matrix product per point: a matrix product over
+                # the batch would sum a point's four terms in another order
+                # than the point's run alone does.
+                np.matmul(coef[a], plan.pair_terms[a], out=pair_map)
+                reg.apply(pair_sop, b, c)
             elif kind == _DROP:
                 reg.drop(a)
             elif kind == _JOIN:

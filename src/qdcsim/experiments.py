@@ -206,6 +206,9 @@ class ExperimentSpec:
         for name in ("schemes", "f_w", "eps_cnot", "r", "inputs"):
             if not getattr(self, name):
                 raise ExperimentError(f"spec grid '{name}' must not be empty")
+        for scheme in self.schemes:
+            if not isinstance(scheme, Scheme):
+                raise ExperimentError(f"spec scheme {scheme!r} is not a Scheme; Scheme.from_name reads a name")
         # Range-check each error value once, here, so a bad grid fails before any point runs.
         for param, values in ((WernerParam, self.f_w), (GateErrorParam, self.eps_cnot), (MemoryParam, self.r)):
             for value in values:
@@ -408,10 +411,11 @@ def _axis(section: dict, key: str, default: float) -> tuple[float, ...]:
     raw = section.get(key, (default,))
     if isinstance(raw, str):
         return parse_grid(raw)
-    if isinstance(raw, (int, float)):
-        return (float(raw),)
     try:
-        return tuple(float(v) for v in raw)
+        values = [raw] if isinstance(raw, (int, float)) else list(raw)
+        if any(isinstance(v, bool) for v in values):  # JSON's true and false, which float() reads as 1 and 0
+            raise TypeError
+        return tuple(float(v) for v in values)
     except (TypeError, ValueError):
         raise ExperimentError(
             f"grid '{key}' must be a range string, a number or a list of numbers, got {raw!r}"

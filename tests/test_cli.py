@@ -3,6 +3,7 @@
 import itertools
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -133,6 +134,13 @@ class TestSpecFromMapping:
     def test_unknown_input_axes_rejected(self):
         with pytest.raises(ExperimentError, match=r"unknown input axes: \['alpha', 'thet'\]; allowed: .*'alpha2'"):
             spec_from_mapping({"inputs": {"alpha": "0:1:0.5", "thet": 1}})
+
+    @pytest.mark.parametrize("value", [True, [0.5, False]], ids=repr)
+    def test_boolean_input_axis_rejected(self, value):
+        # JSON's true would otherwise read as alpha2 = 1.
+        message = f"grid 'alpha2' must be a range string, a number or a list of numbers, got {value!r}"
+        with pytest.raises(ExperimentError, match=re.escape(message)):
+            spec_from_mapping({"inputs": {"alpha2": value}})
 
     def test_scheme_list_parsing(self):
         spec = spec_from_mapping({"schemes": "cat, tpsafe"})
@@ -457,6 +465,12 @@ class TestCliSweeps:
             ("seed", True, "seed must be an integer, got True"),
             ("seed", -1, "seed must be non-negative, got -1"),
             ("f_w", [[0.9]], "grid 'f_w' must be a range string, a number or a list of numbers, got [[0.9]]"),
+            ("f_w", True, "grid 'f_w' must be a range string, a number or a list of numbers, got True"),
+            (
+                "eps_cnot",
+                [False, 0.01],
+                "grid 'eps_cnot' must be a range string, a number or a list of numbers, got [False, 0.01]",
+            ),
         ],
     )
     def test_malformed_spec_value_names_its_key(self, tmp_path, capsys, monkeypatch, key, value, message):

@@ -342,6 +342,11 @@ class TestStructure:
         with pytest.raises(ValueError, match="unknown scheme"):
             Scheme.from_name("3tp")
 
+    def test_scheme_must_be_a_scheme(self):
+        # A scheme's name once fell through to the TP-safe lowering.
+        with pytest.raises(TypeError, match="^scheme must be a Scheme, got 'cat'$"):
+            compile_circuit(parse_qasm("qreg q[2]; cx q[0],q[1];"), "cat")
+
     def test_partition_must_cover_wires(self):
         with pytest.raises(ValueError, match="cover"):
             compile_circuit(

@@ -119,23 +119,11 @@ class TestBatchedEqualsPerPoint:
             alone = simulate(dc, PureState.zero(2), cfg).rho_out.entries
             np.testing.assert_allclose(entries, alone, rtol=0.0, atol=1e-12)
 
-    @pytest.mark.parametrize("budget", [1, 3 * 27 * 16**3, 2**30])
-    def test_pair_maps_built_one_or_many_at_a_time(self, monkeypatch, budget):
-        # For the 27 points: a budget below one pair's maps builds them pass
-        # by pass, the middle one six pairs at a time (8-byte entries), a
-        # large one all in one call.
-        dc = compile_circuit(experiments.template_circuit("chain-2"), Scheme.TP_SAFE)
-        inp = random_input(np.random.default_rng(2), 2)
-        expected = list(engine._outputs(dc, inp, SimConfig(), NOISE))
-        monkeypatch.setattr(engine, "_PAIR_MAP_BYTES", budget)
-        for got, entries in zip(engine._outputs(dc, inp, SimConfig(), NOISE), expected):
-            np.testing.assert_allclose(got, entries, rtol=0.0, atol=1e-15)
-
     def test_pairs_numbered_in_walk_order(self, monkeypatch):
         # A local 2-qubit gate comes before the fused block of a remote one, so
         # a run meets the block's pairs before pair 0.  Pair i is still the
-        # i-th 2-qubit gate or correction the walk settles, and any chunk of
-        # pairs built at once gives the same bits.
+        # i-th 2-qubit gate or correction the walk settles, and a run reads
+        # each pair's terms once, at its pass.
         circuit = parse_qasm("qreg q[6]; cx q[0],q[1]; h q[0]; cx q[0],q[3]; cx q[4],q[5];")
         dc = compile_circuit(circuit, Scheme.CAT_COMM)
         settled, walk = engine._Plan._apply_settled, []
@@ -160,9 +148,16 @@ class TestBatchedEqualsPerPoint:
         monkeypatch.undo()
         fused = engine._run(plan, inp, row, None, None)
         np.testing.assert_allclose(fused, unfused, rtol=0.0, atol=1e-12)
-        for chunk in (1, 2, 4):
-            monkeypatch.setattr(engine, "_PAIR_MAP_BYTES", chunk * 256 * 8)
-            assert np.array_equal(engine._run(plan, inp, row, None, None), fused)
+        reads = []
+
+        class Recorded(np.ndarray):
+            def __getitem__(self, key):
+                reads.append(key)
+                return np.asarray(self)[key]
+
+        plan.pair_terms = plan.pair_terms.view(Recorded)
+        assert np.array_equal(engine._run(plan, inp, row, None, None), fused)
+        assert reads == met and all(type(key) is int for key in reads)
 
     def test_results_share_no_memory(self, monkeypatch):
         monkeypatch.setattr(engine, "_BATCH_BYTES", 1)  # one point per batch

@@ -102,6 +102,13 @@ class TestSweepRow:
         with pytest.raises(ExperimentError, match=re.escape(message)):
             ExperimentSpec(inputs=(InputStateParams(), p))
 
+    def test_scheme_name_refused(self):
+        # A name in place of a Scheme once compiled TP-safe, and its sweep
+        # failed only after every point had run.
+        message = "spec scheme 'cat' is not a Scheme; Scheme.from_name reads a name"
+        with pytest.raises(ExperimentError, match=re.escape(message)):
+            ExperimentSpec(schemes=(Scheme.CAT_COMM, "cat"))
+
 
 def per_cell_csv(schema, columns, rows) -> str:
     """The CSV writer as it formats one cell at a time."""

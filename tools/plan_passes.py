@@ -1,19 +1,21 @@
-"""Print the shape of the engine's plans: passes, transposing copies, joins, drops, peak width, blocks and kept memory.
+"""Print the shape of the engine's plans: passes, pair maps, copies, joins, drops, peak width, blocks and kept memory.
 
 One row per program, distributed scheme and measurement mode, under the
 sequential schedule.  The programs are ``remote-cnot`` and the 6-qubit
 circuit of acceptance criterion 13, which perfbench's ``wide-10q``
 workload runs on a 10-qubit register.  A pass is an _APPLY or _PAIR
-step, a copy is a pass that first permutes the tensor's axes, and
-"copies after a join" counts the copies whose previous step is a join.
-These four counts take in the steps of the plan's blocks, each a remote
-gate that the plan's own steps run as one _APPLY of its channel; "width"
-is the peak of the plan's own tensor, and "widest block" the peak of the
-widest block's register, with its label wires in brackets.  "KiB/2q op"
-is the memory a kept plan holds per two-qubit operation (each CNOT
-and each conditional correction, one settled pair each): the bytes that
-``tracemalloc`` still traces once a plan is built, with the shared pair
-terms already built by an earlier build of the same plan.
+step, "pairs" counts the _PAIR steps, the settled 2-wire maps, each of
+which a run builds at its pass, a copy is a pass that first permutes the
+tensor's axes, and "copies after a join" counts the copies whose
+previous step is a join.  These five counts take in the steps of the
+plan's blocks, each a remote gate that the plan's own steps run as one
+_APPLY of its channel; "width" is the peak of the plan's own tensor, and
+"widest block" the peak of the widest block's register, with its label
+wires in brackets.  "KiB/2q op" is the memory a kept plan holds per
+two-qubit operation (each CNOT and each conditional correction, one
+settled pair each): the bytes that ``tracemalloc`` still traces once a
+plan is built, with the shared pair terms already built by an earlier
+build of the same plan.
 Usage: ``python tools/plan_passes.py`` (from any directory).
 """
 
@@ -34,21 +36,24 @@ PROGRAMS = {
 }
 SCHEMES = (Scheme.CAT_COMM, Scheme.ONE_TP, Scheme.TWO_TP, Scheme.TP_SAFE)
 COLUMNS = (
-    "program", "scheme", "mode", "passes", "copies", "after join", "joins", "drops", "width", "blocks",
+    "program", "scheme", "mode", "passes", "pairs", "copies", "after join", "joins", "drops", "width", "blocks",
     "widest block", "KiB/2q op",
 )
 PASSES = (engine._APPLY, engine._PAIR)
 
 
 def shape(plan: engine._Plan) -> tuple:
-    """(passes, copies, copies right after a join, joins, drops, peak width, blocks, widest block) of ``plan``."""
-    counts = [0] * 5
+    """(passes, pairs, copies, copies right after a join, joins, drops, peak width, blocks, widest block) of ``plan``."""
+    counts = [0] * 6
     for steps in [plan.steps] + [block.steps for block in plan.blocks]:
         kinds = [step[0] for step in steps]
         passes = [i for i, kind in enumerate(kinds) if kind in PASSES]
         copies = [i for i in passes if steps[i][2] is not None]
         after_join = sum(1 for i in copies if i > 0 and kinds[i - 1] == engine._JOIN)
-        found = (len(passes), len(copies), after_join, kinds.count(engine._JOIN), kinds.count(engine._DROP))
+        found = (
+            len(passes), kinds.count(engine._PAIR), len(copies), after_join,
+            kinds.count(engine._JOIN), kinds.count(engine._DROP),
+        )
         counts = [a + b for a, b in zip(counts, found)]
     widest = max(plan.blocks, key=lambda block: block.width, default=None)
     return (*counts, plan.width, len(plan.blocks), f"{widest.width} ({widest.k})" if widest else "-")
