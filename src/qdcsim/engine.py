@@ -70,10 +70,12 @@ Y, Z.  Every map the engine applies preserves Hermiticity, so states and
 superoperators are all real there.  Each map is changed to the Pauli basis
 once, where it is built: at import, when a 2-wire gate's terms or a plan's
 1-qubit gates are made, and for the Werner pair from two fixed vectors.  A
-run changes basis twice only: the pure input on entry, and the result
-wires on exit, back to a complex ``(B, d, d)`` output.  In this basis
-tracing a wire out keeps its I entries, |0> is (1, 0, 0, 1), full decay
-keeps I alone and dephasing keeps I and Z.
+run changes basis once, for the pure input on entry, and ends in the
+result wires' real Pauli vectors; only :func:`simulate` turns its one
+output into a complex density matrix.  In this basis tracing a wire out
+keeps its I entries, |0> is (1, 0, 0, 1), full decay keeps I alone and
+dephasing keeps I and Z, and the fidelity with a pure state whose Pauli
+vector is o is 2^-n <o, v> on n wires.
 
 A run holds a batch of noise points of one program and one input: B
 state tensors stacked on a leading axis, in one real buffer and an equal
@@ -82,10 +84,12 @@ the plan's peak live width.  The input changes basis inside that
 allocation; only a single point whose input spans the peak width needs a
 second complex array for it, freed before the first pass.  The run
 allocates its buffers when it starts and frees them when it ends, so
-nothing outlives a run but its outputs; each block's register is freed
-before the next one is allocated, and before the run's own.  Every pass is one matrix product
-between them, on the tensor viewed as (before, rows, after) around the
-pass's wires.  It is preceded by a transposing copy to the front only when
+nothing outlives a run but its outputs.  A register is read once, into a
+fresh real array: a block's channel, or the run's result rows.  So each
+block's register is freed before the next one is allocated, and before
+the run's own.  Every pass is one matrix product between them, on the
+tensor viewed as (before, rows, after) around the pass's wires.  It is
+preceded by a transposing copy to the front only when
 those wires are not adjacent, or when a 1-wire map has exactly one wire
 after it and three or more before: there ``matmul`` would make 64 or more
 4 x 4 products per point, which cost more than the copy.  A joining wire goes
@@ -101,10 +105,11 @@ B is capped by a byte budget for the two buffers (``_BATCH_BYTES``) and by
 the available memory, and sampled runs hold one point each, since each
 point draws its own outcomes.  A grid of noise
 rows that share one config runs through :func:`_outputs`, which yields
-each batch's reduced outputs as one ``(B, d, d)`` array and nothing else;
-:func:`simulate` is the one-row case and the only place a
-:class:`SimResult` is built.  In mixture mode the output at one ``r`` is a
-polynomial in ``f_w`` and in ``eps_cnot``, so ``_outputs`` runs a dense
+each batch's reduced outputs as one real ``(B, 4^k)`` array of Pauli
+vectors and nothing else; :func:`simulate` is the one-row case and the
+only place a :class:`SimResult` is built.  In mixture mode the output at
+one ``r`` is a polynomial in ``f_w`` and in ``eps_cnot``, so
+``_outputs`` runs a dense
 grid on those axes at degree + 1 Chebyshev nodes and interpolates.  An
 axis's nodes and barycentric weights are worked out per distinct value,
 once per process for each axis and degree (:func:`_chebyshev_weights`).
@@ -1009,25 +1014,15 @@ class _Register:
             shape = self.lead + shape
             np.matmul(sop if sop.ndim == 2 else sop[:, None], src.reshape(shape), out=dst.reshape(shape))
 
-    def matrix(self, axes: tuple[int, ...]) -> np.ndarray:
-        """Each tensor with its axes in the order ``axes``, as a square matrix: a new array of shape lead + (d, d)."""
-        v = self.buf[: self.batch * self.size].reshape((self.batch,) + (4,) * len(axes))
-        rows = math.isqrt(self.size)
-        return np.ascontiguousarray(v.transpose(0, *(1 + a for a in axes))).reshape(self.lead + (rows, rows))
+    def read(self, axes: tuple[int, ...]) -> np.ndarray:
+        """Each tensor with its axes in the order ``axes``, copied into a new real (B, 4**k) array.
 
-    def reduced(self, axes: tuple[int, ...]) -> np.ndarray:
-        """The density matrices of the live wires, in the order ``axes`` gives, as a (B, d, d) array.
-
-        The register drops its buffers, and is spent, before the change of
-        basis, which then holds two complex arrays of the output's size.  The
-        result is exactly Hermitian.
+        The copy is made even when the axes are in order, so nothing read
+        keeps the register's buffers alive.
         """
-        v = self.buf[: self.batch * self.size].reshape((self.batch,) + (4,) * len(axes))
-        c = np.empty((self.batch,) + (4,) * len(axes), dtype=complex)
-        np.copyto(c, v.transpose(0, *(1 + a for a in axes)))
-        del v
-        self.buf = self.scratch = None
-        return from_pauli(c.reshape(self.batch, -1), len(axes))
+        out = np.empty((self.batch,) + (4,) * len(axes))
+        np.copyto(out, self.buf[: self.batch * self.size].reshape(out.shape).transpose(0, *(1 + a for a in axes)))
+        return out.reshape(self.batch, -1)
 
 
 class _Sampler:
@@ -1067,12 +1062,15 @@ class _Sampler:
 def _run(
     plan: _Plan, input_state: PureState, noise: np.ndarray, ebit_state: str | None, sampler: _Sampler | None
 ) -> np.ndarray:
-    """Run the plan's passes on ``input_state`` at each noise row; return the reduced outputs, shape (B, d, d).
+    """Run the plan's passes on ``input_state`` at each noise row; return the result wires' Pauli vectors.
 
-    ``noise`` holds one ``(f_w, eps_cnot, r)`` row per point, and
-    ``ebit_state``, when given, replaces every point's Werner pair.  A
-    sampled run (``sampler`` given) holds a single point.  The register is
-    allocated here and freed on return.
+    The return is a new real (B, 4**k) array, one row per point, over the
+    k result wires in result order.  ``noise`` holds one
+    ``(f_w, eps_cnot, r)`` row per point, and ``ebit_state``, when given,
+    replaces every point's Werner pair.  A sampled run (``sampler`` given)
+    holds a single point.  Each register is allocated here and freed once
+    it has been read: a block's before the next block's, and the run's own
+    on return.
     """
     batch = len(noise)
     lead = (batch,) if batch > 1 else ()
@@ -1099,40 +1097,51 @@ def _run(
                 sops[a] = sampler.projection(b, reg.buf[: reg.size].reshape(c)[0, :, 0], sops[a])
         return reg
 
-    # Each block's register is freed before the next one, and before the run's own.
     for block in plan.blocks:
-        identity = np.eye(4**block.k)
-        sops[block.slot] = execute(_Register.from_pauli(identity, block.width, batch), block.steps).matrix(block.axes)
-    reg = execute(_Register.from_pure(input_state.amplitudes, plan.width, batch), plan.steps)
-    return reg.reduced(plan.output_axes)
+        channel = execute(_Register.from_pauli(np.eye(4**block.k), block.width, batch), block.steps).read(block.axes)
+        sops[block.slot] = channel.reshape(lead + (4**block.k,) * 2)
+    return execute(_Register.from_pure(input_state.amplitudes, plan.width, batch), plan.steps).read(plan.output_axes)
+
+
+def _capped_plan(dc: DistributedCircuit, cfg: SimConfig) -> tuple[_Plan, int]:
+    """The plan of ``dc`` under ``cfg`` and the most wires a run of it holds at once, a block's or its own.
+
+    Raises :class:`EngineError` when that width exceeds the config's cap.
+    Nothing the size of a state is made, so a program of any width is
+    refused at once.
+    """
+    plan = _plan_for(dc, cfg.durations, cfg.schedule_mode, cfg.measurement_mode)
+    width = max([plan.width] + [block.width for block in plan.blocks])
+    if width > cfg.max_qubits:
+        raise EngineError(f"register of {dc.n_total} qubits holds up to {width} at once, "
+                          f"over the configured cap of {cfg.max_qubits}")
+    return plan, width
 
 
 def _admit(dc: DistributedCircuit, input_state: PureState, cfg: SimConfig) -> tuple[_Plan, int]:
     """The plan for a run of ``dc`` on ``input_state`` under ``cfg``, and how many points one run may hold.
 
     Raises :class:`EngineError` when the input does not fit the circuit,
-    when the most wires the run holds at once exceed the config's cap, or
-    when a single point's memory need exceeds the available memory, checked
-    in that order, before anything is allocated.  Sampled runs hold one
-    point, since each point draws its own outcomes; mixture runs as many as
-    ``_BATCH_BYTES`` and the available memory allow.
+    when the most wires the run holds at once exceed the config's cap
+    (:func:`_capped_plan`), or when a single point's memory need exceeds
+    the available memory, checked in that order, before anything is
+    allocated.  The need is the widest register or, where larger, the two
+    complex arrays of a change of basis: the input's, as a run starts, or
+    the complex output's, which only :func:`simulate` makes, after the
+    register is freed.  A sweep also holds its reference's Pauli vector,
+    8 * 4**n bytes for n result wires, beside each run.  Sampled runs hold
+    one point, since each point draws its own outcomes; mixture runs as
+    many as ``_BATCH_BYTES`` and the available memory allow.
     """
     if input_state.n_qubits != dc.n_processing:
         raise EngineError(
             f"input covers {input_state.n_qubits} qubits, circuit has {dc.n_processing}"
         )
     input_state.validate()
-    plan = _plan_for(dc, cfg.durations, cfg.schedule_mode, cfg.measurement_mode)
-    width = max([plan.width] + [block.width for block in plan.blocks])
-    if width > cfg.max_qubits:
-        raise EngineError(
-            f"register of {dc.n_total} qubits holds up to {width} at once, over the configured cap of {cfg.max_qubits}"
-        )
-    # The widest register, a block's or the run's own, or the two complex
-    # arrays of a change of basis: the input's, as the run starts, or the
-    # result wires', once the run's register is freed.  Either is larger only
-    # when it spans every wire the register holds at its widest.  The blocks'
-    # channels are held throughout.
+    plan, width = _capped_plan(dc, cfg)
+    # A change of basis is larger than the register only when it spans every
+    # wire the register holds at its widest.  The blocks' channels are held
+    # throughout.
     need = max(_working_set_bytes(width), 2 * np.dtype(complex).itemsize * 4 ** max(plan.n_result, dc.n_processing))
     need += _BYTES_PER_ENTRY * sum(16**block.k for block in plan.blocks)
     have = _available_bytes()
@@ -1235,8 +1244,7 @@ def _interpolated(
     group_of, local = np.empty(len(noise), dtype=int), np.empty(len(noise), dtype=int)
     for g, group in enumerate(groups):
         group_of[group.rows], local[group.rows] = g, np.arange(len(group.rows))
-    dim = 1 << plan.n_result
-    outs: list[np.ndarray] = []  # the outputs at each group's runs, as (f_w node, eps_cnot node, d * d)
+    outs: list[np.ndarray] = []  # the outputs at each group's runs, as (f_w node, eps_cnot node, 4**k)
     end, error = len(noise), None
     for group in groups:
         try:
@@ -1250,12 +1258,12 @@ def _interpolated(
         outs.append(out.reshape(group.wf.shape[1], group.we.shape[1], -1))
     for start in range(0, end, batch):
         stop = min(start + batch, end)
-        out = np.empty((stop - start, dim * dim), dtype=complex)
+        out = np.empty((stop - start, 4**plan.n_result))
         at, k = group_of[start:stop], local[start:stop]
         for g in set(at.tolist()):
             here = at == g
             out[here] = np.einsum("ki,kj,ijx->kx", groups[g].wf[k[here]], groups[g].we[k[here]], outs[g])
-        yield out.reshape(-1, dim, dim)
+        yield out
     if error is not None:
         raise error
 
@@ -1266,9 +1274,10 @@ def _outputs(dc: DistributedCircuit, input_state: PureState, cfg: SimConfig, noi
     ``noise`` holds one ``(f_w, eps_cnot, r)`` row per point; ``cfg`` gives
     every other setting, and its own noise point is not read.  Mixture runs
     go in batches (see :func:`_admit`), sampled runs one point at a time.
-    Each batch comes as one ``(B, d, d)`` array that owns its memory, the
-    batches in row order; an error raised while a batch runs surfaces when
-    that batch is asked for.
+    Each batch comes as one real ``(B, 4**k)`` array of the k result wires'
+    Pauli vectors (see :func:`_run`) that owns its memory, the batches in
+    row order; an error raised while a batch runs surfaces when that batch
+    is asked for.
 
     In mixture mode, the output at one ``r`` is an exact polynomial in
     ``f_w`` (of degree the plan's Werner pairs) and in ``eps_cnot`` (its
@@ -1316,7 +1325,9 @@ def simulate(
     in |0>.  The returned ``rho_out`` is reduced onto the logical wires in
     logical order, following any teleported relocations, with everything
     else traced out.  ``forced_outcomes`` (sampled mode) pins named
-    measurement tags to chosen branches for protocol inspection.
+    measurement tags to chosen branches for protocol inspection.  This is
+    the one place a run's output leaves the Pauli basis, as a density
+    matrix that is exactly Hermitian.
     """
     cfg = cfg or SimConfig()
     if forced_outcomes and cfg.measurement_mode != "sampled":
@@ -1326,8 +1337,10 @@ def simulate(
         _check_forced(plan, forced_outcomes)
     sampler = _Sampler(cfg.seed, forced_outcomes) if cfg.measurement_mode == "sampled" else None
     noise = np.array([(cfg.werner.f_w, cfg.gate_err.eps_cnot, cfg.memory.r)])
+    # The real rows are freed once copied, before from_pauli allocates its second complex array.
+    out = from_pauli(_run(plan, input_state, noise, cfg.ebit_state, sampler).astype(complex), plan.n_result)
     return SimResult(
-        rho_out=DensityMatrix(_run(plan, input_state, noise, cfg.ebit_state, sampler)[0]),
+        rho_out=DensityMatrix(out[0]),
         elapsed=plan.elapsed,
         telemetry=plan.telemetry,
         resources=plan.resources,

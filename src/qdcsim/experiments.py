@@ -3,9 +3,11 @@
 A sweep enumerates (scheme x error grid x input grid) points in declared
 order, simulates them (the error-grid points of one scheme and input in
 batches, a dense ``f_w`` or ``eps_cnot`` axis from a few node runs), and
-emits one row per point: a :class:`SweepRow` tuple of its CSV cells.  A
-spec range-checks every error value when it is declared, so a sweep never
-starts on a bad grid.  Built-in circuits and compiled programs are kept
+emits one row per point: a :class:`SweepRow` tuple of its CSV cells.
+Outputs stay in the Pauli basis: a point's fidelity on n wires is
+``2**-n <o, v>``, for o and v the Pauli vectors of its noiseless reference
+and of its output.  A spec range-checks every error value when it is
+declared, so a sweep never starts on a bad grid.  Built-in circuits and compiled programs are kept
 per process (up to ``_MEMO_SIZE`` each), so a repeated sweep compiles and
 plans nothing.  Mixture-mode runs are fully deterministic, so repeated
 runs of the same spec produce byte-identical files; the CSV schema is
@@ -36,12 +38,13 @@ from .analysis import (
 )
 from .channels import GateErrorParam, MemoryParam, WernerParam
 from .compiler import DistributedCircuit, ResourceCount, Scheme, compile_circuit, count_resources
-from .engine import DurationTable, SimConfig, _outputs, elapsed_time, ideal_output
+from .engine import DurationTable, EngineError, SimConfig, _capped_plan, _outputs, elapsed_time, ideal_output
 
 # Unused by the sweep; kept bound because perfbench/tracer.py wraps them here by name.
 from .engine import simulate  # noqa: F401
+from .pauli import pure_to_pauli
 from .qasm import Circuit, parse_qasm
-from .states import PureState, _fidelities
+from .states import PureState
 from .states import fidelity_pure  # noqa: F401
 
 __all__ = [
@@ -254,33 +257,57 @@ def _input_for(circuit: Circuit, p: InputStateParams) -> PureState:
 _F_OUT_ROUNDING = 1e-12  # how far a fidelity may stray outside [0, 1] by rounding alone
 
 
-def _sweep_rows(
-    dc: DistributedCircuit, points: list, reference: tuple, outputs, elapsed: float, rc: ResourceCount
-) -> list[SweepRow]:
-    """The rows of the noise points ``(f_w, eps_cnot, r)``, scored batch by batch as ``outputs`` yields them."""
-    p, _, ideal = reference
+def _fidelities(reference: np.ndarray, outputs: np.ndarray) -> np.ndarray:
+    """The fidelity of each row of ``outputs`` with the pure state whose Pauli vector is ``reference``.
 
-    def where(i: int) -> str:
-        f_w, eps_cnot, r = points[i]
-        return (
-            f"grid point (scheme={dc.scheme.value}, f_w={f_w}, eps_cnot={eps_cnot}, r={r}, "
-            f"alpha={p.alpha}, phi={p.phi}, gamma={p.gamma}, theta={p.theta})"
-        )
+    The rows are Pauli vectors too, (B, 4**n) on n wires, and each one's
+    fidelity is ``2**-n <reference, v>`` (see :mod:`qdcsim.pauli`);
+    ``2**n`` is the square root of the vectors' length.
+    """
+    return outputs @ reference / math.isqrt(reference.size)
+
+
+def _where(scheme: str, point: tuple, p: InputStateParams) -> str:
+    """The name of the grid point ``(f_w, eps_cnot, r)`` of ``scheme`` on the input ``p``, as errors give it."""
+    return (
+        f"grid point (scheme={scheme}, f_w={point[0]}, eps_cnot={point[1]}, r={point[2]}, "
+        f"alpha={p.alpha}, phi={p.phi}, gamma={p.gamma}, theta={p.theta})"
+    )
+
+
+def _sweep_rows(
+    dc: DistributedCircuit, points: list, reference: list, outputs, elapsed: float, rc: ResourceCount
+) -> list[SweepRow]:
+    """The rows of the noise points ``(f_w, eps_cnot, r)``, scored batch by batch as ``outputs`` yields them.
+
+    ``reference`` is ``[p, input, ideal, o]``: the input's parameters, its
+    state, its noiseless reference and that reference's Pauli vector.  o is
+    None until the input's first batch has run, and is then made here, once
+    for every scheme.
+    """
+    p, _, ideal, _ = reference
+
+    def scored(outs: np.ndarray) -> np.ndarray:
+        if reference[3] is None:
+            work = [np.empty(outs.shape[1], dtype=complex) for _ in range(2)]
+            vector = pure_to_pauli(ideal.amplitudes, work)  # the real part of work[1]
+            del work[0]  # freed before the copy, which then holds no more than the change of basis did
+            reference[3] = vector.copy()
+        return _fidelities(reference[3], outs)
 
     scheme, alpha, phi, gamma, theta = dc.scheme.value, float(abs(p.alpha)), p.phi, p.gamma, p.theta
     n_cnot, n_ebit = rc.n_cnot, rc.n_ebit
     rows: list[SweepRow] = []
     while (start := len(rows)) < len(points):
         try:
-            f_out = _fidelities(ideal, next(outputs))
+            f_out = scored(next(outputs))  # the batch is dropped here, before the next one runs
         except Exception as exc:
-            raise ExperimentError(f"{where(start)} failed: {exc}") from exc
+            raise ExperimentError(f"{_where(scheme, points[start], p)} failed: {exc}") from exc
         outside = np.flatnonzero(~((f_out >= -_F_OUT_ROUNDING) & (f_out <= 1.0 + _F_OUT_ROUNDING)))
         if outside.size:
             i = outside[0]
-            raise ExperimentError(
-                f"{where(start + i)} has fidelity {float(f_out[i])!r}, outside [0, 1] beyond rounding"
-            )
+            where = _where(scheme, points[start + i], p)
+            raise ExperimentError(f"{where} has fidelity {float(f_out[i])!r}, outside [0, 1] beyond rounding")
         rows += [
             SweepRow(scheme, f_w, eps_cnot, r, alpha, phi, gamma, theta, f, 1.0 - f, elapsed, n_cnot, n_ebit)
             for (f_w, eps_cnot, r), f in zip(points[start : start + len(f_out)], np.clip(f_out, 0.0, 1.0).tolist())
@@ -306,8 +333,13 @@ def run_sweep(spec: ExperimentSpec) -> list[SweepRow]:
     Each scheme's program comes from a per-process memo keyed by the
     circuit's value and the scheme, so a repeated spec reuses the program
     and its engine plans; its elapsed time and resource counts are worked
-    out once per call.  Each input state and its noiseless reference are
-    worked out once, from the parsed circuit, for all schemes.  The engine
+    out once per call.  Before any input is built, each scheme's peak live
+    width is checked against the engine's cap, and a program past it is
+    refused in the name of that scheme's first grid point, so no state of
+    its size is ever made.  Each input state and its noiseless reference
+    are worked out once, from the parsed circuit, for all schemes; the
+    reference's Pauli vector o once too, after the input's first batch has
+    run, since on n wires it takes 8 * 4**n bytes.  The engine
     gets one config for every setting the points share and the noise grid
     as ``(f_w, eps_cnot, r)`` rows, and runs the rows of one scheme and
     input together: in mixture mode as one
@@ -316,12 +348,13 @@ def run_sweep(spec: ExperimentSpec) -> list[SweepRow]:
     at degree + 1 Chebyshev nodes per ``r`` and its rows are interpolated
     from them (see ``engine._outputs``); they agree with direct runs to
     1e-12, not to the bit.  Sampled mode and the ``r`` axis run every point
-    directly.  Each batch comes back as one array of outputs and is scored in
-    one expression: its fidelities, their rounding check and clamp; the
-    rows are tuples built positionally.  A fidelity outside [0, 1] beyond
-    rounding names its own point; an error while a batch runs names the
-    batch's first point, and one while nodes run the first point of their
-    ``r``.
+    directly.  Each batch comes back as one real array of the outputs' Pauli
+    vectors v and is scored in one expression: its fidelities
+    ``2**-n <o, v>`` (:func:`_fidelities`), their rounding check and clamp,
+    and is dropped before the next batch runs; the rows are tuples built
+    positionally.  A fidelity outside [0, 1] beyond rounding names its own
+    point; an error while a batch runs names the batch's first point, and
+    one while nodes run the first point of their ``r``.
     """
     circuit = load_circuit(spec.circuit)
     points = list(itertools.product(spec.f_w, spec.eps_cnot, spec.r))
@@ -332,8 +365,13 @@ def run_sweep(spec: ExperimentSpec) -> list[SweepRow]:
         schedule_mode=spec.schedule_mode,
         seed=spec.seed,
     )
+    for scheme in spec.schemes:  # before any input is built, so a program too wide for the cap makes no state
+        try:
+            _capped_plan(_compiled(circuit, scheme), cfg)
+        except EngineError as exc:
+            raise ExperimentError(f"{_where(scheme.value, points[0], spec.inputs[0])} failed: {exc}") from exc
     inputs = [(p, _input_for(circuit, p)) for p in spec.inputs]
-    references = [(p, inp, ideal_output(circuit, inp)) for p, inp in inputs]
+    references = [[p, inp, ideal_output(circuit, inp), None] for p, inp in inputs]
     rows = []
     for scheme in spec.schemes:
         dc = _compiled(circuit, scheme)
@@ -407,19 +445,19 @@ def compare_csv(pairs: list[tuple[SweepRow, dict]]) -> str:
 
 
 def _axis(section: dict, key: str, default: float) -> tuple[float, ...]:
-    """One grid axis: a range or list string, a list of numbers, or one number."""
+    """One grid axis: a range or list string, a list or tuple of numbers, or one number.
+
+    A number is an int or a float, not a bool; a JSON object or a numeric
+    string is no number either.
+    """
     raw = section.get(key, (default,))
     if isinstance(raw, str):
         return parse_grid(raw)
-    try:
-        values = [raw] if isinstance(raw, (int, float)) else list(raw)
-        if any(isinstance(v, bool) for v in values):  # JSON's true and false, which float() reads as 1 and 0
-            raise TypeError
-        return tuple(float(v) for v in values)
-    except (TypeError, ValueError):
-        raise ExperimentError(
-            f"grid '{key}' must be a range string, a number or a list of numbers, got {raw!r}"
-        ) from None
+    values = raw if isinstance(raw, (list, tuple)) else (raw,)
+    # Not JSON's true and false, which float() reads as 1 and 0, nor a mapping's keys or a numeric string.
+    if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in values):
+        raise ExperimentError(f"grid '{key}' must be a range string, a number or a list of numbers, got {raw!r}")
+    return tuple(map(float, values))
 
 
 def _input_grid_from_mapping(section: dict) -> tuple[InputStateParams, ...]:

@@ -75,6 +75,9 @@ class PureState:
 
     @classmethod
     def basis(cls, n_qubits: int, index: int) -> "PureState":
+        """|index> on ``n_qubits`` wires; ``index`` must be an integer, not a bool, in [0, 2**n_qubits)."""
+        if isinstance(index, bool) or not isinstance(index, (int, np.integer)) or not 0 <= index < 1 << n_qubits:
+            raise ValueError(f"basis index must be an integer in [0, {1 << n_qubits}), got {index!r}")
         amp = np.zeros(1 << n_qubits, dtype=complex)
         amp[index] = 1.0
         return cls(amp)
@@ -324,22 +327,14 @@ def fidelity_general(ideal: DensityMatrix, noisy: DensityMatrix) -> float:
     return total * total
 
 
-def _fidelities(ideal: PureState, outputs: np.ndarray) -> np.ndarray:
-    """``<psi| rho |psi>`` of each density matrix in a ``(B, d, d)`` stack.
+def fidelity_pure(ideal: PureState, noisy: DensityMatrix) -> float:
+    """<psi| rho |psi>, the fidelity against a pure reference.
 
     ``<psi| rho`` goes in :func:`~qdcsim.pauli._pieces` by its columns.
     """
-    a = ideal.amplitudes
-    d = len(a)
+    a, d = ideal.amplitudes, noisy.entries.shape[0]
+    if len(a) != d:
+        raise ValueError(f"dimension mismatch: {len(a)} vs {d}")
     p = _pieces(d * d, _GEMV_PIECE)
-    bra = (a.conj() @ outputs.reshape(-1, d, p, d // p).transpose(0, 2, 1, 3)).reshape(-1, 1, d)
-    return np.real((bra @ a[:, None])[:, 0, 0])
-
-
-def fidelity_pure(ideal: PureState, noisy: DensityMatrix) -> float:
-    """<psi| rho |psi>, the fidelity against a pure reference."""
-    if ideal.amplitudes.shape[0] != noisy.entries.shape[0]:
-        raise ValueError(
-            f"dimension mismatch: {ideal.amplitudes.shape[0]} vs {noisy.entries.shape[0]}"
-        )
-    return float(_fidelities(ideal, noisy.entries[None])[0])
+    bra = (a.conj() @ noisy.entries.reshape(1, d, p, d // p).transpose(0, 2, 1, 3)).reshape(-1, 1, d)
+    return float(np.real((bra @ a[:, None])[0, 0, 0]))

@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -135,9 +136,9 @@ class TestSpecFromMapping:
         with pytest.raises(ExperimentError, match=r"unknown input axes: \['alpha', 'thet'\]; allowed: .*'alpha2'"):
             spec_from_mapping({"inputs": {"alpha": "0:1:0.5", "thet": 1}})
 
-    @pytest.mark.parametrize("value", [True, [0.5, False]], ids=repr)
+    @pytest.mark.parametrize("value", [True, [0.5, False], {"0.3": 0}], ids=repr)
     def test_boolean_input_axis_rejected(self, value):
-        # JSON's true would otherwise read as alpha2 = 1.
+        # JSON's true would otherwise read as alpha2 = 1, and an object as its keys.
         message = f"grid 'alpha2' must be a range string, a number or a list of numbers, got {value!r}"
         with pytest.raises(ExperimentError, match=re.escape(message)):
             spec_from_mapping({"inputs": {"alpha2": value}})
@@ -213,12 +214,21 @@ class TestRunSweep:
         assert len(lines) == 3
         assert text.endswith("\n")
 
-    def test_failing_point_identified(self, tmp_path):
+    @pytest.mark.parametrize("n", [15, 24, 34])
+    def test_failing_point_identified(self, tmp_path, n):
+        # n wires live at once, past the default cap: refused before any input
+        # or reference is built, whose 2**n amplitudes take 256 GiB at 34.
         big = tmp_path / "big.qasm"
-        big.write_text("qreg q[15];\nh q[0];\n")  # 15 wires live at once, past the default cap
+        big.write_text(f"qreg q[{n}];\nh q[0];\n")
         spec = ExperimentSpec(circuit=str(big), schemes=(Scheme.CAT_COMM,))
-        with pytest.raises(ExperimentError, match="grid point .*scheme=cat.* over the configured cap of 14"):
-            run_sweep(spec)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ExperimentError, match="grid point .*scheme=cat.* over the configured cap of 14"):
+                run_sweep(spec)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2**20
 
     def test_fidelity_outside_unit_interval_raises(self, monkeypatch):
         spec = ExperimentSpec(schemes=(Scheme.CAT_COMM,))
@@ -470,6 +480,12 @@ class TestCliSweeps:
                 "eps_cnot",
                 [False, 0.01],
                 "grid 'eps_cnot' must be a range string, a number or a list of numbers, got [False, 0.01]",
+            ),
+            ("f_w", {"0.9": 1}, "grid 'f_w' must be a range string, a number or a list of numbers, got {'0.9': 1}"),
+            (
+                "eps_cnot",
+                ["0.01"],
+                "grid 'eps_cnot' must be a range string, a number or a list of numbers, got ['0.01']",
             ),
         ],
     )

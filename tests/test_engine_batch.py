@@ -20,6 +20,7 @@ from qdcsim.channels import GateErrorParam, MemoryParam, WernerParam
 from qdcsim.compiler import Scheme, compile_circuit, count_resources
 from qdcsim.engine import DurationTable, EngineError, SimConfig, simulate
 from qdcsim.experiments import ExperimentError, ExperimentSpec, parse_grid, run_sweep, sweep_csv
+from qdcsim.pauli import from_pauli
 from qdcsim.qasm import parse_qasm
 from qdcsim.states import PureState, fidelity_pure
 
@@ -82,8 +83,8 @@ class TestBatchedEqualsPerPoint:
         base = SimConfig(schedule_mode=schedule)
         (batched,) = engine._outputs(dc, inp, base, DIRECT_NOISE)
         assert batches == [len(DIRECT_NOISE)]
-        assert batched.shape == (len(DIRECT_NOISE), 4, 4)
-        for cfg, entries in zip(noise_configs(DIRECT_NOISE, schedule_mode=schedule), batched):
+        assert batched.shape == (len(DIRECT_NOISE), 16)
+        for cfg, entries in zip(noise_configs(DIRECT_NOISE, schedule_mode=schedule), from_pauli(batched + 0j, 2)):
             alone = simulate(dc, inp, cfg)
             np.testing.assert_allclose(entries, alone.rho_out.entries, rtol=0.0, atol=1e-12)
             # What a sweep reads once per scheme instead of from each point's result.
@@ -115,7 +116,7 @@ class TestBatchedEqualsPerPoint:
     def test_pure_bell_pairs_are_shared_by_the_batch(self):
         dc = compile_circuit(experiments.template_circuit("chain-2"), Scheme.TWO_TP)
         (batched,) = engine._outputs(dc, PureState.zero(2), SimConfig(ebit_state="psi_minus"), NOISE)
-        for cfg, entries in zip(noise_configs(ebit_state="psi_minus"), batched):
+        for cfg, entries in zip(noise_configs(ebit_state="psi_minus"), from_pauli(batched + 0j, 2)):
             alone = simulate(dc, PureState.zero(2), cfg).rho_out.entries
             np.testing.assert_allclose(entries, alone, rtol=0.0, atol=1e-12)
 
@@ -307,7 +308,9 @@ class TestSampledSweep:
                     seed=11,
                 )
                 expected.append((scheme.value, f_w, r, fidelity_pure(ideal, simulate(dc, inp, cfg).rho_out)))
-        assert [(row.scheme, row.f_w, row.r, row.f_out) for row in rows] == expected
+        assert [(row.scheme, row.f_w, row.r) for row in rows] == [point[:3] for point in expected]
+        # Sweeps score Pauli vectors, simulate's fidelity a density matrix: they agree to rounding.
+        np.testing.assert_allclose([row.f_out for row in rows], [point[3] for point in expected], rtol=0, atol=1e-12)
 
 
 class TestBatchAdmission:
@@ -382,6 +385,36 @@ class TestRunKeepsNothing:
         assert not np.array_equal(later, before)
         np.testing.assert_array_equal(first, before)
         np.testing.assert_array_equal(alone.rho_out.entries, alone_before)
+
+    def test_reads_share_no_memory_with_their_registers(self, monkeypatch):
+        # The block's axes are already in order, so its channel could be a view
+        # of the block register, which would then live as long as the channel.
+        dc = compile_circuit(parse_qasm("qreg q[5]; cx q[0],q[4];"), Scheme.CAT_COMM)
+        plan = engine._plan_for(dc, DurationTable(), "sequential")
+        assert [block.axes for block in plan.blocks] == [(0, 1, 2, 3)]
+        allocations, bound = [], []
+        init, bind = engine._Register.__init__, engine._bind
+
+        def spy_init(reg, *args):
+            init(reg, *args)
+            allocations.append(reg.buf.base)
+
+        def spy_bind(*args):
+            sops, coef = bind(*args)
+            bound.append(sops)
+            return sops, coef
+
+        monkeypatch.setattr(engine._Register, "__init__", spy_init)
+        monkeypatch.setattr(engine, "_bind", spy_bind)
+        for noise in (NOISE[:1], NOISE[:3]):
+            allocations.clear()
+            bound.clear()
+            out = engine._run(plan, random_input(np.random.default_rng(2), 5), noise, None, None)
+            (sops,) = bound
+            assert len(allocations) == 2  # the block's register, then the run's own
+            for buffers in allocations:
+                assert not np.shares_memory(sops[plan.blocks[0].slot], buffers)
+                assert not np.shares_memory(out, buffers)
 
     def test_run_allocates_and_frees_its_register(self):
         # 6 live wires at the peak, in the remote gate's block (its 2 label wires

@@ -38,6 +38,7 @@ from qdcsim.compiler import (
 )
 from qdcsim.engine import EngineError, SimConfig, simulate
 from qdcsim.gates import Gate, gate_unitary
+from qdcsim.pauli import from_pauli
 from qdcsim.qasm import Circuit, parse_qasm
 from qdcsim.states import (
     DensityMatrix,
@@ -308,7 +309,7 @@ def test_in_place_passes_match_eager_reference(schedule):
     cfg = SimConfig(schedule_mode=schedule)
     assert engine._admit(dc, inp, cfg)[1] >= len(MID_REGISTER_NOISE)
     (got,) = engine._outputs(dc, inp, cfg, np.array(MID_REGISTER_NOISE))
-    for out, row in zip(got, MID_REGISTER_NOISE):
+    for out, row in zip(from_pauli(got + 0j, len(dc.result_wires)), MID_REGISTER_NOISE):
         want, _ = reference_simulate(dc, inp, _noise_config(row, schedule_mode=schedule))
         np.testing.assert_allclose(out, want.entries, atol=TOL, rtol=0.0)
 

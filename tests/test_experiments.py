@@ -3,15 +3,17 @@
 import gc
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qdcsim import engine, experiments
+from qdcsim import engine, experiments, pauli
 from qdcsim.analysis import InputStateParams
-from qdcsim.compiler import Scheme
+from qdcsim.compiler import Scheme, compile_circuit
+from qdcsim.engine import DurationTable, SimConfig, simulate
 from qdcsim.experiments import (
     SWEEP_COLUMNS,
     ExperimentError,
@@ -22,6 +24,8 @@ from qdcsim.experiments import (
     sweep_csv,
     template_circuit,
 )
+from qdcsim.qasm import parse_qasm
+from qdcsim.states import DensityMatrix, PureState, fidelity_pure
 
 V1_HEADER = "scheme,f_w,eps_cnot,r,alpha,phi,gamma,theta,f_out,output_error,elapsed_s,n_cnot,n_ebit"
 
@@ -160,3 +164,69 @@ class TestAxisNodes:
         again, repeated_weights = engine._axis_nodes(repeated, 2)
         np.testing.assert_array_equal(again, nodes)
         np.testing.assert_array_equal(repeated_weights, np.repeat(weights, 3, axis=0)[::-1])
+
+
+SIX_QUBITS = "qreg q[6]; h q[0]; h q[3]; cx q[0],q[3]; cx q[2],q[5]; cx q[4],q[1]; t q[5];"
+
+
+def random_pure(rng, k: int) -> PureState:
+    amp = rng.normal(size=1 << k) + 1j * rng.normal(size=1 << k)
+    return PureState(amp / np.linalg.norm(amp))
+
+
+def pauli_vector(psi: PureState) -> np.ndarray:
+    return pauli.pure_to_pauli(psi.amplitudes, np.empty((2, 4**psi.n_qubits), dtype=complex)).copy()
+
+
+class TestPauliScoring:
+    """A sweep scores each output's Pauli vector v against its reference's, o, as 2**-n <o, v>."""
+
+    def test_only_simulate_leaves_the_pauli_basis(self, monkeypatch, tmp_path):
+        by_engine, by_name = spy(monkeypatch, engine, "from_pauli"), spy(monkeypatch, pauli, "from_pauli")
+        six = tmp_path / "six.qasm"
+        six.write_text(SIX_QUBITS)
+        run_sweep(ExperimentSpec(schemes=tuple(Scheme), f_w=(0.9, 0.95), r=(0.0, 0.055)))
+        run_sweep(ExperimentSpec(schemes=tuple(Scheme), f_w=parse_grid("0.90:0.99:0.01")))  # node runs
+        run_sweep(ExperimentSpec(circuit=str(six), schemes=(Scheme.CAT_COMM, Scheme.TP_SAFE)))
+        run_sweep(ExperimentSpec(schemes=(Scheme.TWO_TP,), measurement_mode="sampled", seed=3))
+        assert by_engine == by_name == []
+        dc = compile_circuit(parse_qasm(SIX_QUBITS), Scheme.TP_SAFE)
+        for k, cfg in enumerate((SimConfig(), SimConfig(measurement_mode="sampled", seed=1)), start=1):
+            simulate(dc, PureState.zero(6), cfg)
+            assert len(by_engine + by_name) == k
+
+    @pytest.mark.parametrize("k", range(1, 8))
+    def test_scorer_equals_fidelity_pure(self, k):
+        # Each row's state is a mixture of three pure states, whose Pauli vectors mix alike.
+        rng = np.random.default_rng(20 + k)
+        ideal = random_pure(rng, k)
+        rows, want = [], []
+        for _ in range(3):
+            weights = rng.dirichlet(np.ones(3))
+            pures = [random_pure(rng, k) for _ in weights]
+            rows.append(sum(w * pauli_vector(psi) for w, psi in zip(weights, pures)))
+            rho = sum(w * np.outer(psi.amplitudes, psi.amplitudes.conj()) for w, psi in zip(weights, pures))
+            want.append(fidelity_pure(ideal, DensityMatrix(rho)))
+        got = experiments._fidelities(pauli_vector(ideal), np.array(rows))
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-14)
+
+    def test_full_width_sweep_within_need_and_reference(self, tmp_path):
+        # Monolithic on 8 qubits: the run's input spans its register, so the
+        # need is the input's change of basis, 2 * 16 * 4**8 bytes.  Beside a
+        # run the sweep holds its reference's Pauli vector, 8 * 4**8 bytes;
+        # past both it may hold numpy's ufunc buffers, about 280 KB here.
+        path = tmp_path / "wide.qasm"
+        path.write_text("qreg q[8]; h q[0]; cx q[0],q[7];")
+        spec = ExperimentSpec(circuit=str(path), schemes=(Scheme.MONOLITHIC,), r=(0.0, 0.055, 1.0))
+        plan = engine._plan_for(experiments._compiled(parse_qasm(path.read_text()), Scheme.MONOLITHIC),
+                                DurationTable(), "sequential")
+        assert plan.blocks == [] and plan.width == plan.n_result == 8
+        need = 2 * 16 * 4**8
+        first = run_sweep(spec)  # builds the program and its plan
+        tracemalloc.start()
+        try:
+            assert run_sweep(spec) == first
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= need + 8 * 4**8 + 512 * 1024

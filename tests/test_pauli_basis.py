@@ -172,7 +172,7 @@ def test_pure_input_round_trip(k, width):
     rho = np.outer(amp, amp.conj())
     reg = engine._Register.from_pure(amp, width, 1)
     pauli = reg.buf[: 4**k].copy()
-    (back,) = reg.reduced(tuple(range(k)))
+    (back,) = engine.from_pauli(reg.read(tuple(range(k))) + 0j, k)
     assert pauli.dtype == np.float64
     np.testing.assert_allclose(pauli, (pauli_rows(k) @ rho.reshape(-1)).real, rtol=0, atol=1e-15)
     np.testing.assert_allclose(back, rho, rtol=0, atol=1e-15)
@@ -207,7 +207,7 @@ def test_pieces_leave_conversions_unchanged(k, batch, monkeypatch):
     def convert():
         out = pauli.pure_to_pauli(amp, np.empty((2, 4**k), dtype=complex))
         rho = pauli.from_pauli(vectors.astype(complex), k)
-        return out, rho, states._fidelities(PureState(amp), rho)
+        return out, rho, [states.fidelity_pure(PureState(amp), states.DensityMatrix(m)) for m in rho]
 
     pieced = convert()
     monkeypatch.setattr(pauli, "_pieces", lambda size, piece: 1)

@@ -1,6 +1,7 @@
 """Core linear algebra: states, gates, partial trace, fidelity."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -349,3 +350,15 @@ class TestValidation:
     def test_non_power_of_two_rejected(self):
         with pytest.raises(ValueError, match="power of two"):
             PureState([1.0, 0.0, 0.0])
+
+    @pytest.mark.parametrize("index", [True, False, -2, 4, 1.0, "1", None], ids=repr)
+    def test_basis_index_must_be_an_integer_in_range(self, index):
+        # A bool would index every amplitude, -2 would wrap to 2, and 1.0 would leak numpy's IndexError.
+        message = f"basis index must be an integer in [0, 4), got {index!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            PureState.basis(2, index)
+
+    def test_basis_accepts_every_index_of_the_register(self):
+        for index in (0, 3, np.int64(6), 7):
+            amp = PureState.basis(3, index).amplitudes
+            assert amp[index] == 1.0 and np.count_nonzero(amp) == 1
